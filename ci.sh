@@ -115,6 +115,18 @@ cargo run --release -p oeb-bench --bin trace_check -- "$smoke_dir/stats_trace.js
 grep -Eq 'stats\.delta\.absorbed +[1-9]' "$smoke_dir/stats_metrics.txt" \
     || { echo "ci: no stats.delta.absorbed in stats --metrics output" >&2; exit 1; }
 
+# Smoke: the statistics task list is thread-count invariant. Each engine's
+# report must be byte-identical at one worker and at four.
+for mode in full incremental; do
+    for threads in 1 4; do
+        cargo run --release --bin oebench -- stats "Electricity Prices" --scale 0.05 \
+            --stats-mode "$mode" --threads "$threads" \
+            > "$smoke_dir/stats_${mode}_t${threads}.txt"
+    done
+    diff "$smoke_dir/stats_${mode}_t1.txt" "$smoke_dir/stats_${mode}_t4.txt" \
+        || { echo "ci: $mode stats differ between 1 and 4 threads" >&2; exit 1; }
+done
+
 # Smoke: delta-statistics benchmark (quick profile). The binary asserts
 # digest equality between the full and incremental engines while
 # timing, so an equivalence regression fails CI here too.
@@ -169,3 +181,10 @@ grep -q '"quarantined"' "$smoke_dir/chaos.json" \
     || { echo "ci: chaos report lacks quarantine accounting" >&2; exit 1; }
 grep -q '"violations": \[\]' "$smoke_dir/chaos.json" \
     || { echo "ci: chaos report lists violations" >&2; exit 1; }
+
+# Smoke: the end-to-end benchmark (oeb-benchmark/, its own package). The
+# quick profile runs one pass of every workload with every invariance
+# check and exits nonzero when one fails; then its own unit tests.
+cargo run --release --offline --quiet --manifest-path oeb-benchmark/Cargo.toml -- \
+    --quick --out "$smoke_dir/oeb_quick.json"
+cargo test --offline --manifest-path oeb-benchmark/Cargo.toml

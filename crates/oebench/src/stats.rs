@@ -20,6 +20,7 @@ use oeb_outlier::{anomaly_ratio, Ecod, IForestConfig, IsolationForest};
 use oeb_preprocess::{Imputer, KnnImputer, OneHotEncoder, StandardScaler};
 use oeb_tabular::{DeltaStat, MissingDelta, StreamDataset, Table, Task};
 use oeb_trace::Counter;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Rows/values entered into maintained sufficient statistics.
@@ -113,7 +114,7 @@ impl AvgMax {
 }
 
 /// The open-environment statistics of one stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OeStats {
     /// Dataset name.
     pub name: String,
@@ -284,6 +285,11 @@ impl OeStats {
     }
 }
 
+/// Windows shorter than this are not scored by the outlier detectors.
+const MIN_OUTLIER_ROWS: usize = 8;
+/// Windows shorter than this are not tested by PERM.
+const MIN_PERM_ROWS: usize = 16;
+
 /// Extracts the full statistics vector for one stream.
 ///
 /// With [`StatsMode::Incremental`] the decomposable statistics (missing
@@ -291,69 +297,89 @@ impl OeStats {
 /// sufficient statistics instead of per-window recomputation; the
 /// result is bit-identical to [`StatsMode::Full`] (the mode-equivalence
 /// tests and the CI smoke pin this).
+///
+/// The detectors run as one list of [`StatsTask`]s through
+/// [`parallel_map`] at [`resolve_threads`]`(None)` workers. Each task is
+/// pure in its window or column and the results are folded in task
+/// order, so the output is bit-identical at any thread count. Calling
+/// this from inside executor workers would oversubscribe the machine.
 pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
     let missing = match cfg.mode {
         StatsMode::Full => dataset.table.missing_stats(),
         StatsMode::Incremental => incremental_missing_stats(&dataset.table),
     };
-    let windows = dataset.windows();
-    let n_windows = windows.len();
+    let ranges = dataset.windows();
+    let n_windows = ranges.len();
 
     // Preprocess exactly as §4.3: one-hot encode, KNN-impute (k=2),
     // normalise.
     let encoder = OneHotEncoder::fit(&dataset.table, &dataset.feature_cols());
     let imputer = KnnImputer { k: 2 };
-    let mut encoded_windows: Vec<Matrix> = Vec::with_capacity(n_windows);
-    for range in &windows {
+    let mut windows: Vec<Matrix> = Vec::with_capacity(n_windows);
+    for range in &ranges {
         let mut w = encoder.encode(&dataset.table, range.clone());
-        let reference = w.clone();
         if w.as_slice().iter().any(|x| !x.is_finite()) {
+            let reference = w.clone();
             imputer.impute(&mut w, &reference);
         }
-        encoded_windows.push(subsample(&w, cfg.max_rows_per_window));
+        windows.push(subsample(w, cfg.max_rows_per_window));
     }
-    if let Some(first) = encoded_windows.first() {
+    if let Some(first) = windows.first() {
         let scaler = StandardScaler::fit(first);
-        for w in &mut encoded_windows {
+        for w in &mut windows {
             scaler.transform(w);
         }
     }
 
     // Per-column value universes for the maintained multisets; only the
     // incremental mode pays the upfront sort.
-    let n_cols_enc = encoded_windows.first().map(|w| w.cols()).unwrap_or(0);
+    let n_cols_enc = windows.first().map_or(0, Matrix::cols);
     let universes = match cfg.mode {
         StatsMode::Full => Vec::new(),
-        StatsMode::Incremental => column_universes(&encoded_windows, n_cols_enc),
+        StatsMode::Incremental => column_universes(&windows, n_cols_enc),
     };
 
-    // ---- Multi-dimensional data-drift detectors + window outliers ----
-    let sweep = match cfg.mode {
-        StatsMode::Full => full_multi_sweep(&encoded_windows),
-        StatsMode::Incremental => incremental_multi_sweep(&encoded_windows, &universes),
-    };
-
-    // ---- Per-column detectors ----
-    let n_cols = n_cols_enc.min(cfg.max_columns);
-    let (ks_fracs, cdbd_fracs, adwin_rates, hddm_rates) = match cfg.mode {
-        StatsMode::Full => full_column_stats(&encoded_windows, n_cols, n_windows),
-        StatsMode::Incremental => {
-            incremental_column_stats(&encoded_windows, &universes, n_cols, n_windows)
+    // The concept-drift probes and PERM have no sufficient-statistic
+    // form, so both modes run the batch path.
+    if cfg.mode == StatsMode::Incremental {
+        FULL_FALLBACK.add(2);
+    }
+    // Chains first, so the longest tasks start first.
+    let mut tasks = vec![
+        StatsTask::Kdq,
+        StatsTask::Hdddm,
+        StatsTask::PcaCd,
+        StatsTask::Concept,
+    ];
+    for (k, w) in windows.iter().enumerate() {
+        if w.rows() >= MIN_PERM_ROWS {
+            tasks.push(StatsTask::Perm(k));
+        }
+        if w.rows() >= MIN_OUTLIER_ROWS {
+            tasks.push(StatsTask::Outlier(k));
+        }
+    }
+    tasks.extend((0..n_cols_enc.min(cfg.max_columns)).map(StatsTask::Column));
+    let run = |task: StatsTask| match task {
+        StatsTask::Kdq => {
+            TaskOutput::Kdq(batch_chain(&windows, KdqTreeDetector::default(), cfg.mode))
+        }
+        StatsTask::Hdddm => TaskOutput::Hdddm(hdddm_chain(&windows, &universes, cfg.mode)),
+        StatsTask::PcaCd => TaskOutput::PcaCd(batch_chain(&windows, PcaCd::default(), cfg.mode)),
+        StatsTask::Concept => TaskOutput::Concept(concept_drift_fracs(dataset, &ranges, &windows)),
+        StatsTask::Perm(k) => {
+            TaskOutput::Perm(perm_flags(dataset, &ranges[k], &windows[k], &cfg.perm))
+        }
+        StatsTask::Outlier(k) => TaskOutput::Outlier(outlier_ratios(&windows[k], k, cfg.mode)),
+        StatsTask::Column(c) => {
+            let universe = (cfg.mode == StatsMode::Incremental).then(|| &universes[c]);
+            TaskOutput::Column(column_rates(&windows, c, universe))
         }
     };
-
-    // ---- Concept drift on probe-model error streams ----
-    // The probe/error loops are inherently sequential in row order; no
-    // sufficient-statistic form exists, so both modes run the batch path.
-    if cfg.mode == StatsMode::Incremental {
-        FULL_FALLBACK.incr();
-        FULL_FALLBACK.incr();
-    }
-    let (ddm_frac, eddm_frac, adwin_frac) = concept_drift_fracs(dataset, &encoded_windows);
-    let perm_frac = perm_fraction(dataset, &encoded_windows, &cfg.perm);
+    let outputs = parallel_map(tasks.len(), resolve_threads(None), |i| run(tasks[i]));
 
     let per_window = n_windows.max(1) as f64;
-    OeStats {
+    let mut stats = OeStats {
         name: dataset.name.clone(),
         n_rows: dataset.n_rows(),
         n_features: dataset.n_features(),
@@ -362,160 +388,182 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
         missing_rows: missing.rows_with_missing,
         missing_cols: missing.missing_columns,
         missing_cells: missing.empty_cells,
-        drift_hdddm: sweep.hdddm_hits as f64 / per_window,
-        drift_kdq: sweep.kdq_hits as f64 / per_window,
-        drift_pcacd: sweep.pcacd_hits as f64 / per_window,
-        drift_ks: AvgMax::from_values(&ks_fracs),
-        drift_cdbd: AvgMax::from_values(&cdbd_fracs),
-        drift_adwin: AvgMax::from_values(&adwin_rates),
-        drift_hddm: AvgMax::from_values(&hddm_rates),
-        concept_ddm: ddm_frac,
-        concept_eddm: eddm_frac,
-        concept_adwin: adwin_frac,
-        concept_perm: perm_frac,
-        anomaly_ecod: AvgMax::from_values(&sweep.ecod_ratios),
-        anomaly_iforest: AvgMax::from_values(&sweep.iforest_ratios),
-    }
-}
-
-/// Output of the window sweep shared by the multi-dimensional drift
-/// detectors and the window outlier detectors.
-struct MultiSweep {
-    hdddm_hits: usize,
-    kdq_hits: usize,
-    pcacd_hits: usize,
-    ecod_ratios: Vec<f64>,
-    iforest_ratios: Vec<f64>,
-}
-
-/// The retained batch path: every detector recomputes from scratch on
-/// each window.
-fn full_multi_sweep(windows: &[Matrix]) -> MultiSweep {
-    let mut hdddm = Hdddm::default();
-    let mut kdq = KdqTreeDetector::default();
-    let mut pcacd = PcaCd::default();
-    let mut hdddm_hits = 0usize;
-    let mut kdq_hits = 0usize;
-    let mut pcacd_hits = 0usize;
-    for w in windows {
-        if hdddm.update(w).is_drift() {
-            hdddm_hits += 1;
-        }
-        if kdq.update(w).is_drift() {
-            kdq_hits += 1;
-        }
-        if pcacd.update(w).is_drift() {
-            pcacd_hits += 1;
-        }
-    }
-    let mut ecod_ratios = Vec::with_capacity(windows.len());
-    let mut iforest_ratios = Vec::with_capacity(windows.len());
-    for (k, w) in windows.iter().enumerate() {
-        if w.rows() < 8 {
-            continue;
-        }
-        let ecod = Ecod::fit(w);
-        ecod_ratios.push(anomaly_ratio(&ecod.score_all(w)));
-        let forest = IsolationForest::fit(
-            w,
-            &IForestConfig {
-                n_trees: 25,
-                seed: k as u64,
-                ..Default::default()
-            },
-        );
-        iforest_ratios.push(anomaly_ratio(&forest.score_all(w)));
-    }
-    MultiSweep {
-        hdddm_hits,
-        kdq_hits,
-        pcacd_hits,
-        ecod_ratios,
-        iforest_ratios,
-    }
-}
-
-/// Maintain-and-slide path: one multiset per encoded column slides
-/// across the windows; HDDDM decisions and ECOD models are derived from
-/// the maintained counts, while kdq-tree, PCA-CD and IForest (no
-/// sufficient-statistic form) fall back to the batch detectors.
-fn incremental_multi_sweep(windows: &[Matrix], universes: &[Arc<EcdfUniverse>]) -> MultiSweep {
-    let mut hdddm = HdddmDelta::default();
-    let mut kdq = KdqTreeDetector::default();
-    let mut pcacd = PcaCd::default();
-    let mut cur: Vec<EcdfMultiset> = universes
-        .iter()
-        .map(|u| EcdfMultiset::new(Arc::clone(u)))
-        .collect();
-    let mut hdddm_hits = 0usize;
-    let mut kdq_hits = 0usize;
-    let mut pcacd_hits = 0usize;
-    let mut ecod_ratios = Vec::with_capacity(windows.len());
-    let mut iforest_ratios = Vec::with_capacity(windows.len());
-    let mut prev: Option<&Matrix> = None;
-    for (k, w) in windows.iter().enumerate() {
-        slide_columns(&mut cur, prev, w);
-        prev = Some(w);
-        if hdddm.update(&cur).is_drift() {
-            hdddm_hits += 1;
-        }
-        FULL_FALLBACK.incr();
-        if kdq.update(w).is_drift() {
-            kdq_hits += 1;
-        }
-        FULL_FALLBACK.incr();
-        if pcacd.update(w).is_drift() {
-            pcacd_hits += 1;
-        }
-        if w.rows() >= 8 {
-            // The maintained multisets hold exactly this window's values,
-            // so the snapshot model equals a fresh batch fit.
-            let ecod = Ecod::from_sorted_columns(cur.iter().map(|m| m.to_sorted_vec()).collect());
-            ecod_ratios.push(anomaly_ratio(&ecod.score_all(w)));
-            FULL_FALLBACK.incr();
-            let forest = IsolationForest::fit(
-                w,
-                &IForestConfig {
-                    n_trees: 25,
-                    seed: k as u64,
-                    ..Default::default()
-                },
-            );
-            iforest_ratios.push(anomaly_ratio(&forest.score_all(w)));
-        }
-    }
-    MultiSweep {
-        hdddm_hits,
-        kdq_hits,
-        pcacd_hits,
-        ecod_ratios,
-        iforest_ratios,
-    }
-}
-
-/// Slides the per-column multisets from the previous window onto `w`:
-/// retract every leaving value, absorb every entering one.
-fn slide_columns(cur: &mut [EcdfMultiset], prev: Option<&Matrix>, w: &Matrix) {
-    let mut retracted = 0u64;
-    if let Some(p) = prev {
-        for r in 0..p.rows() {
-            for (c, &x) in p.row(r).iter().enumerate() {
-                if cur[c].remove(x) {
-                    retracted += 1;
+        ..OeStats::default()
+    };
+    let mut ecod_ratios = Vec::with_capacity(n_windows);
+    let mut iforest_ratios = Vec::with_capacity(n_windows);
+    let (mut perm_flagged, mut perm_tested) = (0usize, 0usize);
+    let mut columns: [Vec<f64>; 4] = Default::default();
+    for output in outputs {
+        match output {
+            TaskOutput::Kdq(hits) => stats.drift_kdq = hits as f64 / per_window,
+            TaskOutput::Hdddm((hits, ratios)) => {
+                stats.drift_hdddm = hits as f64 / per_window;
+                ecod_ratios.extend(ratios);
+            }
+            TaskOutput::PcaCd(hits) => stats.drift_pcacd = hits as f64 / per_window,
+            TaskOutput::Concept((ddm, eddm, adwin)) => {
+                stats.concept_ddm = ddm;
+                stats.concept_eddm = eddm;
+                stats.concept_adwin = adwin;
+            }
+            TaskOutput::Perm(flagged) => {
+                perm_tested += 1;
+                perm_flagged += usize::from(flagged);
+            }
+            TaskOutput::Outlier((ecod, iforest)) => {
+                ecod_ratios.extend(ecod);
+                iforest_ratios.push(iforest);
+            }
+            TaskOutput::Column(rates) => {
+                for (values, rate) in columns.iter_mut().zip(rates) {
+                    values.push(rate);
                 }
             }
         }
     }
-    let mut absorbed = 0u64;
-    for r in 0..w.rows() {
-        for (c, &x) in w.row(r).iter().enumerate() {
-            if cur[c].insert(x) {
-                absorbed += 1;
+    let [ks, cdbd, adwin, hddm] = columns;
+    stats.drift_ks = AvgMax::from_values(&ks);
+    stats.drift_cdbd = AvgMax::from_values(&cdbd);
+    stats.drift_adwin = AvgMax::from_values(&adwin);
+    stats.drift_hddm = AvgMax::from_values(&hddm);
+    stats.concept_perm = perm_flagged as f64 / perm_tested.max(1) as f64;
+    stats.anomaly_ecod = AvgMax::from_values(&ecod_ratios);
+    stats.anomaly_iforest = AvgMax::from_values(&iforest_ratios);
+    stats
+}
+
+/// One independent unit of the detector phase. The chains carry detector
+/// state from window to window; every other task depends only on its own
+/// window or column.
+#[derive(Debug, Clone, Copy)]
+enum StatsTask {
+    /// kdq-tree over all windows.
+    Kdq,
+    /// HDDDM over all windows (plus the ECOD snapshots in incremental mode).
+    Hdddm,
+    /// PCA-CD over all windows.
+    PcaCd,
+    /// The DDM/EDDM/ADWIN probe over all windows.
+    Concept,
+    /// PERM on window `k`.
+    Perm(usize),
+    /// ECOD and IForest on window `k`.
+    Outlier(usize),
+    /// KS, CDBD, ADWIN and HDDM-A on encoded column `c`.
+    Column(usize),
+}
+
+/// What one [`StatsTask`] contributes to [`OeStats`].
+enum TaskOutput {
+    /// Windows the kdq-tree flagged.
+    Kdq(usize),
+    /// Windows HDDDM flagged, and the ECOD ratios of the windows it
+    /// snapshotted (incremental mode; empty in full mode).
+    Hdddm((usize, Vec<f64>)),
+    /// Windows PCA-CD flagged.
+    PcaCd(usize),
+    /// `(DDM, EDDM, ADWIN)` fractions of windows.
+    Concept((f64, f64, f64)),
+    /// Whether PERM flagged the window.
+    Perm(bool),
+    /// `(ECOD ratio, IForest ratio)`; ECOD is `None` in incremental mode.
+    Outlier((Option<f64>, f64)),
+    /// `[KS, CDBD, ADWIN, HDDM-A]` rates of one column.
+    Column([f64; 4]),
+}
+
+/// Runs a batch detector with no sufficient-statistic form (kdq-tree,
+/// PCA-CD) across the windows and counts the windows it flags. In
+/// incremental mode each window is a fallback.
+fn batch_chain(
+    windows: &[Matrix],
+    mut detector: impl BatchDriftDetector,
+    mode: StatsMode,
+) -> usize {
+    let mut hits = 0;
+    for w in windows {
+        if mode == StatsMode::Incremental {
+            FULL_FALLBACK.incr();
+        }
+        hits += usize::from(detector.update(w).is_drift());
+    }
+    hits
+}
+
+/// HDDDM across the windows. Full mode recomputes each window's
+/// histograms; incremental mode slides one multiset per encoded column
+/// across the windows and, since the multisets then hold exactly the
+/// current window's values, also takes each window's ECOD model from
+/// them (equal to a fresh batch fit). Returns the flagged-window count
+/// and those ECOD ratios.
+fn hdddm_chain(
+    windows: &[Matrix],
+    universes: &[Arc<EcdfUniverse>],
+    mode: StatsMode,
+) -> (usize, Vec<f64>) {
+    let mut hits = 0;
+    let mut ecod_ratios = Vec::new();
+    match mode {
+        StatsMode::Full => {
+            let mut hdddm = Hdddm::default();
+            for w in windows {
+                hits += usize::from(hdddm.update(w).is_drift());
+            }
+        }
+        StatsMode::Incremental => {
+            let mut hdddm = HdddmDelta::default();
+            let mut cur: Vec<EcdfMultiset> = universes
+                .iter()
+                .map(|u| EcdfMultiset::new(Arc::clone(u)))
+                .collect();
+            let mut prev: Option<&Matrix> = None;
+            for w in windows {
+                for (c, m) in cur.iter_mut().enumerate() {
+                    slide(m, &prev.map(|p| p.col(c)).unwrap_or_default(), &w.col(c));
+                }
+                prev = Some(w);
+                hits += usize::from(hdddm.update(&cur).is_drift());
+                if w.rows() >= MIN_OUTLIER_ROWS {
+                    let ecod =
+                        Ecod::from_sorted_columns(cur.iter().map(|m| m.to_sorted_vec()).collect());
+                    ecod_ratios.push(anomaly_ratio(&ecod.score_all(w)));
+                }
             }
         }
     }
-    DELTA_RETRACTED.add(retracted);
-    DELTA_ABSORBED.add(absorbed);
+    (hits, ecod_ratios)
+}
+
+/// Window `k`'s ECOD ratio (full mode only: incremental mode takes ECOD
+/// from the HDDDM chain's multisets) and IForest ratio, the forest
+/// seeded by the window index.
+fn outlier_ratios(w: &Matrix, k: usize, mode: StatsMode) -> (Option<f64>, f64) {
+    let ecod = match mode {
+        StatsMode::Full => Some(anomaly_ratio(&Ecod::fit(w).score_all(w))),
+        StatsMode::Incremental => {
+            FULL_FALLBACK.incr();
+            None
+        }
+    };
+    let forest = IsolationForest::fit(
+        w,
+        &IForestConfig {
+            n_trees: 25,
+            seed: k as u64,
+            ..Default::default()
+        },
+    );
+    (ecod, anomaly_ratio(&forest.score_all(w)))
+}
+
+/// Slides a column multiset from the previous window's values onto the
+/// next window's: retract every leaving value, absorb every entering one.
+fn slide(cur: &mut EcdfMultiset, leaving: &[f64], entering: &[f64]) {
+    let retracted = leaving.iter().filter(|&&v| cur.remove(v)).count();
+    let absorbed = entering.iter().filter(|&&v| cur.insert(v)).count();
+    DELTA_RETRACTED.add(retracted as u64);
+    DELTA_ABSORBED.add(absorbed as u64);
 }
 
 /// Per-column value universes over every window of the stream.
@@ -531,143 +579,59 @@ fn column_universes(windows: &[Matrix], n_cols: usize) -> Vec<Arc<EcdfUniverse>>
         .collect()
 }
 
-/// `(ks fracs, cdbd fracs, adwin rates, hddm rates)` per column.
-type ColumnStats = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
-
-/// The retained batch per-column loop.
-fn full_column_stats(windows: &[Matrix], n_cols: usize, n_windows: usize) -> ColumnStats {
-    let mut ks_fracs = Vec::with_capacity(n_cols);
-    let mut cdbd_fracs = Vec::with_capacity(n_cols);
-    let mut adwin_rates = Vec::with_capacity(n_cols);
-    let mut hddm_rates = Vec::with_capacity(n_cols);
-    for c in 0..n_cols {
-        let mut ks = KsDetector::new(0.05);
-        let mut cdbd = Cdbd::default();
-        let mut adwin = Adwin::new(0.002);
-        let mut hddm = HddmA::default();
-        let mut ks_hits = 0usize;
-        let mut cdbd_hits = 0usize;
-        let mut adwin_hits = 0usize;
-        let mut hddm_hits = 0usize;
-        let mut n_items = 0usize;
-        for w in windows {
-            let col = w.col(c);
-            if ks.update(&col).is_drift() {
-                ks_hits += 1;
-            }
-            if cdbd.update(&col).is_drift() {
-                cdbd_hits += 1;
-            }
-            for &v in &col {
-                if !v.is_finite() {
-                    continue;
-                }
-                n_items += 1;
-                // Normalise into [0, 1] for HDDM's Hoeffding bounds.
-                let bounded = 0.5 + 0.5 * (v / 4.0).tanh();
-                if adwin.insert(bounded) {
-                    adwin_hits += 1;
-                }
-                if hddm.update(bounded).is_drift() {
-                    hddm_hits += 1;
-                }
+/// `[KS, CDBD, ADWIN, HDDM-A]` for encoded column `c`: KS and CDBD as
+/// fractions of windows flagged, ADWIN and HDDM-A as drift events per 1k
+/// items. Without a `universe` KS and CDBD recompute on each window; with
+/// one they read a multiset slid across the windows. ADWIN and HDDM-A are
+/// streaming detectors and consume the values in row order either way.
+fn column_rates(windows: &[Matrix], c: usize, universe: Option<&Arc<EcdfUniverse>>) -> [f64; 4] {
+    let mut adwin = Adwin::new(0.002);
+    let mut hddm = HddmA::default();
+    let (mut adwin_hits, mut hddm_hits, mut n_items) = (0usize, 0usize, 0usize);
+    let mut feed_items = |col: &[f64]| {
+        for &v in col.iter().filter(|v| v.is_finite()) {
+            n_items += 1;
+            // Normalise into [0, 1] for HDDM's Hoeffding bounds.
+            let bounded = 0.5 + 0.5 * (v / 4.0).tanh();
+            adwin_hits += usize::from(adwin.insert(bounded));
+            hddm_hits += usize::from(hddm.update(bounded).is_drift());
+        }
+    };
+    let (mut ks_hits, mut cdbd_hits) = (0usize, 0usize);
+    match universe {
+        None => {
+            let mut ks = KsDetector::new(0.05);
+            let mut cdbd = Cdbd::default();
+            for w in windows {
+                let col = w.col(c);
+                ks_hits += usize::from(ks.update(&col).is_drift());
+                cdbd_hits += usize::from(cdbd.update(&col).is_drift());
+                feed_items(&col);
             }
         }
-        let per_window = n_windows.max(1) as f64;
-        ks_fracs.push(ks_hits as f64 / per_window);
-        cdbd_fracs.push(cdbd_hits as f64 / per_window);
-        let per_k_items = (n_items.max(1)) as f64 / 1000.0;
-        adwin_rates.push(adwin_hits as f64 / per_k_items);
-        hddm_rates.push(hddm_hits as f64 / per_k_items);
-    }
-    (ks_fracs, cdbd_fracs, adwin_rates, hddm_rates)
-}
-
-/// The incremental per-column loop: each column slides its own multiset
-/// across the windows and feeds the delta detectors. Columns are
-/// independent and pure, so they run under [`parallel_map`], which is
-/// bit-identical to the sequential order at any thread count.
-fn incremental_column_stats(
-    windows: &[Matrix],
-    universes: &[Arc<EcdfUniverse>],
-    n_cols: usize,
-    n_windows: usize,
-) -> ColumnStats {
-    let threads = resolve_threads(None);
-    let per_col = parallel_map(n_cols, threads, |c| {
-        let mut cur = EcdfMultiset::new(Arc::clone(&universes[c]));
-        let mut ks = KsDeltaDetector::new(0.05);
-        let mut cdbd = CdbdDelta::default();
-        let mut adwin = Adwin::new(0.002);
-        let mut hddm = HddmA::default();
-        let mut ks_hits = 0usize;
-        let mut cdbd_hits = 0usize;
-        let mut adwin_hits = 0usize;
-        let mut hddm_hits = 0usize;
-        let mut n_items = 0usize;
-        let mut prev: Option<Vec<f64>> = None;
-        for w in windows {
-            let col = w.col(c);
-            let mut retracted = 0u64;
-            if let Some(p) = &prev {
-                for &v in p {
-                    if cur.remove(v) {
-                        retracted += 1;
-                    }
-                }
+        Some(universe) => {
+            let mut cur = EcdfMultiset::new(Arc::clone(universe));
+            let mut ks = KsDeltaDetector::new(0.05);
+            let mut cdbd = CdbdDelta::default();
+            let mut prev = Vec::new();
+            for w in windows {
+                let col = w.col(c);
+                slide(&mut cur, &prev, &col);
+                ks_hits += usize::from(ks.update(&cur).is_drift());
+                cdbd_hits += usize::from(cdbd.update(&cur).is_drift());
+                feed_items(&col);
+                prev = col;
             }
-            let mut absorbed = 0u64;
-            for &v in &col {
-                if cur.insert(v) {
-                    absorbed += 1;
-                }
-            }
-            DELTA_RETRACTED.add(retracted);
-            DELTA_ABSORBED.add(absorbed);
-            if ks.update(&cur).is_drift() {
-                ks_hits += 1;
-            }
-            if cdbd.update(&cur).is_drift() {
-                cdbd_hits += 1;
-            }
-            for &v in &col {
-                if !v.is_finite() {
-                    continue;
-                }
-                n_items += 1;
-                // ADWIN and HDDM-A are already streaming (per-item)
-                // detectors; they consume the window in row order on both
-                // paths.
-                let bounded = 0.5 + 0.5 * (v / 4.0).tanh();
-                if adwin.insert(bounded) {
-                    adwin_hits += 1;
-                }
-                if hddm.update(bounded).is_drift() {
-                    hddm_hits += 1;
-                }
-            }
-            prev = Some(col);
         }
-        let per_window = n_windows.max(1) as f64;
-        let per_k_items = (n_items.max(1)) as f64 / 1000.0;
-        (
-            ks_hits as f64 / per_window,
-            cdbd_hits as f64 / per_window,
-            adwin_hits as f64 / per_k_items,
-            hddm_hits as f64 / per_k_items,
-        )
-    });
-    let mut ks_fracs = Vec::with_capacity(n_cols);
-    let mut cdbd_fracs = Vec::with_capacity(n_cols);
-    let mut adwin_rates = Vec::with_capacity(n_cols);
-    let mut hddm_rates = Vec::with_capacity(n_cols);
-    for (ks, cdbd, adwin, hddm) in per_col {
-        ks_fracs.push(ks);
-        cdbd_fracs.push(cdbd);
-        adwin_rates.push(adwin);
-        hddm_rates.push(hddm);
     }
-    (ks_fracs, cdbd_fracs, adwin_rates, hddm_rates)
+    let per_window = windows.len().max(1) as f64;
+    let per_k_items = n_items.max(1) as f64 / 1000.0;
+    [
+        ks_hits as f64 / per_window,
+        cdbd_hits as f64 / per_window,
+        adwin_hits as f64 / per_k_items,
+        hddm_hits as f64 / per_k_items,
+    ]
 }
 
 /// Whole-table missing statistics via the popcount delta accumulator —
@@ -686,16 +650,19 @@ fn incremental_missing_stats(table: &Table) -> oeb_tabular::MissingStats {
 /// DDM, EDDM and ADWIN; probes are retrained on the latest window after
 /// any drift alert (as in §4.3). Returns the fraction of windows in which
 /// each detector fired.
-fn concept_drift_fracs(dataset: &StreamDataset, windows: &[Matrix]) -> (f64, f64, f64) {
+fn concept_drift_fracs(
+    dataset: &StreamDataset,
+    ranges: &[Range<usize>],
+    windows: &[Matrix],
+) -> (f64, f64, f64) {
     if windows.len() < 2 {
         return (0.0, 0.0, 0.0);
     }
-    let ranges = dataset.windows();
     enum Probe {
         Nb(GaussianNb),
         Lin(LinearProbe),
     }
-    let fit = |w: &Matrix, range: &std::ops::Range<usize>| -> Probe {
+    let fit = |w: &Matrix, range: &Range<usize>| -> Probe {
         let ys: Vec<f64> = sample_targets(dataset, range, w.rows());
         match dataset.task {
             Task::Classification { n_classes } => Probe::Nb(GaussianNb::fit(w, &ys, n_classes)),
@@ -752,56 +719,38 @@ fn concept_drift_fracs(dataset: &StreamDataset, windows: &[Matrix]) -> (f64, f64
     )
 }
 
-/// Fraction of windows flagged by the PERM resampling test.
-fn perm_fraction(dataset: &StreamDataset, windows: &[Matrix], cfg: &PermConfig) -> f64 {
-    if windows.is_empty() {
-        return 0.0;
-    }
-    let ranges = dataset.windows();
-    let mut flagged = 0usize;
-    let mut tested = 0usize;
-    for (k, w) in windows.iter().enumerate() {
-        if w.rows() < 16 {
-            continue;
-        }
-        tested += 1;
-        let ys = sample_targets(dataset, &ranges[k], w.rows());
-        let outcome = perm_test(w.rows(), cfg, |train, test| {
-            let train_rows: Vec<Vec<f64>> = train.iter().map(|&i| w.row(i).to_vec()).collect();
-            let train_ys: Vec<f64> = train.iter().map(|&i| ys[i]).collect();
-            let tm = Matrix::from_rows(&train_rows);
-            match dataset.task {
-                Task::Classification { n_classes } => {
-                    let nb = GaussianNb::fit(&tm, &train_ys, n_classes);
-                    let errors = test
-                        .iter()
-                        .filter(|&&i| nb.predict(w.row(i)) != ys[i] as usize)
-                        .count();
-                    errors as f64 / test.len().max(1) as f64
-                }
-                Task::Regression => {
-                    let lin = LinearProbe::fit(&tm, &train_ys);
-                    test.iter()
-                        .map(|&i| (lin.predict(w.row(i)) - ys[i]).powi(2))
-                        .sum::<f64>()
-                        / test.len().max(1) as f64
-                }
+/// Whether the PERM resampling test flags one window. `perm_test`
+/// reseeds its RNG from `cfg.seed` on every call, so windows are
+/// independent.
+fn perm_flags(dataset: &StreamDataset, range: &Range<usize>, w: &Matrix, cfg: &PermConfig) -> bool {
+    let ys = sample_targets(dataset, range, w.rows());
+    let outcome = perm_test(w.rows(), cfg, |train, test| {
+        let tm = gather_rows(w, train);
+        let train_ys: Vec<f64> = train.iter().map(|&i| ys[i]).collect();
+        match dataset.task {
+            Task::Classification { n_classes } => {
+                let nb = GaussianNb::fit(&tm, &train_ys, n_classes);
+                let errors = test
+                    .iter()
+                    .filter(|&&i| nb.predict(w.row(i)) != ys[i] as usize)
+                    .count();
+                errors as f64 / test.len().max(1) as f64
             }
-        });
-        if outcome.state == DriftState::Drift {
-            flagged += 1;
+            Task::Regression => {
+                let lin = LinearProbe::fit(&tm, &train_ys);
+                test.iter()
+                    .map(|&i| (lin.predict(w.row(i)) - ys[i]).powi(2))
+                    .sum::<f64>()
+                    / test.len().max(1) as f64
+            }
         }
-    }
-    flagged as f64 / tested.max(1) as f64
+    });
+    outcome.state == DriftState::Drift
 }
 
 /// Targets aligned with a (possibly subsampled) window matrix: the
 /// subsampler takes evenly spaced rows, so targets follow the same rule.
-fn sample_targets(
-    dataset: &StreamDataset,
-    range: &std::ops::Range<usize>,
-    n_rows: usize,
-) -> Vec<f64> {
+fn sample_targets(dataset: &StreamDataset, range: &Range<usize>, n_rows: usize) -> Vec<f64> {
     let len = range.len();
     if n_rows >= len {
         return range.clone().map(|r| dataset.target_at(r)).collect();
@@ -811,15 +760,23 @@ fn sample_targets(
         .collect()
 }
 
-/// Evenly spaced row subsample of a matrix.
-fn subsample(m: &Matrix, max_rows: usize) -> Matrix {
+/// Evenly spaced row subsample of a matrix; a matrix already within the
+/// budget is returned as is.
+fn subsample(m: Matrix, max_rows: usize) -> Matrix {
     if m.rows() <= max_rows {
-        return m.clone();
+        return m;
     }
-    let rows: Vec<Vec<f64>> = (0..max_rows)
-        .map(|i| m.row(i * m.rows() / max_rows).to_vec())
-        .collect();
-    Matrix::from_rows(&rows)
+    let rows: Vec<usize> = (0..max_rows).map(|i| i * m.rows() / max_rows).collect();
+    gather_rows(&m, &rows)
+}
+
+/// The listed rows of `m`, in order, as one matrix.
+fn gather_rows(m: &Matrix, rows: &[usize]) -> Matrix {
+    let mut data = Vec::with_capacity(rows.len() * m.cols());
+    for &r in rows {
+        data.extend_from_slice(m.row(r));
+    }
+    Matrix::from_vec(rows.len(), m.cols(), data)
 }
 
 #[cfg(test)]
@@ -940,7 +897,7 @@ mod tests {
     #[test]
     fn subsample_keeps_row_budget() {
         let m = Matrix::from_rows(&(0..100).map(|i| vec![i as f64]).collect::<Vec<_>>());
-        let s = subsample(&m, 10);
+        let s = subsample(m, 10);
         assert_eq!(s.rows(), 10);
         assert_eq!(s[(0, 0)], 0.0);
     }

@@ -121,9 +121,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Incremental == full, bit for bit, on chaos streams — at 1 and 4
-    /// executor threads. The thread count feeds the incremental engine's
-    /// parallel per-column pass, so agreement across counts pins the
-    /// maintained statistics as order-independent.
+    /// executor threads. The thread count sets the width of the detector
+    /// task list in both modes, so agreement across counts pins every
+    /// task as independent of scheduling.
     #[test]
     fn incremental_matches_full_on_chaos_streams(plan in arb_plan(), seed in 0u64..8) {
         let clean = base_dataset(seed);

@@ -225,6 +225,9 @@ fn knn_impute_pruned(k: usize, data: &mut Matrix, reference: &Matrix) {
     let mut missing: Vec<usize> = Vec::new();
     // One bounded donor list per missing column, pooled across rows.
     let mut lists: Vec<Vec<(f64, usize)>> = Vec::new();
+    // Counted locally and published once: a shared atomic per candidate
+    // is contended when several workers impute at once.
+    let (mut pruned, mut scanned) = (0u64, 0u64);
     for r in 0..data.rows() {
         dmask.missing_in_row(r, &mut missing);
         if missing.is_empty() {
@@ -295,10 +298,10 @@ fn knn_impute_pruned(k: usize, data: &mut Matrix, reference: &Matrix) {
                 }
             }
             if abandoned {
-                KNN_CANDIDATES_PRUNED.incr();
+                pruned += 1;
                 continue;
             }
-            KNN_CANDIDATES_SCANNED.incr();
+            scanned += 1;
             let dist = sum * scale;
             for (slot, &c) in missing.iter().enumerate() {
                 if !rmask.get(j, c) {
@@ -334,6 +337,8 @@ fn knn_impute_pruned(k: usize, data: &mut Matrix, reference: &Matrix) {
             };
         }
     }
+    KNN_CANDIDATES_PRUNED.add(pruned);
+    KNN_CANDIDATES_SCANNED.add(scanned);
 }
 
 /// Regression imputer: for each incomplete column, fits a ridge regression

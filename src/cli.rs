@@ -10,9 +10,9 @@
 //! ```
 
 use oeb_core::{
-    extract_stats, resolve_threads, run_chaos_matrix, run_sweep_scheduled, try_run_stream,
-    Algorithm, ChaosOptions, CostModel, HarnessConfig, HarnessError, Scenario, Schedule,
-    StatsConfig, StatsMode, SupervisePolicy,
+    extract_stats, resolve_threads, run_chaos_matrix, run_sweep_scheduled, set_default_threads,
+    try_run_stream, Algorithm, ChaosOptions, CostModel, HarnessConfig, HarnessError, Scenario,
+    Schedule, StatsConfig, StatsMode, SupervisePolicy,
 };
 use oeb_synth::Level;
 use std::time::Duration;
@@ -104,8 +104,8 @@ pub struct CliOptions {
     pub scale: f64,
     /// Generation seed.
     pub seed: u64,
-    /// Sweep worker count; `None` falls back to `OEBENCH_THREADS` and
-    /// then the machine's available parallelism.
+    /// Worker count for sweeps and statistics; `None` falls back to
+    /// `OEBENCH_THREADS` and then the machine's available parallelism.
     pub threads: Option<usize>,
     /// When set, enable tracing and write the span stream to this
     /// JSON-lines file at the end of the run.
@@ -143,8 +143,9 @@ commands:\n\
                                exits 1 if any supervision invariant is violated\n\
                                [--out report.json] [--limit N] [--max-retries N]\n\
 options:\n\
-  --threads N                  sweep worker count (default: OEBENCH_THREADS or\n\
-                               all cores); results are identical for any N\n\
+  --threads N                  worker count for sweeps and statistics (default:\n\
+                               OEBENCH_THREADS or all cores); results are\n\
+                               identical for any N\n\
   --cell-deadline SECS         sweep: wall-clock watchdog per cell; a cell past\n\
                                the deadline is recorded as timed out (exit 13)\n\
   --max-retries N              sweep/chaos: seeded retry budget per cell before\n\
@@ -384,7 +385,12 @@ fn find_entry(name: &str, scale: f64) -> Result<oeb_synth::DatasetEntry, CliErro
 /// a trace of a failing run is exactly when you want one) and the
 /// metrics table goes to stderr, never stdout, so result output stays
 /// byte-identical with observability on or off.
+///
+/// `--threads` becomes the process-wide default worker count, so the
+/// statistics extractor and every nested pool honour it, not just the
+/// sweep and chaos grids.
 pub fn execute(opts: &CliOptions) -> Result<String, CliError> {
+    set_default_threads(opts.threads);
     if opts.trace.is_some() || opts.metrics {
         oeb_trace::enable();
     }

@@ -2,27 +2,35 @@
 //! generation → statistics extraction → representative selection →
 //! prequential evaluation — exercised end to end at small scale.
 
+use oebench::core::{set_default_threads, StatsMode};
 use oebench::prelude::*;
 
 const SCALE: f64 = 0.02;
 
-#[test]
-fn full_pipeline_stats_selection_evaluation() {
-    // Stage 1: generate a slice of the registry (one per domain family).
-    let names = [
-        "Electricity Prices",
-        "Beijing Multi-Site Air-Quality Shunyi",
-        "INSECTS-Abrupt (balanced)",
-        "Safe Driver",
-        "Power Consumption of Tetouan City",
-        "Indian Cities Weather Delhi",
-        "Room Occupancy Estimation",
-    ];
+/// A slice of the registry, one dataset per domain family.
+const SLICE: [&str; 7] = [
+    "Electricity Prices",
+    "Beijing Multi-Site Air-Quality Shunyi",
+    "INSECTS-Abrupt (balanced)",
+    "Safe Driver",
+    "Power Consumption of Tetouan City",
+    "Indian Cities Weather Delhi",
+    "Room Occupancy Estimation",
+];
+
+fn slice_entries() -> Vec<oebench::synth::DatasetEntry> {
     let entries: Vec<_> = oebench::synth::registry_scaled(SCALE)
         .into_iter()
-        .filter(|e| names.contains(&e.spec.name.as_str()))
+        .filter(|e| SLICE.contains(&e.spec.name.as_str()))
         .collect();
-    assert_eq!(entries.len(), names.len());
+    assert_eq!(entries.len(), SLICE.len());
+    entries
+}
+
+#[test]
+fn full_pipeline_stats_selection_evaluation() {
+    // Stage 1: generate a slice of the registry.
+    let entries = slice_entries();
 
     // Stage 2: extract open-environment statistics for each.
     let stats: Vec<OeStats> = entries
@@ -53,6 +61,52 @@ fn full_pipeline_stats_selection_evaluation() {
             "{} diverged under DT",
             dataset.name
         );
+    }
+}
+
+#[test]
+fn stats_are_identical_at_any_thread_count_in_both_modes() {
+    let mut datasets: Vec<StreamDataset> = slice_entries()
+        .iter()
+        .map(|e| generate(&e.spec, 0))
+        .collect();
+    // Twelve 12-row windows and a 6-row tail: under the 16-row PERM and
+    // 8-row outlier cut-offs, so the skipped windows go through the fold.
+    let short = oebench::synth::by_name("Electricity Prices").unwrap();
+    datasets.push(generate(
+        &StreamSpec {
+            n_rows: 150,
+            default_window: 12,
+            ..short.spec.clone()
+        },
+        0,
+    ));
+    assert_eq!(datasets[7].windows().last().map(|w| w.len()), Some(6));
+
+    for mode in [StatsMode::Full, StatsMode::Incremental] {
+        let cfg = StatsConfig {
+            mode,
+            ..Default::default()
+        };
+        let bits_at = |threads: usize| {
+            set_default_threads(Some(threads));
+            datasets
+                .iter()
+                .map(|d| extract_stats(d, &cfg).field_bits())
+                .collect::<Vec<_>>()
+        };
+        let one = bits_at(1);
+        let four = bits_at(4);
+        set_default_threads(None);
+        for (d, (a, b)) in datasets.iter().zip(one.iter().zip(&four)) {
+            assert_eq!(
+                a,
+                b,
+                "{} ({}) differs between 1 and 4 threads",
+                d.name,
+                mode.label()
+            );
+        }
     }
 }
 
