@@ -188,3 +188,10 @@ grep -q '"violations": \[\]' "$smoke_dir/chaos.json" \
 cargo run --release --offline --quiet --manifest-path oeb-benchmark/Cargo.toml -- \
     --quick --out "$smoke_dir/oeb_quick.json"
 cargo test --offline --manifest-path oeb-benchmark/Cargo.toml
+
+# Gate: the full-size §4.3 statistics of all 55 datasets. `--quick`
+# skips the golden digests, so this run is what pins them: it exits 1
+# when pass 0's digest differs from the golden one, or when any timed
+# pass or the decomposed one-thread pass differs from pass 0.
+cargo run --release --offline --quiet --manifest-path oeb-benchmark/Cargo.toml -- \
+    --workload stats-55 --seed 0 --seconds 1 --trace 0

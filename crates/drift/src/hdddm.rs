@@ -22,7 +22,8 @@ pub struct Hdddm {
     pub gamma: f64,
     /// Threshold multiplier for the warning zone (must be < gamma).
     pub warn_gamma: f64,
-    baseline: Option<Matrix>,
+    /// Every window since the last reset, one vector per column.
+    baseline: Option<Vec<Vec<f64>>>,
     prev_distance: Option<f64>,
     /// Historical |epsilon| changes since the last reset.
     diffs: Vec<f64>,
@@ -40,47 +41,45 @@ impl Hdddm {
         }
     }
 
-    /// Average per-feature Hellinger distance between two matrices.
-    fn distance(a: &Matrix, b: &Matrix) -> f64 {
-        let d = a.cols().min(b.cols());
+    /// Average per-feature Hellinger distance between two column sets.
+    fn distance(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
+        let d = a.len().min(b.len());
         if d == 0 {
             return 0.0;
         }
         let mut total = 0.0;
-        for c in 0..d {
-            let ca = a.col(c);
-            let cb = b.col(c);
+        for (ca, cb) in a.iter().zip(b) {
             // Shared range so the histograms are comparable.
-            let all: Vec<f64> = ca
+            let (lo, hi) = ca
                 .iter()
-                .chain(cb.iter())
+                .chain(cb)
                 .copied()
                 .filter(|x| x.is_finite())
-                .collect();
-            if all.is_empty() {
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
+                    (lo.min(x), hi.max(x))
+                });
+            if !lo.is_finite() {
+                // No finite value in either column.
                 continue;
             }
-            let lo = all.iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = all.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let hi = if hi > lo { hi } else { lo + 1.0 };
-            let ha = Histogram::new(&ca, BINS, lo, hi);
-            let hb = Histogram::new(&cb, BINS, lo, hi);
+            let ha = Histogram::new(ca, BINS, lo, hi);
+            let hb = Histogram::new(cb, BINS, lo, hi);
             total += hellinger(&ha.probabilities(), &hb.probabilities());
         }
         total / d as f64
     }
+}
 
-    fn append_baseline(&mut self, window: &Matrix) {
-        match &mut self.baseline {
-            None => self.baseline = Some(window.clone()),
-            Some(base) => {
-                let mut rows: Vec<Vec<f64>> =
-                    (0..base.rows()).map(|r| base.row(r).to_vec()).collect();
-                rows.extend((0..window.rows()).map(|r| window.row(r).to_vec()));
-                *base = Matrix::from_rows(&rows);
-            }
+/// The columns of `m`, each as one contiguous vector.
+fn columns(m: &Matrix) -> Vec<Vec<f64>> {
+    let mut cols = vec![Vec::with_capacity(m.rows()); m.cols()];
+    for r in 0..m.rows() {
+        for (col, &x) in cols.iter_mut().zip(m.row(r)) {
+            col.push(x);
         }
     }
+    cols
 }
 
 impl Default for Hdddm {
@@ -91,11 +90,12 @@ impl Default for Hdddm {
 
 impl BatchDriftDetector for Hdddm {
     fn update(&mut self, window: &Matrix) -> DriftState {
-        let Some(baseline) = &self.baseline else {
-            self.baseline = Some(window.clone());
+        let window = columns(window);
+        let Some(baseline) = &mut self.baseline else {
+            self.baseline = Some(window);
             return DriftState::Stable;
         };
-        let dist = Self::distance(baseline, window);
+        let dist = Self::distance(baseline, &window);
         let state = match self.prev_distance {
             None => DriftState::Stable,
             Some(prev) => {
@@ -119,7 +119,7 @@ impl BatchDriftDetector for Hdddm {
         };
         if state.is_drift() {
             // Reset the baseline to the drifted window.
-            self.baseline = Some(window.clone());
+            *baseline = window;
             self.prev_distance = None;
             self.diffs.clear();
         } else {
@@ -127,7 +127,9 @@ impl BatchDriftDetector for Hdddm {
                 self.diffs.push((dist - prev).abs());
             }
             self.prev_distance = Some(dist);
-            self.append_baseline(window);
+            for (base, col) in baseline.iter_mut().zip(&window) {
+                base.extend_from_slice(col);
+            }
         }
         state
     }
@@ -211,7 +213,9 @@ mod tests {
     #[test]
     fn distance_is_zero_for_identical_windows() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        assert!(Hdddm::distance(&m, &m) < 1e-12);
+        let cols = columns(&m);
+        assert_eq!(cols, [vec![1.0, 3.0, 5.0], vec![2.0, 4.0, 6.0]]);
+        assert!(Hdddm::distance(&cols, &cols) < 1e-12);
     }
 
     #[test]

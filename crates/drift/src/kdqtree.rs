@@ -138,14 +138,14 @@ impl KdqPartition {
             }
         }
     }
+}
 
-    /// Leaf-occupancy counts for a matrix.
-    fn occupancy(&self, data: &Matrix) -> Vec<f64> {
-        let mut counts = vec![0.0; self.n_leaves];
-        for r in 0..data.rows() {
-            counts[self.leaf_of(data.row(r))] += 1.0;
-        }
-        counts
+/// Leaf-occupancy counts of the rows whose leaf ids `leaves` yields. The
+/// counts are integers, so the order rows arrive in cannot change them.
+fn fill_counts(counts: &mut [f64], leaves: impl Iterator<Item = usize>) {
+    counts.fill(0.0);
+    for leaf in leaves {
+        counts[leaf] += 1.0;
     }
 }
 
@@ -173,6 +173,37 @@ impl KdqTreeDetector {
             reference: None,
         }
     }
+
+    /// `KL(reference || window)` over the reference's partition, and the
+    /// divergences of `self.bootstrap` pairs resampled from the pooled
+    /// rows at the original sizes.
+    ///
+    /// The partition is fixed for the whole call, so each pooled row's
+    /// leaf is found once (reference rows first, then window rows) and
+    /// every occupancy vector is filled by leaf id.
+    fn divergences(&self, reference: &Matrix, window: &Matrix) -> (f64, Vec<f64>) {
+        let partition = KdqPartition::build(reference, self.min_leaf);
+        let (n_ref, n_new) = (reference.rows(), window.rows());
+        let leaves: Vec<usize> = (0..n_ref)
+            .map(|r| partition.leaf_of(reference.row(r)))
+            .chain((0..n_new).map(|r| partition.leaf_of(window.row(r))))
+            .collect();
+        let mut a = vec![0.0; partition.n_leaves];
+        let mut b = vec![0.0; partition.n_leaves];
+        fill_counts(&mut a, leaves[..n_ref].iter().copied());
+        fill_counts(&mut b, leaves[n_ref..].iter().copied());
+        let observed = kl_divergence(&a, &b);
+
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let pooled = leaves.len();
+        let mut divergences = Vec::with_capacity(self.bootstrap);
+        for _ in 0..self.bootstrap {
+            fill_counts(&mut a, (0..n_ref).map(|_| leaves[rng.gen_range(0..pooled)]));
+            fill_counts(&mut b, (0..n_new).map(|_| leaves[rng.gen_range(0..pooled)]));
+            divergences.push(kl_divergence(&a, &b));
+        }
+        (observed, divergences)
+    }
 }
 
 impl Default for KdqTreeDetector {
@@ -188,36 +219,9 @@ impl BatchDriftDetector for KdqTreeDetector {
             self.reference = Some(window.clone());
             return DriftState::Stable;
         };
-        // Partition on the reference; measure KL(ref || window).
-        let partition = KdqPartition::build(&reference, self.min_leaf);
-        let p_ref = partition.occupancy(&reference);
-        let p_new = partition.occupancy(window);
-        let observed = kl_divergence(&p_ref, &p_new);
-
-        // Bootstrap: pool both windows, resample two pseudo-windows of the
-        // original sizes, and record their divergence.
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let pooled: Vec<Vec<f64>> = (0..reference.rows())
-            .map(|r| reference.row(r).to_vec())
-            .chain((0..window.rows()).map(|r| window.row(r).to_vec()))
-            .collect();
-        let n_ref = reference.rows();
-        let n_new = window.rows();
-        let mut divergences = Vec::with_capacity(self.bootstrap);
-        for _ in 0..self.bootstrap {
-            let a: Vec<Vec<f64>> = (0..n_ref)
-                .map(|_| pooled[rng.gen_range(0..pooled.len())].clone())
-                .collect();
-            let b: Vec<Vec<f64>> = (0..n_new)
-                .map(|_| pooled[rng.gen_range(0..pooled.len())].clone())
-                .collect();
-            let ma = Matrix::from_rows(&a);
-            let mb = Matrix::from_rows(&b);
-            divergences.push(kl_divergence(
-                &partition.occupancy(&ma),
-                &partition.occupancy(&mb),
-            ));
-        }
+        // Partition on the reference; measure KL(ref || window) against a
+        // bootstrap of pooled pseudo-window pairs.
+        let (observed, divergences) = self.divergences(&reference, window);
         let threshold = oeb_linalg::quantile(&divergences, self.quantile);
         let warn_threshold = oeb_linalg::quantile(&divergences, self.quantile * 0.95);
 
@@ -245,8 +249,105 @@ impl BatchDriftDetector for KdqTreeDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Leaf-occupancy counts of every row of `data`, walking the tree per
+    /// row (the replaced implementation).
+    fn occupancy(partition: &KdqPartition, data: &Matrix) -> Vec<f64> {
+        let mut counts = vec![0.0; partition.n_leaves];
+        for r in 0..data.rows() {
+            counts[partition.leaf_of(data.row(r))] += 1.0;
+        }
+        counts
+    }
+
+    /// The replaced divergence computation: every bootstrap resample
+    /// clones its rows into a fresh matrix and walks the tree per row.
+    fn divergences_reference(
+        det: &KdqTreeDetector,
+        reference: &Matrix,
+        window: &Matrix,
+    ) -> (f64, Vec<f64>) {
+        let partition = KdqPartition::build(reference, det.min_leaf);
+        let observed = kl_divergence(
+            &occupancy(&partition, reference),
+            &occupancy(&partition, window),
+        );
+        let mut rng = StdRng::seed_from_u64(det.seed);
+        let pooled: Vec<Vec<f64>> = (0..reference.rows())
+            .map(|r| reference.row(r).to_vec())
+            .chain((0..window.rows()).map(|r| window.row(r).to_vec()))
+            .collect();
+        let mut divergences = Vec::with_capacity(det.bootstrap);
+        for _ in 0..det.bootstrap {
+            let a: Vec<Vec<f64>> = (0..reference.rows())
+                .map(|_| pooled[rng.gen_range(0..pooled.len())].clone())
+                .collect();
+            let b: Vec<Vec<f64>> = (0..window.rows())
+                .map(|_| pooled[rng.gen_range(0..pooled.len())].clone())
+                .collect();
+            divergences.push(kl_divergence(
+                &occupancy(&partition, &Matrix::from_rows(&a)),
+                &occupancy(&partition, &Matrix::from_rows(&b)),
+            ));
+        }
+        (observed, divergences)
+    }
+
+    fn bits(observed: f64, divergences: &[f64]) -> Vec<u64> {
+        std::iter::once(observed)
+            .chain(divergences.iter().copied())
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// `cols`-wide matrices at the partition's edges: 1-3 rows or up to
+    /// 90, columns that are constant, 0/1, all-NaN, or continuous with
+    /// some NaN cells, and sometimes every row copied from the first few.
+    fn edge_matrix(cols: usize) -> impl Strategy<Value = Matrix> {
+        prop_oneof![1 => 1usize..4, 3 => 4usize..90].prop_flat_map(move |rows| {
+            (
+                prop::collection::vec(0u8..5, cols),
+                prop::collection::vec((-50.0..50.0f64, 0u8..6), rows * cols),
+                prop_oneof![3 => Just(rows), 1 => 1usize..4],
+            )
+                .prop_map(move |(kinds, cells, distinct)| {
+                    let mut data = vec![0.0; rows * cols];
+                    for r in 0..rows {
+                        for (c, &kind) in kinds.iter().enumerate() {
+                            // Repeated rows copy row `r % distinct`.
+                            let (x, coin) = cells[(r % distinct) * cols + c];
+                            data[r * cols + c] = match kind {
+                                0 => 5.0,
+                                1 => f64::from(u8::from(x > 0.0)),
+                                2 => f64::NAN,
+                                _ if coin == 0 => f64::NAN,
+                                _ => x,
+                            };
+                        }
+                    }
+                    Matrix::from_vec(rows, cols, data)
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn divergences_match_the_row_cloning_bootstrap(
+            (reference, window) in (1usize..4).prop_flat_map(|d| (edge_matrix(d), edge_matrix(d))),
+            min_leaf in 1usize..12,
+            seed in 0u64..1000,
+        ) {
+            let det = KdqTreeDetector::new(min_leaf, 12, 0.99, seed);
+            let (observed, divergences) = det.divergences(&reference, &window);
+            let (ref_observed, ref_divergences) = divergences_reference(&det, &reference, &window);
+            prop_assert_eq!(bits(observed, &divergences), bits(ref_observed, &ref_divergences));
+        }
+    }
 
     fn gaussian_window(rng: &mut StdRng, mean: f64, n: usize, d: usize) -> Matrix {
         let rows: Vec<Vec<f64>> = (0..n)
@@ -268,7 +369,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let w = gaussian_window(&mut rng, 0.0, 500, 3);
         let p = KdqPartition::build(&w, 32);
-        let occ = p.occupancy(&w);
+        let occ = occupancy(&p, &w);
         assert!((occ.iter().sum::<f64>() - 500.0).abs() < 1e-9);
         assert!(p.n_leaves > 1);
     }

@@ -13,8 +13,8 @@ pub struct GaussianNb {
     n_classes: usize,
     /// Per-class log priors.
     log_priors: Vec<f64>,
-    /// Per-class per-feature (mean, variance).
-    stats: Vec<Vec<(f64, f64)>>,
+    /// Per-class per-feature (mean, variance, ln variance).
+    stats: Vec<Vec<(f64, f64, f64)>>,
 }
 
 impl GaussianNb {
@@ -49,13 +49,13 @@ impl GaussianNb {
                 (0..d)
                     .map(|f| {
                         let n = feat_counts[c][f];
-                        if n < 1.0 {
+                        let (mean, var) = if n < 1.0 {
                             (0.0, 1.0)
                         } else {
                             let mean = sums[c][f] / n;
-                            let var = (sq_sums[c][f] / n - mean * mean).max(1e-9);
-                            (mean, var)
-                        }
+                            (mean, (sq_sums[c][f] / n - mean * mean).max(1e-9))
+                        };
+                        (mean, var, var.ln())
                     })
                     .collect()
             })
@@ -77,8 +77,8 @@ impl GaussianNb {
                 if !v.is_finite() {
                     continue;
                 }
-                let (mean, var) = self.stats[c][f];
-                score += -0.5 * ((v - mean) * (v - mean) / var + var.ln());
+                let (mean, var, ln_var) = self.stats[c][f];
+                score += -0.5 * ((v - mean) * (v - mean) / var + ln_var);
             }
             if score > best_score {
                 best_score = score;
@@ -102,19 +102,18 @@ impl LinearProbe {
     /// safety net).
     pub fn fit(xs: &Matrix, ys: &[f64]) -> LinearProbe {
         assert_eq!(xs.rows(), ys.len());
-        let rows: Vec<Vec<f64>> = (0..xs.rows())
-            .map(|r| {
-                let mut v: Vec<f64> = xs
-                    .row(r)
+        let width = xs.cols() + 1;
+        let mut design = Vec::with_capacity(xs.rows() * width);
+        for r in 0..xs.rows() {
+            design.extend(
+                xs.row(r)
                     .iter()
-                    .map(|&x| if x.is_finite() { x } else { 0.0 })
-                    .collect();
-                v.push(1.0);
-                v
-            })
-            .collect();
-        let weights = ridge_regression(&Matrix::from_rows(&rows), ys, 1e-3)
-            .unwrap_or_else(|| vec![0.0; xs.cols() + 1]);
+                    .map(|&x| if x.is_finite() { x } else { 0.0 }),
+            );
+            design.push(1.0);
+        }
+        let weights = ridge_regression(&Matrix::from_vec(xs.rows(), width, design), ys, 1e-3)
+            .unwrap_or_else(|| vec![0.0; width]);
         LinearProbe { weights }
     }
 

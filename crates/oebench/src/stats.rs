@@ -19,7 +19,7 @@ use oeb_linalg::{EcdfMultiset, EcdfUniverse, Matrix};
 use oeb_outlier::{anomaly_ratio, Ecod, IForestConfig, IsolationForest};
 use oeb_preprocess::{Imputer, KnnImputer, OneHotEncoder, StandardScaler};
 use oeb_tabular::{DeltaStat, MissingDelta, StreamDataset, Table, Task};
-use oeb_trace::Counter;
+use oeb_trace::{Counter, SpanDef};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -31,6 +31,17 @@ static DELTA_RETRACTED: Counter = Counter::new("stats.delta.retracted");
 /// incremental mode — kdq-tree, PCA-CD, IForest, and the concept-drift
 /// probes have no sufficient-statistic form and fall back per window.
 static FULL_FALLBACK: Counter = Counter::new("stats.full.fallback");
+
+/// The sequential preprocessing: encode, impute and scale every window.
+static ENCODE_SPAN: SpanDef = SpanDef::new("stats.encode");
+/// One span per [`StatsTask`] kind (see [`StatsTask::span`]).
+static KDQ_SPAN: SpanDef = SpanDef::new("stats.kdq");
+static HDDDM_SPAN: SpanDef = SpanDef::new("stats.hdddm");
+static PCACD_SPAN: SpanDef = SpanDef::new("stats.pcacd");
+static CONCEPT_SPAN: SpanDef = SpanDef::new("stats.concept");
+static PERM_SPAN: SpanDef = SpanDef::new("stats.perm");
+static OUTLIER_SPAN: SpanDef = SpanDef::new("stats.outlier");
+static COLUMN_SPAN: SpanDef = SpanDef::new("stats.column");
 
 /// How the §4.3 statistics are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -313,6 +324,7 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
 
     // Preprocess exactly as §4.3: one-hot encode, KNN-impute (k=2),
     // normalise.
+    let encode_span = ENCODE_SPAN.start();
     let encoder = OneHotEncoder::fit(&dataset.table, &dataset.feature_cols());
     let imputer = KnnImputer { k: 2 };
     let mut windows: Vec<Matrix> = Vec::with_capacity(n_windows);
@@ -330,6 +342,7 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
             scaler.transform(w);
         }
     }
+    drop(encode_span);
 
     // Per-column value universes for the maintained multisets; only the
     // incremental mode pays the upfront sort.
@@ -376,7 +389,10 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
             TaskOutput::Column(column_rates(&windows, c, universe))
         }
     };
-    let outputs = parallel_map(tasks.len(), resolve_threads(None), |i| run(tasks[i]));
+    let outputs = parallel_map(tasks.len(), resolve_threads(None), |i| {
+        let _span = tasks[i].span().start();
+        run(tasks[i])
+    });
 
     let per_window = n_windows.max(1) as f64;
     let mut stats = OeStats {
@@ -452,6 +468,21 @@ enum StatsTask {
     Outlier(usize),
     /// KS, CDBD, ADWIN and HDDM-A on encoded column `c`.
     Column(usize),
+}
+
+impl StatsTask {
+    /// The span timing this kind of task.
+    fn span(self) -> &'static SpanDef {
+        match self {
+            StatsTask::Kdq => &KDQ_SPAN,
+            StatsTask::Hdddm => &HDDDM_SPAN,
+            StatsTask::PcaCd => &PCACD_SPAN,
+            StatsTask::Concept => &CONCEPT_SPAN,
+            StatsTask::Perm(_) => &PERM_SPAN,
+            StatsTask::Outlier(_) => &OUTLIER_SPAN,
+            StatsTask::Column(_) => &COLUMN_SPAN,
+        }
+    }
 }
 
 /// What one [`StatsTask`] contributes to [`OeStats`].

@@ -17,22 +17,27 @@ pub struct Ecod {
     sorted: Vec<Vec<f64>>,
     /// Per-dimension skewness of the training data.
     skew: Vec<f64>,
+    /// Negative log tail probabilities, one table per distinct column
+    /// length `len`: entry `k` is `-ln((k + 1) / (len + 2))`, the smoothed
+    /// tail probability of `k` support values ECOD uses so probabilities
+    /// never hit zero. An empty column's table is `[-ln(1)]`.
+    tails: Vec<Vec<f64>>,
+    /// Index into `tails` per dimension.
+    tail_of: Vec<usize>,
 }
 
 impl Ecod {
     /// Fits ECOD on a training matrix (rows = samples). Non-finite cells
     /// are ignored per-dimension.
     pub fn fit(data: &Matrix) -> Ecod {
-        let d = data.cols();
-        let mut sorted = Vec::with_capacity(d);
-        let mut skew = Vec::with_capacity(d);
-        for c in 0..d {
-            let mut col: Vec<f64> = data.col(c).into_iter().filter(|x| x.is_finite()).collect();
-            col.sort_by(f64::total_cmp);
-            skew.push(skewness(&col));
-            sorted.push(col);
-        }
-        Ecod { sorted, skew }
+        let sorted = (0..data.cols())
+            .map(|c| {
+                let mut col: Vec<f64> = data.col(c).into_iter().filter(|x| x.is_finite()).collect();
+                col.sort_by(f64::total_cmp);
+                col
+            })
+            .collect();
+        Ecod::from_sorted_columns(sorted)
     }
 
     /// Assembles a fitted model from pre-sorted per-dimension samples
@@ -41,29 +46,33 @@ impl Ecod {
     /// column exactly as [`Ecod::fit`] does.
     pub fn from_sorted_columns(sorted: Vec<Vec<f64>>) -> Ecod {
         let skew = sorted.iter().map(|col| skewness(col)).collect();
-        Ecod { sorted, skew }
-    }
-
-    /// Left-tail empirical probability `P(X <= x)` with the +1 smoothing
-    /// ECOD uses so probabilities never hit zero.
-    fn left_tail(&self, c: usize, x: f64) -> f64 {
-        let col = &self.sorted[c];
-        if col.is_empty() {
-            return 1.0;
+        let mut tails: Vec<Vec<f64>> = Vec::new();
+        let tail_of = sorted
+            .iter()
+            .map(|col| {
+                // A column of `len` values has a table of `len + 1`.
+                let len = col.len();
+                tails
+                    .iter()
+                    .position(|t| t.len() == len + 1)
+                    .unwrap_or_else(|| {
+                        tails.push(if len == 0 {
+                            vec![-(1f64.ln())]
+                        } else {
+                            (0..=len)
+                                .map(|k| -((k as f64 + 1.0) / (len as f64 + 2.0)).ln())
+                                .collect()
+                        });
+                        tails.len() - 1
+                    })
+            })
+            .collect();
+        Ecod {
+            sorted,
+            skew,
+            tails,
+            tail_of,
         }
-        let rank = col.partition_point(|&v| v <= x);
-        (rank as f64 + 1.0) / (col.len() as f64 + 2.0)
-    }
-
-    /// Right-tail empirical probability `P(X >= x)`.
-    fn right_tail(&self, c: usize, x: f64) -> f64 {
-        let col = &self.sorted[c];
-        if col.is_empty() {
-            return 1.0;
-        }
-        let below = col.partition_point(|&v| v < x);
-        let geq = col.len() - below;
-        (geq as f64 + 1.0) / (col.len() as f64 + 2.0)
     }
 
     /// Outlier score of a single sample (higher = more outlying).
@@ -77,8 +86,11 @@ impl Ecod {
             if !x.is_finite() {
                 continue;
             }
-            let l = -self.left_tail(c, x).ln();
-            let r = -self.right_tail(c, x).ln();
+            let col = &self.sorted[c];
+            let tail = &self.tails[self.tail_of[c]];
+            // Left tail `P(X <= x)`, right tail `P(X >= x)`.
+            let l = tail[col.partition_point(|&v| v <= x)];
+            let r = tail[col.len() - col.partition_point(|&v| v < x)];
             s_left += l;
             s_right += r;
             s_auto += if self.skew[c] < 0.0 { l } else { r };
@@ -95,6 +107,50 @@ impl Ecod {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_data::edge_matrix;
+    use proptest::prelude::*;
+
+    /// The replaced score: two `ln` calls per scored cell.
+    fn score_per_cell_ln(model: &Ecod, row: &[f64]) -> f64 {
+        let mut s_left = 0.0;
+        let mut s_right = 0.0;
+        let mut s_auto = 0.0;
+        for (c, &x) in row.iter().enumerate() {
+            if !x.is_finite() {
+                continue;
+            }
+            let col = &model.sorted[c];
+            let (left, right) = if col.is_empty() {
+                (1.0, 1.0)
+            } else {
+                let rank = col.partition_point(|&v| v <= x);
+                let geq = col.len() - col.partition_point(|&v| v < x);
+                let n = col.len() as f64 + 2.0;
+                ((rank as f64 + 1.0) / n, (geq as f64 + 1.0) / n)
+            };
+            let l = -left.ln();
+            let r = -right.ln();
+            s_left += l;
+            s_right += r;
+            s_auto += if model.skew[c] < 0.0 { l } else { r };
+        }
+        s_left.max(s_right).max(s_auto)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn table_scores_match_per_cell_ln(
+            (train, probe) in (1usize..4).prop_flat_map(|d| (edge_matrix(d), edge_matrix(d))),
+        ) {
+            // Score the training rows and rows the model has not seen.
+            let model = Ecod::fit(&train);
+            for row in (0..train.rows()).map(|r| train.row(r)).chain((0..probe.rows()).map(|r| probe.row(r))) {
+                prop_assert_eq!(model.score(row).to_bits(), score_per_cell_ln(&model, row).to_bits());
+            }
+        }
+    }
 
     fn ring_data() -> Matrix {
         // Dense cluster near the origin.

@@ -9,17 +9,19 @@ use oeb_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A node of an isolation tree.
-#[derive(Debug, Clone)]
+/// A node of an isolation tree. A tree is one `Vec` of nodes in build
+/// order (the root first); children are indices into it.
+#[derive(Debug, Clone, Copy)]
 enum Node {
-    /// External node covering `size` training samples.
-    Leaf { size: usize },
+    /// External node, holding `c(size)` of the `size` training samples
+    /// it covers.
+    Leaf { adjust: f64 },
     /// Internal split.
     Split {
         dim: usize,
         at: f64,
-        left: Box<Node>,
-        right: Box<Node>,
+        left: usize,
+        right: usize,
     },
 }
 
@@ -57,7 +59,7 @@ impl Default for IForestConfig {
 /// A fitted isolation forest.
 #[derive(Debug, Clone)]
 pub struct IsolationForest {
-    trees: Vec<Node>,
+    trees: Vec<Vec<Node>>,
     /// Normalising constant for the subsample size used.
     c_psi: f64,
 }
@@ -65,18 +67,26 @@ pub struct IsolationForest {
 impl IsolationForest {
     /// Fits a forest on `data` (rows = samples). Non-finite cells compare
     /// as "right of every split", which keeps them isolatable without
-    /// poisoning split selection.
+    /// poisoning split selection. Without columns there is nothing to
+    /// split on: every tree is one leaf and every row scores 0.5.
     pub fn fit(data: &Matrix, config: &IForestConfig) -> IsolationForest {
         assert!(data.rows() > 0, "cannot fit on an empty matrix");
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let psi = config.subsample.min(data.rows());
-        let max_depth = (psi as f64).log2().ceil() as usize + 1;
-        let trees = (0..config.n_trees)
-            .map(|_| {
-                let sample: Vec<usize> = (0..psi).map(|_| rng.gen_range(0..data.rows())).collect();
-                build_tree(data, &sample, 0, max_depth, &mut rng)
-            })
-            .collect();
+        let n_rows = data.rows();
+        let psi = config.subsample.min(n_rows);
+        let mut builder = TreeBuilder {
+            columns: data.transpose(),
+            max_depth: (psi as f64).log2().ceil() as usize + 1,
+            rng: StdRng::seed_from_u64(config.seed),
+        };
+        let mut trees = Vec::with_capacity(config.n_trees);
+        let mut sample = Vec::with_capacity(psi);
+        for _ in 0..config.n_trees {
+            sample.clear();
+            sample.extend((0..psi).map(|_| builder.rng.gen_range(0..n_rows)));
+            let mut nodes = Vec::new();
+            builder.grow(&mut nodes, &mut sample, 0);
+            trees.push(nodes);
+        }
         IsolationForest {
             trees,
             c_psi: c_factor(psi),
@@ -85,24 +95,20 @@ impl IsolationForest {
 
     /// Path length of a sample in one tree, with the subtree-size
     /// adjustment at external nodes.
-    fn path_length(node: &Node, row: &[f64]) -> f64 {
+    fn path_length(tree: &[Node], row: &[f64]) -> f64 {
         let mut depth = 0.0;
-        let mut node = node;
+        let mut at_node = 0;
         loop {
-            match node {
-                Node::Leaf { size } => return depth + c_factor(*size),
+            match tree[at_node] {
+                Node::Leaf { adjust } => return depth + adjust,
                 Node::Split {
                     dim,
                     at,
                     left,
                     right,
                 } => {
-                    let x = row[*dim];
-                    node = if x.is_finite() && x < *at {
-                        left
-                    } else {
-                        right
-                    };
+                    let x = row[dim];
+                    at_node = if x.is_finite() && x < at { left } else { right };
                     depth += 1.0;
                 }
             }
@@ -144,51 +150,230 @@ pub fn top_score_index(scores: &[f64]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-fn build_tree(
-    data: &Matrix,
-    idx: &[usize],
-    depth: usize,
+/// Grows isolation trees over one window held column-major (`columns`
+/// is the transpose of the data), so a split scans one contiguous column.
+struct TreeBuilder {
+    columns: Matrix,
     max_depth: usize,
-    rng: &mut StdRng,
-) -> Node {
-    if idx.len() <= 1 || depth >= max_depth {
-        return Node::Leaf { size: idx.len() };
-    }
-    // Pick a random dimension with spread; give up after a few attempts.
-    for _ in 0..8 {
-        let dim = rng.gen_range(0..data.cols());
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &r in idx {
-            let x = data[(r, dim)];
-            if x.is_finite() {
-                lo = lo.min(x);
-                hi = hi.max(x);
-            }
-        }
-        if hi <= lo {
-            continue;
-        }
-        let at = lo + rng.gen::<f64>() * (hi - lo);
-        let (left, right): (Vec<usize>, Vec<usize>) = idx
-            .iter()
-            .partition(|&&r| data[(r, dim)].is_finite() && data[(r, dim)] < at);
-        if left.is_empty() || right.is_empty() {
-            continue;
-        }
-        return Node::Split {
+    rng: StdRng,
+}
+
+impl TreeBuilder {
+    /// Grows the subtree over the rows in `idx` onto `nodes` and returns
+    /// its root's index. The random draws come in depth-first,
+    /// left-before-right order.
+    fn grow(&mut self, nodes: &mut Vec<Node>, idx: &mut [usize], depth: usize) -> usize {
+        let id = nodes.len();
+        let split = if idx.len() <= 1 || depth >= self.max_depth {
+            None
+        } else {
+            self.split(idx)
+        };
+        let Some((dim, at, n_left)) = split else {
+            nodes.push(Node::Leaf {
+                adjust: c_factor(idx.len()),
+            });
+            return id;
+        };
+        // Placeholder, replaced once both children have their indices.
+        nodes.push(Node::Leaf { adjust: 0.0 });
+        let (left_idx, right_idx) = idx.split_at_mut(n_left);
+        let left = self.grow(nodes, left_idx, depth + 1);
+        let right = self.grow(nodes, right_idx, depth + 1);
+        nodes[id] = Node::Split {
             dim,
             at,
-            left: Box::new(build_tree(data, &left, depth + 1, max_depth, rng)),
-            right: Box::new(build_tree(data, &right, depth + 1, max_depth, rng)),
+            left,
+            right,
         };
+        id
     }
-    Node::Leaf { size: idx.len() }
+
+    /// Picks a random dimension with spread and a random cut inside it,
+    /// giving up after a few attempts. On success the rows of `idx` left
+    /// of the cut are moved to its front (in place: split bounds and
+    /// membership do not depend on row order), and `(dim, at, n_left)`
+    /// is returned.
+    fn split(&mut self, idx: &mut [usize]) -> Option<(usize, f64, usize)> {
+        let n_cols = self.columns.rows();
+        if n_cols == 0 {
+            return None;
+        }
+        for _ in 0..8 {
+            let dim = self.rng.gen_range(0..n_cols);
+            let col = self.columns.row(dim);
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            for &r in idx.iter() {
+                let x = col[r];
+                if x.is_finite() {
+                    lo = lo.min(x);
+                    hi = hi.max(x);
+                }
+            }
+            if hi <= lo {
+                continue;
+            }
+            let at = lo + self.rng.gen::<f64>() * (hi - lo);
+            let mut n_left = 0;
+            for i in 0..idx.len() {
+                let x = col[idx[i]];
+                if x.is_finite() && x < at {
+                    idx.swap(i, n_left);
+                    n_left += 1;
+                }
+            }
+            if n_left > 0 && n_left < idx.len() {
+                return Some((dim, at, n_left));
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_data::edge_matrix;
+    use proptest::prelude::*;
+
+    /// A node of the replaced boxed tree.
+    enum BoxedNode {
+        Leaf {
+            size: usize,
+        },
+        Split {
+            dim: usize,
+            at: f64,
+            left: Box<BoxedNode>,
+            right: Box<BoxedNode>,
+        },
+    }
+
+    /// The replaced builder: boxed nodes, two fresh index vectors per
+    /// split, strided reads of the row-major window.
+    fn build_boxed(
+        data: &Matrix,
+        idx: &[usize],
+        depth: usize,
+        max_depth: usize,
+        rng: &mut StdRng,
+    ) -> BoxedNode {
+        if idx.len() <= 1 || depth >= max_depth {
+            return BoxedNode::Leaf { size: idx.len() };
+        }
+        for _ in 0..8 {
+            let dim = rng.gen_range(0..data.cols());
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            for &r in idx {
+                let x = data[(r, dim)];
+                if x.is_finite() {
+                    lo = lo.min(x);
+                    hi = hi.max(x);
+                }
+            }
+            if hi <= lo {
+                continue;
+            }
+            let at = lo + rng.gen::<f64>() * (hi - lo);
+            let (left, right): (Vec<usize>, Vec<usize>) = idx
+                .iter()
+                .partition(|&&r| data[(r, dim)].is_finite() && data[(r, dim)] < at);
+            if left.is_empty() || right.is_empty() {
+                continue;
+            }
+            return BoxedNode::Split {
+                dim,
+                at,
+                left: Box::new(build_boxed(data, &left, depth + 1, max_depth, rng)),
+                right: Box::new(build_boxed(data, &right, depth + 1, max_depth, rng)),
+            };
+        }
+        BoxedNode::Leaf { size: idx.len() }
+    }
+
+    fn path_length_boxed(node: &BoxedNode, row: &[f64]) -> f64 {
+        let mut depth = 0.0;
+        let mut node = node;
+        loop {
+            match node {
+                BoxedNode::Leaf { size } => return depth + c_factor(*size),
+                BoxedNode::Split {
+                    dim,
+                    at,
+                    left,
+                    right,
+                } => {
+                    let x = row[*dim];
+                    node = if x.is_finite() && x < *at {
+                        left
+                    } else {
+                        right
+                    };
+                    depth += 1.0;
+                }
+            }
+        }
+    }
+
+    /// Fits and scores every row with the replaced boxed forest.
+    fn score_all_boxed(data: &Matrix, config: &IForestConfig) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let psi = config.subsample.min(data.rows());
+        let max_depth = (psi as f64).log2().ceil() as usize + 1;
+        let trees: Vec<BoxedNode> = (0..config.n_trees)
+            .map(|_| {
+                let sample: Vec<usize> = (0..psi).map(|_| rng.gen_range(0..data.rows())).collect();
+                build_boxed(data, &sample, 0, max_depth, &mut rng)
+            })
+            .collect();
+        let c_psi = c_factor(psi);
+        (0..data.rows())
+            .map(|r| {
+                if c_psi <= 0.0 {
+                    return 0.5;
+                }
+                let mean_path: f64 = trees
+                    .iter()
+                    .map(|t| path_length_boxed(t, data.row(r)))
+                    .sum::<f64>()
+                    / trees.len().max(1) as f64;
+                2f64.powf(-mean_path / c_psi)
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn flat_forest_matches_the_boxed_builder(
+            m in (1usize..4).prop_flat_map(edge_matrix),
+            n_trees in 1usize..12,
+            subsample in 1usize..48,
+            seed in 0u64..1000,
+        ) {
+            let config = IForestConfig { n_trees, subsample, seed };
+            let forest = IsolationForest::fit(&m, &config);
+            prop_assert_eq!(bits(&forest.score_all(&m)), bits(&score_all_boxed(&m, &config)));
+        }
+    }
+
+    /// Regression: with no column to split on, `fit` drew a dimension
+    /// from an empty range and panicked.
+    #[test]
+    fn zero_column_matrix_scores_one_half() {
+        let data = Matrix::zeros(40, 0);
+        let forest = IsolationForest::fit(&data, &IForestConfig::default());
+        for s in forest.score_all(&data) {
+            assert!((s - 0.5).abs() < 1e-12, "score {s}");
+        }
+    }
 
     fn cluster_with_outlier() -> Matrix {
         let mut rows: Vec<Vec<f64>> = (0..300)
