@@ -38,7 +38,7 @@ trap 'rm -rf "$smoke_dir"' EXIT
 # NaN-safety, panic hygiene) plus the workspace-level semantic rules
 # (counter vocabulary sync, exit-code registry, delta-equivalence
 # coverage, lock-order cycles, stale suppressions) — see DESIGN.md,
-# "Static invariants v2". The JSON report lands next to the bench
+# "Static invariants". The JSON report lands next to the bench
 # artifacts; --time-budget-ms is a self-timing gate — the full
 # workspace pass (index + all rules) must stay under one second or the
 # lint itself fails CI. For remediation guidance run it by hand:
@@ -69,10 +69,9 @@ diff "$smoke_dir/table4.txt" "$smoke_dir/traced/table4.txt" \
 # Smoke: attributed trace profiler. oeb-profile analyses the traced
 # table4 run: the PROFILE.json schema must validate, the per-stage
 # totals must equal the metrics-snapshot span aggregates exactly
-# (--check-metrics), the cell-attribution and per-item latency
-# instruments must have fired, and the cost model fitted from the same
-# trace must parse. PROFILE.json lands next to the bench artifacts in
-# the smoke dir.
+# (--check-metrics), and the cell-attribution and per-item latency
+# instruments must have fired. PROFILE.json lands next to the bench
+# artifacts in the smoke dir.
 cargo run --release -p oeb-bench --bin oeb-profile -- "$smoke_dir/trace.jsonl" \
     --out "$smoke_dir/PROFILE.json" --threads 4 \
     --check-metrics "$smoke_dir/metrics.txt"
@@ -85,10 +84,6 @@ grep -Eq 'profile\.cells\.attributed +[1-9]' "$smoke_dir/metrics.txt" \
     || { echo "ci: no profile.cells.attributed in --metrics output" >&2; exit 1; }
 grep -Eq 'evaluate\.window\.latency_us +count=[1-9]' "$smoke_dir/metrics.txt" \
     || { echo "ci: no evaluate.window.latency_us histogram in --metrics output" >&2; exit 1; }
-cargo run --release -p oeb-bench --bin oeb-profile -- cost-model \
-    "$smoke_dir/trace.jsonl" --out "$smoke_dir/COST_MODEL.json"
-grep -q '"classes"' "$smoke_dir/COST_MODEL.json" \
-    || { echo "ci: COST_MODEL.json lacks fitted classes" >&2; exit 1; }
 
 # Smoke: compute kernels (blocked GEMM, pruned KNN imputation) vs their
 # scalar references — asserts bit-identical outputs while timing, so a
@@ -135,18 +130,16 @@ cargo run --release -p oeb-bench --bin bench_incremental -- \
 
 # Smoke: batched training kernels (quick profile). The binary asserts
 # the training equivalences while timing — MLP GEMM batch vs per-sample
-# SGD (bit-identical parameters), lockstep-parallel ARF vs the serial
-# fused loop (equal forest digests, including at 4 oversubscribed
-# workers), Hoeffding maintained-aggregate splits vs the rescanning
-# reference (bit-identical tuples). Its traced pass must surface all
-# three train.* counters and pass the counter vocabulary gate.
+# SGD (bit-identical parameters), Hoeffding maintained-aggregate splits
+# vs the rescanning reference (bit-identical tuples). Its traced pass
+# must surface both train.* counters and pass the counter vocabulary
+# gate.
 cargo run --release -p oeb-bench --bin bench_train -- \
     --quick --out "$smoke_dir/BENCH_train.json" \
     --metrics "$smoke_dir/train_metrics.txt"
 cargo run --release -p oeb-bench --bin trace_check -- \
     --counters "$smoke_dir/train_metrics.txt"
-for c in 'train\.mlp\.gemm_batches' 'train\.arf\.parallel_members' \
-         'train\.hoeffding\.split_checks'; do
+for c in 'train\.mlp\.gemm_batches' 'train\.hoeffding\.split_checks'; do
     grep -Eq "$c +[1-9]" "$smoke_dir/train_metrics.txt" \
         || { echo "ci: no $c in bench_train --metrics output" >&2; exit 1; }
 done
@@ -189,9 +182,12 @@ cargo run --release --offline --quiet --manifest-path oeb-benchmark/Cargo.toml -
     --quick --out "$smoke_dir/oeb_quick.json"
 cargo test --offline --manifest-path oeb-benchmark/Cargo.toml
 
-# Gate: the full-size §4.3 statistics of all 55 datasets. `--quick`
-# skips the golden digests, so this run is what pins them: it exits 1
-# when pass 0's digest differs from the golden one, or when any timed
-# pass or the decomposed one-thread pass differs from pass 0.
+# Gate: every benchmark workload at full size. `--quick` skips the
+# golden digests, so this run is what pins them: it exits 1 when any
+# workload's pass-0 digest differs from the golden one, or when any
+# timed pass or the decomposed one-thread pass differs from pass 0.
+# `--out` keeps the results file out of the repo root.
 cargo run --release --offline --quiet --manifest-path oeb-benchmark/Cargo.toml -- \
-    --workload stats-55 --seed 0 --seconds 1 --trace 0
+    --workload table4-grid --workload prepare-55 --workload stats-55 \
+    --workload large-windows --seed 0 --seconds 1 --trace 0 \
+    --out "$smoke_dir/golden.json"

@@ -28,11 +28,9 @@
 //! the binary measures on its own. Warm minima are compared because
 //! cold single passes jitter by several percent on shared machines.
 
-use oeb_bench::profile;
 use oeb_core::{
-    evaluate_prepared, prepare_stream, resolve_threads, run_chaos_matrix, run_sweep,
-    run_sweep_scheduled, Algorithm, ChaosOptions, HarnessConfig, OutlierRemoval, RunResult,
-    Schedule, SupervisePolicy,
+    evaluate_prepared, prepare_stream, resolve_threads, run_chaos_matrix, run_sweep, Algorithm,
+    ChaosOptions, HarnessConfig, OutlierRemoval, RunResult,
 };
 use oeb_synth::StreamSpec;
 use oeb_trace::Stopwatch;
@@ -184,56 +182,6 @@ fn run_staged(
     results
 }
 
-/// [`run_staged`] under an explicit claim-order schedule (the cost
-/// model fitted from the FIFO pass's own trace).
-fn run_staged_scheduled(
-    specs: &[StreamSpec],
-    algorithms: &[Algorithm],
-    seeds: &[u64],
-    threads: usize,
-    schedule: &Schedule,
-) -> Vec<RunResult> {
-    let datasets: Vec<_> = specs
-        .iter()
-        .map(|spec| oeb_synth::generate(spec, 0))
-        .collect();
-    let mut results = Vec::new();
-    for &seed in seeds {
-        let cfg = bench_config(seed);
-        let report = run_sweep_scheduled(
-            &datasets,
-            algorithms,
-            &cfg,
-            None,
-            None,
-            threads,
-            &SupervisePolicy::unsupervised(),
-            schedule,
-        )
-        .expect("default config is valid");
-        results.extend(report.completed().map(|(_, r)| r.clone()));
-    }
-    results
-}
-
-/// Serialise the currently buffered trace events (plus footer) exactly
-/// as `write_trace_file` would, so the in-process profiler sees the
-/// same bytes an on-disk trace file carries.
-fn drain_trace_text() -> String {
-    let events = oeb_trace::drain_events();
-    let mut text = String::new();
-    for (id, ev) in events.iter().enumerate() {
-        text.push_str(&oeb_trace::render_trace_event(id, ev));
-        text.push('\n');
-    }
-    text.push_str(&oeb_trace::render_trace_footer(
-        events.len(),
-        oeb_trace::dropped_events(),
-    ));
-    text.push('\n');
-    text
-}
-
 /// Result equality up to wall-clock fields (`train_seconds`,
 /// `test_seconds`, `throughput`): the loss curves, item counts, and
 /// degradation logs must match bit for bit.
@@ -338,45 +286,6 @@ fn main() {
         stage_shares.insert(stage, (ns as f64 / stage_total.max(1) as f64).into());
     }
 
-    // Cost-schedule closed loop: profile the last traced FIFO pass from
-    // its own buffered events, fit the per-learner cost model, replay
-    // the identical grid with cost-ordered claiming, and record the
-    // utilization/makespan delta. The replay must stay bit-identical —
-    // the schedule only permutes the claim order.
-    let fifo_trace = profile::parse_trace(&drain_trace_text()).expect("own trace parses");
-    let fifo_profile = profile::analyze(&fifo_trace, 1);
-    let cost_model = profile::fit_cost_model(&fifo_trace);
-    oeb_trace::reset();
-    oeb_trace::enable();
-    let started = Stopwatch::start();
-    let cost_results = run_staged_scheduled(
-        &specs,
-        &algorithms,
-        &seeds,
-        threads,
-        &Schedule::Cost(cost_model.clone()),
-    );
-    let cost_seconds = started.elapsed_seconds();
-    oeb_trace::disable();
-    assert!(
-        same_modulo_timing(&staged, &cost_results),
-        "cost-ordered claiming must be bit-identical to FIFO"
-    );
-    let cost_trace = profile::parse_trace(&drain_trace_text()).expect("own trace parses");
-    let cost_profile = profile::analyze(&cost_trace, 1);
-    let profile_block = serde_json::json!({
-        "cost_model_classes": cost_model.classes.len() as u64,
-        "cost_samples": profile::cost_samples(&fifo_trace).len() as u64,
-        "fifo_utilization": fifo_profile.utilization,
-        "cost_utilization": cost_profile.utilization,
-        "utilization_delta": cost_profile.utilization - fifo_profile.utilization,
-        "fifo_makespan_ns": fifo_profile.makespan_ns,
-        "cost_makespan_ns": cost_profile.makespan_ns,
-        "lower_bound_ns": fifo_profile.lower_bound_ns,
-        "cost_pass_seconds": cost_seconds,
-        "results_bit_identical": serde_json::Value::Bool(true),
-    });
-
     // The disabled path — instrumentation compiled in but switched off
     // — is the warm untraced minimum above (tracing defaults to off);
     // the reference is the same warm minimum timed by a
@@ -442,7 +351,6 @@ fn main() {
         "speedup": speedup,
         "tracing": serde_json::Value::Object(tracing),
         "stage_shares": serde_json::Value::Object(stage_shares),
-        "profile": profile_block,
         "supervision": supervision,
         "metrics": metrics,
     });
@@ -459,10 +367,8 @@ fn main() {
         .unwrap_or_default();
     eprintln!(
         "[bench_sweep] baseline {baseline_seconds:.2}s, staged {staged_seconds:.2}s \
-         ({speedup:.2}x), tracing enabled overhead {enabled_overhead_pct:+.2}%{disabled_note}, \
-         cost-schedule utilization {:.1}% -> {:.1}% -> {}",
-        100.0 * fifo_profile.utilization,
-        100.0 * cost_profile.utilization,
+         ({speedup:.2}x), tracing enabled overhead {enabled_overhead_pct:+.2}%{disabled_note} \
+         -> {}",
         opts.out
     );
 }

@@ -1,7 +1,7 @@
 //! Batched training kernels vs their per-sample references, emitted as
 //! `BENCH_train.json`.
 //!
-//! Three learner hot paths, each timed against the retained historical
+//! Two learner hot paths, each timed against the retained historical
 //! implementation while asserting exact equivalence:
 //!
 //! * **MLP window SGD** — [`oeb_nn::train_window`] drives the blocked
@@ -10,12 +10,6 @@
 //!   [`oeb_nn::train_window_reference`] drives the per-sample loop. Both
 //!   start from the same initial model with identical shuffling, and the
 //!   final parameters must agree **bit-for-bit**.
-//! * **ARF window training** — serial
-//!   [`AdaptiveRandomForest::learn_window`] vs the lockstep-parallel
-//!   [`oeb_core::arf_train_window_lockstep`], timed at the machine's
-//!   actual parallelism (spinning more workers than cores measures
-//!   scheduler thrash, not the kernel) with the structural-digest
-//!   equality additionally asserted at 4 workers untimed.
 //! * **Hoeffding split evaluation** — the maintained-aggregate
 //!   `best_splits` fast path vs the retained reference on a densely fed
 //!   leaf; the `(gain, feature, threshold, runner-up)` tuples must agree
@@ -31,7 +25,7 @@
 use oeb_bench::warm_min_pair;
 use oeb_linalg::Matrix;
 use oeb_nn::{train_window, train_window_reference, Mlp, Objective, Regularizer, SgdConfig};
-use oeb_tree::{AdaptiveRandomForest, ArfConfig, HoeffdingConfig, HoeffdingTree};
+use oeb_tree::{HoeffdingConfig, HoeffdingTree};
 
 struct Options {
     quick: bool,
@@ -146,67 +140,6 @@ fn bench_mlp(quick: bool, passes: usize) -> serde_json::Value {
     })
 }
 
-/// ARF window training: serial fused loop vs lockstep-parallel members.
-///
-/// Timing runs the lockstep trainer at the machine's *actual*
-/// parallelism — on a single-core box that resolves to one worker
-/// (lockstep degenerates to the pre-pass-split serial loop, so the
-/// ratio measures the refactor's overhead, ~1.0x), while multi-core
-/// machines see the real speedup. Spinning 4 workers on 1 core would
-/// only measure scheduler-quantum thrash, not the kernel. The
-/// bit-identity contract is still checked at 4 workers, untimed.
-fn bench_arf(quick: bool, passes: usize) -> serde_json::Value {
-    let rows = if quick { 2_000 } else { 8_000 };
-    let (xs, ys) = synth_window(rows, 3, 2, 0x0eb_a2f);
-    let mk = || AdaptiveRandomForest::new(3, 2, ArfConfig::default());
-    let available = std::thread::available_parallelism().map_or(1, usize::from);
-    let timed_threads = available.min(4);
-    let mut serial_digest = 0u64;
-    let mut lockstep_digest = 1u64;
-    let (serial_seconds, lockstep_seconds) = warm_min_pair(
-        passes,
-        || {
-            let mut f = mk();
-            f.learn_window(&xs, &ys);
-            serial_digest = f.digest();
-        },
-        || {
-            let mut f = mk();
-            oeb_core::arf_train_window_lockstep(&mut f, &xs, &ys, timed_threads);
-            lockstep_digest = f.digest();
-        },
-    );
-    assert_eq!(
-        serial_digest, lockstep_digest,
-        "ARF forests diverged between the serial and lockstep trainers"
-    );
-    // Determinism contract at an oversubscribed thread count (untimed).
-    let mut four = mk();
-    oeb_core::arf_train_window_lockstep(&mut four, &xs, &ys, 4);
-    assert_eq!(
-        serial_digest,
-        four.digest(),
-        "ARF forest diverged at 4 lockstep workers"
-    );
-    let speedup = serial_seconds / lockstep_seconds.max(1e-12);
-    eprintln!(
-        "[bench_train] arf ({rows} rows, 5 members, {timed_threads} of {available} \
-         hw threads): serial {serial_seconds:.4}s, lockstep {lockstep_seconds:.4}s \
-         ({speedup:.2}x; digest also checked at 4 workers)"
-    );
-    serde_json::json!({
-        "rows": rows as u64,
-        "members": 5u64,
-        "timed_threads": timed_threads as u64,
-        "available_parallelism": available as u64,
-        "serial_seconds": serial_seconds,
-        "lockstep_seconds": lockstep_seconds,
-        "speedup": speedup,
-        "digests_equal_timed": true,
-        "digests_equal_4_workers": true,
-    })
-}
-
 /// Hoeffding split evaluation on a densely fed leaf: maintained
 /// aggregates vs the allocating reference.
 fn bench_hoeffding(quick: bool, passes: usize) -> serde_json::Value {
@@ -279,7 +212,6 @@ fn main() {
     };
 
     let mlp = bench_mlp(opts.quick, passes);
-    let arf = bench_arf(opts.quick, passes);
     let hoeffding = bench_hoeffding(opts.quick, passes);
 
     // One traced pass through each batched path so the artifact (and the
@@ -299,9 +231,6 @@ fn main() {
             },
             &Regularizer::None,
         );
-        let (axs, ays) = synth_window(600, 3, 2, 0x0eb_77b);
-        let mut forest = AdaptiveRandomForest::new(3, 2, ArfConfig::default());
-        oeb_core::arf_train_window_lockstep(&mut forest, &axs, &ays, 2);
         let mut tree = HoeffdingTree::new(
             4,
             2,
@@ -315,11 +244,7 @@ fn main() {
     }
     oeb_trace::disable();
     let snap = oeb_trace::snapshot();
-    for counter in [
-        "train.mlp.gemm_batches",
-        "train.arf.parallel_members",
-        "train.hoeffding.split_checks",
-    ] {
+    for counter in ["train.mlp.gemm_batches", "train.hoeffding.split_checks"] {
         assert!(
             snap.counters.get(counter).copied().unwrap_or(0) > 0,
             "traced pass never hit {counter}"
@@ -339,11 +264,9 @@ fn main() {
         "passes": passes as u64,
         "equivalence": {
             "mlp": "final parameters bit-identical (GEMM batch vs per-sample)",
-            "arf": "forest structural digests equal (lockstep vs serial)",
             "hoeffding": "split tuples bit-identical (maintained aggregates vs rescan)",
         },
         "mlp": mlp,
-        "arf": arf,
         "hoeffding": hoeffding,
         "metrics": metrics,
     });

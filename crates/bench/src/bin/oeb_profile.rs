@@ -3,7 +3,6 @@
 //! ```text
 //! oeb-profile <trace.jsonl> [--out PROFILE.json] [--top K] [--threads N]
 //!             [--check-metrics metrics.txt]
-//! oeb-profile cost-model <trace.jsonl> [--out COST_MODEL.json]
 //! ```
 //!
 //! The default mode prints the human-readable profile table to stdout
@@ -12,24 +11,16 @@
 //! a rendered metrics table from the same run — they must match
 //! exactly, or the tool exits 1.
 //!
-//! `cost-model` fits `cost ≈ a + b·rows` per learner class from the
-//! attributed cell spans and writes `COST_MODEL.json` for the sweep's
-//! `--schedule cost` mode.
-//!
 //! Exit codes: 0 success, 1 analysis/check failure, 2 usage.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use oeb_bench::profile::{
-    analyze, check_metrics, cost_samples, fit_cost_model, parse_trace, profile_json, render_profile,
-};
+use oeb_bench::profile::{analyze, check_metrics, parse_trace, profile_json, render_profile};
 
-const USAGE: &str = "usage: oeb-profile <trace.jsonl> [--out PROFILE.json] [--top K] [--threads N] [--check-metrics metrics.txt]
-       oeb-profile cost-model <trace.jsonl> [--out COST_MODEL.json]";
+const USAGE: &str = "usage: oeb-profile <trace.jsonl> [--out PROFILE.json] [--top K] [--threads N] [--check-metrics metrics.txt]";
 
 struct Options {
-    cost_model: bool,
     trace: PathBuf,
     out: Option<PathBuf>,
     top: usize,
@@ -39,7 +30,6 @@ struct Options {
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
-        cost_model: false,
         trace: PathBuf::new(),
         out: None,
         top: 10,
@@ -76,14 +66,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     match positional.as_slice() {
         [trace] => opts.trace = PathBuf::from(trace),
-        [sub, trace] if sub == "cost-model" => {
-            opts.cost_model = true;
-            opts.trace = PathBuf::from(trace);
-        }
-        _ => return Err("expected one trace file (optionally after `cost-model`)".to_string()),
-    }
-    if opts.cost_model && (opts.check_metrics.is_some() || opts.top != 10 || opts.threads != 1) {
-        return Err("cost-model only takes --out".to_string());
+        _ => return Err("expected one trace file".to_string()),
     }
     Ok(opts)
 }
@@ -92,30 +75,6 @@ fn run(opts: &Options) -> Result<(), String> {
     let text = std::fs::read_to_string(&opts.trace)
         .map_err(|e| format!("cannot read {}: {e}", opts.trace.display()))?;
     let trace = parse_trace(&text)?;
-
-    if opts.cost_model {
-        let samples = cost_samples(&trace);
-        if samples.is_empty() {
-            return Err("trace has no attributed cell spans to fit".to_string());
-        }
-        let model = fit_cost_model(&trace);
-        let json = serde_json::to_string_pretty(&model.to_json())
-            .map_err(|e| format!("cannot serialise cost model: {e}"))?;
-        match &opts.out {
-            Some(path) => {
-                std::fs::write(path, json + "\n")
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                println!(
-                    "cost model: {} classes from {} samples -> {}",
-                    model.classes.len(),
-                    samples.len(),
-                    path.display()
-                );
-            }
-            None => println!("{json}"),
-        }
-        return Ok(());
-    }
 
     let profile = analyze(&trace, opts.threads);
     print!("{}", render_profile(&profile, opts.top));
@@ -167,23 +126,16 @@ mod tests {
     #[test]
     fn parses_profile_mode() {
         let o = opts(&["t.jsonl", "--out", "P.json", "--top", "3", "--threads", "4"]).unwrap();
-        assert!(!o.cost_model);
         assert_eq!(o.trace, PathBuf::from("t.jsonl"));
         assert_eq!(o.out, Some(PathBuf::from("P.json")));
         assert_eq!((o.top, o.threads), (3, 4));
     }
 
     #[test]
-    fn parses_cost_model_mode() {
-        let o = opts(&["cost-model", "t.jsonl", "--out", "C.json"]).unwrap();
-        assert!(o.cost_model);
-        assert!(opts(&["cost-model", "t.jsonl", "--top", "3"]).is_err());
-    }
-
-    #[test]
     fn rejects_bad_usage() {
         assert!(opts(&[]).is_err());
         assert!(opts(&["a", "b"]).is_err());
+        assert!(opts(&["cost-model", "t.jsonl"]).is_err());
         assert!(opts(&["t.jsonl", "--nope"]).is_err());
         assert!(opts(&["t.jsonl", "--top"]).is_err());
     }

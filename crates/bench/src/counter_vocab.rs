@@ -12,7 +12,6 @@
 /// Every counter name a production snapshot may contain.
 pub const KNOWN_COUNTERS: &[&str] = &[
     "executor.claims",
-    "executor.lockstep_runs",
     "executor.parallel_runs",
     "executor.sequential_runs",
     "executor.watchdog.fired",
@@ -39,7 +38,6 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "prepare.rows",
     "prepare.windows",
     "profile.cells.attributed",
-    "profile.cells.cost_scheduled",
     "stats.delta.absorbed",
     "stats.delta.retracted",
     "stats.full.fallback",
@@ -58,7 +56,6 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "synth.generated.datasets",
     "synth.generated.rows",
     "trace.events.dropped",
-    "train.arf.parallel_members",
     "train.hoeffding.split_checks",
     "train.mlp.gemm_batches",
 ];

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use oeb_core::{parallel_map, CostModel, CostSample};
+use oeb_core::parallel_map;
 
 /// Span names that carry a whole cell's wall time. `cell.run` wraps the
 /// per-seed harness funnel (every execution path); `sweep.cell` is the
@@ -487,32 +487,6 @@ pub fn render_profile(p: &Profile, top: usize) -> String {
     out
 }
 
-/// Extract cost-model samples: one per attributed cell wall span, in
-/// trace order.
-pub fn cost_samples(trace: &ParsedTrace) -> Vec<CostSample> {
-    let wall_span = CELL_WALL_SPANS
-        .iter()
-        .copied()
-        .find(|w| trace.spans.iter().any(|s| s.name == *w));
-    trace
-        .spans
-        .iter()
-        .filter(|s| Some(s.name.as_str()) == wall_span)
-        .filter_map(|s| {
-            Some(CostSample {
-                learner: s.learner.clone()?,
-                rows: s.rows?,
-                dur_ns: s.dur_ns,
-            })
-        })
-        .collect()
-}
-
-/// Fit the cost model from a trace's attributed cell spans.
-pub fn fit_cost_model(trace: &ParsedTrace) -> CostModel {
-    CostModel::fit(&cost_samples(trace))
-}
-
 /// Cross-check the profile's per-stage totals against a rendered
 /// metrics table (`render_metrics_table` output): every span row must
 /// match the trace aggregate exactly — same count, same `total_us`
@@ -646,18 +620,6 @@ mod tests {
         let one = serde_json::to_string(&profile_json(&analyze(&trace, 1), 5)).unwrap();
         let four = serde_json::to_string(&profile_json(&analyze(&trace, 4), 5)).unwrap();
         assert_eq!(one, four);
-    }
-
-    #[test]
-    fn cost_samples_feed_the_model() {
-        let trace = parse_trace(&sample_trace()).unwrap();
-        let samples = cost_samples(&trace);
-        assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].learner, "arf");
-        assert_eq!(samples[0].rows, 100);
-        let model = fit_cost_model(&trace);
-        assert!(model.classes.contains_key("arf"));
-        assert!(model.classes.contains_key("tree"));
     }
 
     #[test]

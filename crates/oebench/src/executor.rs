@@ -32,7 +32,6 @@ use oeb_trace::{Counter, Gauge, SpanDef};
 static CLAIMS: Counter = Counter::new("executor.claims");
 static SEQUENTIAL_RUNS: Counter = Counter::new("executor.sequential_runs");
 static PARALLEL_RUNS: Counter = Counter::new("executor.parallel_runs");
-static LOCKSTEP_RUNS: Counter = Counter::new("executor.lockstep_runs");
 static QUEUE_DEPTH: Gauge = Gauge::new("executor.queue.depth");
 static WORKERS: Gauge = Gauge::new("executor.workers");
 static WATCHDOG_FIRED: Counter = Counter::new("executor.watchdog.fired");
@@ -214,49 +213,16 @@ where
     T: Send,
     F: Fn(usize, &WatchdogSlot) -> T + Sync,
 {
-    parallel_map_watchdog_ordered(n, threads, wall_deadline, None, f)
-}
-
-/// [`parallel_map_watchdog`] with an explicit *claim order*: workers pull
-/// positions from the shared counter as usual but execute
-/// `order[position]` instead of the position itself (a cost-ordered sweep
-/// claims longest-expected-first). Results are still deposited in — and
-/// collected from — per-*task* slots, so the output `Vec` is indexed by
-/// task and bit-identical for every order and thread count whenever
-/// `f(i)` depends only on `i`; the order can only shift wall-clock
-/// utilization. `order`, when given, must be a permutation of `0..n`.
-pub fn parallel_map_watchdog_ordered<T, F>(
-    n: usize,
-    threads: usize,
-    wall_deadline: Option<Duration>,
-    order: Option<&[usize]>,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &WatchdogSlot) -> T + Sync,
-{
-    debug_assert!(order.is_none_or(|o| {
-        let mut seen = vec![false; n];
-        o.len() == n
-            && o.iter()
-                .all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
-    }));
-    let task_at = |position: usize| order.map_or(position, |o| o[position]);
     if threads <= 1 || n <= 1 {
         SEQUENTIAL_RUNS.incr();
         let slot = WatchdogSlot::new(wall_deadline);
         return with_watchdog(wall_deadline, std::slice::from_ref(&slot), || {
-            let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-            for position in 0..n {
-                let i = task_at(position);
-                let _task = TASK_SPAN.start();
-                CLAIMS.incr();
-                results[i] = Some(f(i, &slot));
-            }
-            results
-                .into_iter()
-                .map(|r| r.expect("every index visited exactly once"))
+            (0..n)
+                .map(|i| {
+                    let _task = TASK_SPAN.start();
+                    CLAIMS.incr();
+                    f(i, &slot)
+                })
                 .collect()
         });
     }
@@ -282,13 +248,12 @@ where
                     oeb_trace::set_thread_slot(w as u32 + 1);
                     let worker = WORKER_SPAN.start();
                     loop {
-                        let position = next.fetch_add(1, Ordering::Relaxed);
-                        if position >= n {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
                             break;
                         }
-                        let i = task_at(position);
                         CLAIMS.incr();
-                        QUEUE_DEPTH.set((n - position.min(n)) as u64);
+                        QUEUE_DEPTH.set((n - i) as u64);
                         let _task = TASK_SPAN.start();
                         let result = f(i, dog_slot);
                         dog_slot.disarm();
@@ -308,137 +273,6 @@ where
         .into_iter()
         .map(|slot| lock_recover_into(slot).expect("every index claimed exactly once"))
         .collect()
-}
-
-/// Spin-then-yield wait loop for the lockstep round protocol: rounds are
-/// microseconds long, so futex parking (condvars, [`std::sync::Barrier`])
-/// would cost more than the round itself.
-#[inline]
-fn spin_until(mut ready: impl FnMut() -> bool) {
-    // A short spin budget before yielding: on an oversubscribed (or
-    // single-core) machine the awaited thread needs this CPU, and a long
-    // spin would burn the rest of the scheduler quantum before ceding it.
-    let mut spins = 0u32;
-    while !ready() {
-        spins += 1;
-        if spins < 256 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// Runs `rounds` alternating serial/parallel rounds over `slots` with
-/// worker threads that live for the whole call.
-///
-/// Each round `r`:
-/// 1. the coordinator (the calling thread) runs `pre(r)` alone — every
-///    worker is spinning on the round publication word, so `pre` has
-///    exclusive access to whatever state it touches (including the slots
-///    themselves, through their mutexes);
-/// 2. every slot index is visited exactly once by
-///    `work(r, slot_index, &mut slot)`, statically striped across the
-///    participants (coordinator included);
-/// 3. the coordinator waits for every worker's round-completion count
-///    before the next `pre` starts.
-///
-/// The sync cost per round is one release-store (the publication) plus
-/// one release-RMW per worker (the completion count) — deliberately
-/// cheaper than a claim counter with a barrier pair, because the rounds
-/// this primitive exists for (one ARF sample) are only a few
-/// microseconds of work. Static striping gives up work stealing, which
-/// is fine for slots of near-uniform cost like ensemble members.
-///
-/// Determinism contract: which *thread* runs `work` on a slot is fixed
-/// by the stripe, but more importantly each (round, slot) pair is
-/// visited exactly once with exclusive access and no two rounds
-/// overlap, so the slots' final states are identical at any thread
-/// count whenever `work`'s effect depends only on its arguments. This
-/// is the intra-cell counterpart of [`parallel_map`]'s slot discipline:
-/// that primitive parallelises *independent* cells, this one
-/// parallelises the members of one model under a serial per-round
-/// randomness pre-pass (ARF's Poisson bagging; see `oeb-tree`).
-pub fn lockstep_rounds<T, Pre, Work>(
-    slots: &[Mutex<T>],
-    threads: usize,
-    rounds: usize,
-    mut pre: Pre,
-    work: Work,
-) where
-    T: Send,
-    Pre: FnMut(usize),
-    Work: Fn(usize, usize, &mut T) + Sync,
-{
-    let n = slots.len();
-    if rounds == 0 || n == 0 {
-        return;
-    }
-    if threads <= 1 || n <= 1 {
-        SEQUENTIAL_RUNS.incr();
-        for r in 0..rounds {
-            pre(r);
-            for (i, slot) in slots.iter().enumerate() {
-                work(r, i, &mut lock_recover(slot));
-            }
-        }
-        return;
-    }
-    LOCKSTEP_RUNS.incr();
-    let participants = threads.min(n);
-    let workers = participants - 1; // the coordinator runs stripe 0
-    WORKERS.set(participants as u64);
-    // `published` holds r+1 while round r is open (usize::MAX = shut
-    // down); `done` counts worker round completions cumulatively, so it
-    // never needs a racy per-round reset.
-    let published = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let (published_ref, done_ref, work_ref) = (&published, &done, &work);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            scope.spawn(move || {
-                oeb_trace::set_thread_slot(w as u32 + 1);
-                let span = WORKER_SPAN.start();
-                let stripe = w + 1;
-                let mut r = 0usize;
-                loop {
-                    let mut p = 0;
-                    spin_until(|| {
-                        p = published_ref.load(Ordering::Acquire);
-                        p == usize::MAX || p > r
-                    });
-                    if p == usize::MAX {
-                        break;
-                    }
-                    let mut i = stripe;
-                    while i < n {
-                        work_ref(r, i, &mut lock_recover(&slots[i]));
-                        i += participants;
-                    }
-                    done_ref.fetch_add(1, Ordering::Release);
-                    r += 1;
-                }
-                // See parallel_map_watchdog_ordered: flush before the
-                // scope releases the parent, ahead of TLS teardown.
-                drop(span);
-                oeb_trace::flush_thread();
-            });
-        }
-        for r in 0..rounds {
-            pre(r);
-            published.store(r + 1, Ordering::Release);
-            let mut i = 0;
-            while i < n {
-                work(r, i, &mut lock_recover(&slots[i]));
-                i += participants;
-            }
-            // All workers must close round r before the next exclusive
-            // pre-pass may touch shared state.
-            let target = (r + 1) * workers;
-            spin_until(|| done.load(Ordering::Acquire) >= target);
-        }
-        published.store(usize::MAX, Ordering::Release);
-    });
 }
 
 fn lock_recover_into<T>(m: Mutex<T>) -> T {
@@ -587,64 +421,6 @@ mod tests {
         slot.expire();
         assert!(second.is_cancelled());
         assert!(!flag.is_cancelled(), "old flag fired for a new attempt");
-    }
-
-    #[test]
-    fn lockstep_rounds_matches_serial_at_any_thread_count() {
-        // Each slot accumulates a round-dependent value; the serial
-        // reference and the 4-thread lockstep run must agree exactly.
-        let run = |threads: usize| {
-            let slots: Vec<Mutex<u64>> = (0..7).map(|i| Mutex::new(i as u64)).collect();
-            let pre_log = Mutex::new(Vec::new());
-            lockstep_rounds(
-                &slots,
-                threads,
-                25,
-                |r| lock_recover(&pre_log).push(r),
-                |r, i, v| *v = v.wrapping_mul(31).wrapping_add((r * 7 + i) as u64),
-            );
-            // oeb-lint: allow(lock-order) -- the pre-pass closure's guard is gone before this read
-            let log = lock_recover(&pre_log).clone();
-            (
-                slots.into_iter().map(lock_recover_into).collect::<Vec<_>>(),
-                log,
-            )
-        };
-        let (serial, serial_pre) = run(1);
-        let (parallel, parallel_pre) = run(4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial_pre, (0..25).collect::<Vec<_>>());
-        assert_eq!(serial_pre, parallel_pre);
-    }
-
-    #[test]
-    fn lockstep_pre_pass_is_exclusive() {
-        // `pre` may mutate the slots: workers must all be parked.
-        let slots: Vec<Mutex<i64>> = (0..5).map(|_| Mutex::new(0)).collect();
-        lockstep_rounds(
-            &slots,
-            3,
-            40,
-            |_r| {
-                for s in &slots {
-                    *lock_recover(s) += 1_000;
-                }
-            },
-            |_r, _i, v| *v -= 1,
-        );
-        for s in &slots {
-            assert_eq!(*lock_recover(s), 40 * 1_000 - 40);
-        }
-    }
-
-    #[test]
-    fn lockstep_handles_degenerate_shapes() {
-        let slots: Vec<Mutex<usize>> = vec![Mutex::new(0)];
-        lockstep_rounds(&slots, 8, 3, |_| {}, |_, _, v| *v += 1);
-        assert_eq!(*lock_recover(&slots[0]), 3);
-        let empty: Vec<Mutex<usize>> = Vec::new();
-        lockstep_rounds(&empty, 4, 10, |_| {}, |_, _, _v: &mut usize| {});
-        lockstep_rounds(&slots, 4, 0, |_| panic!("no rounds"), |_, _, _| {});
     }
 
     #[test]

@@ -44,8 +44,8 @@ static HARNESS_RUNS: Counter = Counter::new("harness.runs");
 static CELLS_ATTRIBUTED: Counter = Counter::new("profile.cells.attributed");
 
 /// One end-to-end cell execution (prepare + evaluate), recorded with the
-/// cell's context attached; `oeb-profile` keys per-cell wall time and the
-/// cost-model fit on these events.
+/// cell's context attached; `oeb-profile` keys per-cell wall time on
+/// these events.
 static CELL_RUN_SPAN: SpanDef = SpanDef::new("cell.run");
 
 /// Which imputer fills missing values before testing/training (§6.6).

@@ -463,7 +463,7 @@ impl StreamLearner for ArfLearner {
     }
 
     fn train_window(&mut self, xs: &Matrix, ys: &[f64]) {
-        crate::arf_train::arf_train_window(&mut self.forest, xs, ys, None);
+        self.forest.learn_window(xs, ys);
     }
 
     fn memory_bytes(&self) -> usize {

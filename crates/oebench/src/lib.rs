@@ -12,9 +12,7 @@
 // chains in these kernels.
 #![allow(clippy::needless_range_loop)]
 
-pub mod arf_train;
 pub mod chaos;
-pub mod cost;
 pub mod error;
 pub mod executor;
 pub mod experiments;
@@ -33,13 +31,11 @@ pub mod stats;
 pub mod supervise;
 pub mod sweep;
 
-pub use arf_train::{arf_train_window, arf_train_window_lockstep};
 pub use chaos::{run_chaos_matrix, ChaosCell, ChaosOptions, ChaosReport};
-pub use cost::{CostClass, CostModel, CostSample};
 pub use error::HarnessError;
 pub use executor::{
-    parallel_map, parallel_map_watchdog, parallel_map_watchdog_ordered, resolve_threads,
-    set_default_threads, CancelFlag, WatchdogSlot,
+    parallel_map, parallel_map_watchdog, resolve_threads, set_default_threads, CancelFlag,
+    WatchdogSlot,
 };
 pub use extend::DriftResetLearner;
 pub use harness::{
@@ -53,8 +49,7 @@ pub use prepare::{
     PreparedWindow,
 };
 pub use prequential::{
-    prequential_dataset, prequential_items, try_prequential_dataset, try_prequential_items,
-    try_prequential_items_budgeted, IncrementalClassifier, PrequentialResult,
+    prequential_dataset, prequential_items, IncrementalClassifier, PrequentialResult,
 };
 pub use recommend::{recommend, render_tree, Scenario};
 pub use report::{assign_levels, fmt_mean_std, fmt_summary, TextTable};
@@ -65,6 +60,6 @@ pub use supervise::{
     backoff_duration, cell_seed, supervise_cell, CellBudget, SupervisePolicy, Supervised,
 };
 pub use sweep::{
-    load_checkpoint, run_sweep, run_sweep_scheduled, run_sweep_supervised, set_sweep_progress,
-    RunOutcome, Schedule, SupervisionSummary, SweepRecord, SweepReport,
+    load_checkpoint, run_sweep, run_sweep_supervised, set_sweep_progress, RunOutcome,
+    SupervisionSummary, SweepRecord, SweepReport,
 };

@@ -70,33 +70,14 @@ pub struct PrequentialResult {
 ///
 /// `xs` carries one already-encoded sample per row; `ys` the class
 /// labels. `sample_every` controls the resolution of the returned curve.
+/// The feature and target lengths must agree (a typed
+/// [`HarnessError::InvalidConfig`] otherwise). `budget` is checked
+/// cooperatively before every item: a [`CellBudget`] with `max_items`
+/// stops test-then-train at exactly that item on every replay, and a
+/// fired wall-clock watchdog is honoured at item granularity instead of
+/// hanging until the stream ends; pass [`CellBudget::unlimited`] for an
+/// unsupervised run.
 pub fn prequential_items<M: IncrementalClassifier>(
-    model: &mut M,
-    xs: &Matrix,
-    ys: &[f64],
-    sample_every: usize,
-) -> PrequentialResult {
-    assert_eq!(xs.rows(), ys.len(), "feature/target length mismatch");
-    try_prequential_items(model, xs, ys, sample_every).expect("lengths validated above")
-}
-
-/// [`prequential_items`] with a typed error instead of a panic when the
-/// feature and target lengths disagree.
-pub fn try_prequential_items<M: IncrementalClassifier>(
-    model: &mut M,
-    xs: &Matrix,
-    ys: &[f64],
-    sample_every: usize,
-) -> Result<PrequentialResult, HarnessError> {
-    try_prequential_items_budgeted(model, xs, ys, sample_every, &CellBudget::unlimited())
-}
-
-/// [`try_prequential_items`] under a supervision budget, checked
-/// cooperatively before every item: an item-level run against a
-/// [`CellBudget`] with `max_items` stops test-then-train at exactly that
-/// item on every replay, and a fired wall-clock watchdog is honoured at
-/// item granularity instead of hanging until the stream ends.
-pub fn try_prequential_items_budgeted<M: IncrementalClassifier>(
     model: &mut M,
     xs: &Matrix,
     ys: &[f64],
@@ -142,26 +123,10 @@ pub fn try_prequential_items_budgeted<M: IncrementalClassifier>(
     })
 }
 
-/// Convenience wrapper: encodes a classification [`StreamDataset`]
-/// (numeric view, NaN as 0) and runs [`prequential_items`].
-///
-/// # Panics
-/// Panics on regression datasets.
+/// Encodes a classification [`StreamDataset`] (numeric view, NaN as 0)
+/// and runs [`prequential_items`] without a budget. Regression datasets
+/// are a typed [`HarnessError::NotApplicable`].
 pub fn prequential_dataset<M: IncrementalClassifier>(
-    model: &mut M,
-    dataset: &StreamDataset,
-    sample_every: usize,
-) -> PrequentialResult {
-    assert!(
-        matches!(dataset.task, Task::Classification { .. }),
-        "item-level prequential accuracy is a classification metric"
-    );
-    try_prequential_dataset(model, dataset, sample_every).expect("task validated above")
-}
-
-/// [`prequential_dataset`] with a typed error instead of a panic on
-/// regression datasets.
-pub fn try_prequential_dataset<M: IncrementalClassifier>(
     model: &mut M,
     dataset: &StreamDataset,
     sample_every: usize,
@@ -190,7 +155,7 @@ pub fn try_prequential_dataset<M: IncrementalClassifier>(
         .collect();
     let xs = Matrix::from_rows(&rows);
     let ys = dataset.targets();
-    try_prequential_items(model, &xs, &ys, sample_every)
+    prequential_items(model, &xs, &ys, sample_every, &CellBudget::unlimited())
 }
 
 #[cfg(test)]
@@ -210,7 +175,8 @@ mod tests {
     fn accuracy_improves_as_the_tree_learns() {
         let (xs, ys) = stream(6000);
         let mut tree = HoeffdingTree::new(2, 2, HoeffdingConfig::default());
-        let result = prequential_items(&mut tree, &xs, &ys, 1000);
+        let result =
+            prequential_items(&mut tree, &xs, &ys, 1000, &CellBudget::unlimited()).unwrap();
         assert_eq!(result.items, 6000);
         assert_eq!(result.accuracy_curve.len(), 6);
         let first = result.accuracy_curve[0];
@@ -226,7 +192,7 @@ mod tests {
     fn arf_reaches_high_prequential_accuracy() {
         let (xs, ys) = stream(4000);
         let mut arf = AdaptiveRandomForest::new(2, 2, ArfConfig::default());
-        let result = prequential_items(&mut arf, &xs, &ys, 500);
+        let result = prequential_items(&mut arf, &xs, &ys, 500, &CellBudget::unlimited()).unwrap();
         assert!(result.accuracy > 0.8, "accuracy {}", result.accuracy);
     }
 
@@ -243,29 +209,17 @@ mod tests {
             .unwrap();
         let d = oeb_synth::generate(&entry.spec, 0);
         let mut tree = HoeffdingTree::new(d.n_features(), 2, HoeffdingConfig::default());
-        let result = prequential_dataset(&mut tree, &d, 200);
+        let result = prequential_dataset(&mut tree, &d, 200).unwrap();
         assert_eq!(result.items, d.n_rows());
         assert!(result.accuracy > 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "classification metric")]
-    fn regression_dataset_panics() {
-        let entries = oeb_synth::registry_scaled(0.02);
-        let entry = entries
-            .iter()
-            .find(|e| e.spec.name == "Power Consumption of Tetouan City")
-            .unwrap();
-        let d = oeb_synth::generate(&entry.spec, 0);
-        let mut tree = HoeffdingTree::new(d.n_features(), 2, HoeffdingConfig::default());
-        let _ = prequential_dataset(&mut tree, &d, 100);
     }
 
     #[test]
     fn mismatched_lengths_are_a_typed_error() {
         let (xs, _) = stream(10);
         let mut tree = HoeffdingTree::new(2, 2, HoeffdingConfig::default());
-        let err = try_prequential_items(&mut tree, &xs, &[0.0; 3], 5).unwrap_err();
+        let err =
+            prequential_items(&mut tree, &xs, &[0.0; 3], 5, &CellBudget::unlimited()).unwrap_err();
         assert!(matches!(err, HarnessError::InvalidConfig(_)), "{err}");
     }
 
@@ -278,7 +232,7 @@ mod tests {
             .unwrap();
         let d = oeb_synth::generate(&entry.spec, 0);
         let mut tree = HoeffdingTree::new(d.n_features(), 2, HoeffdingConfig::default());
-        let err = try_prequential_dataset(&mut tree, &d, 100).unwrap_err();
+        let err = prequential_dataset(&mut tree, &d, 100).unwrap_err();
         assert!(matches!(err, HarnessError::NotApplicable { .. }), "{err}");
     }
 
@@ -290,7 +244,7 @@ mod tests {
             max_items: Some(37),
             ..CellBudget::unlimited()
         };
-        let err = try_prequential_items_budgeted(&mut tree, &xs, &ys, 10, &budget).unwrap_err();
+        let err = prequential_items(&mut tree, &xs, &ys, 10, &budget).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -314,7 +268,7 @@ mod tests {
             cancel: flag,
             ..CellBudget::unlimited()
         };
-        let err = try_prequential_items_budgeted(&mut tree, &xs, &ys, 10, &budget).unwrap_err();
+        let err = prequential_items(&mut tree, &xs, &ys, 10, &budget).unwrap_err();
         assert!(matches!(err, HarnessError::CellTimedOut { wall: true, .. }));
     }
 
@@ -322,7 +276,7 @@ mod tests {
     fn empty_stream_is_harmless() {
         let xs = Matrix::zeros(0, 2);
         let mut tree = HoeffdingTree::new(2, 2, HoeffdingConfig::default());
-        let result = prequential_items(&mut tree, &xs, &[], 10);
+        let result = prequential_items(&mut tree, &xs, &[], 10, &CellBudget::unlimited()).unwrap();
         assert_eq!(result.items, 0);
         assert_eq!(result.accuracy, 0.0);
     }

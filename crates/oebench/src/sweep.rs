@@ -11,9 +11,8 @@
 //! so an interrupted sweep resumes from the last completed pair and
 //! produces the same final report as an uninterrupted one.
 
-use crate::cost::CostModel;
 use crate::error::HarnessError;
-use crate::executor::{parallel_map_watchdog_ordered, WatchdogSlot};
+use crate::executor::{parallel_map_watchdog, WatchdogSlot};
 use crate::harness::{try_run_stream_supervised, HarnessConfig, RunResult};
 use crate::learners::Algorithm;
 use crate::supervise::{cell_seed, supervise_cell, SupervisePolicy};
@@ -35,28 +34,7 @@ static CELLS_TOTAL: Counter = Counter::new("sweep.cells.total");
 static CELLS_RESUMED: Counter = Counter::new("sweep.cells.resumed");
 static CELLS_EXECUTED: Counter = Counter::new("sweep.cells.executed");
 static CELLS_FAILED: Counter = Counter::new("sweep.cells.failed");
-/// Cells whose claim order came from a fitted cost model rather than FIFO.
-static COST_SCHEDULED: Counter = Counter::new("profile.cells.cost_scheduled");
 static CELL_SPAN: SpanDef = SpanDef::new("sweep.cell");
-
-/// Claim-order policy for the cells a sweep is about to execute.
-///
-/// The schedule only permutes the order in which workers *claim* cells;
-/// results are deposited per cell index and the report is assembled in
-/// grid order, so every schedule is bit-identical on outputs at any
-/// thread count (proven by the `cost_schedule` proptest) and can only
-/// move wall-clock utilization.
-#[derive(Debug, Clone, Default)]
-pub enum Schedule {
-    /// Grid order (datasets outer, algorithms inner) — the historical
-    /// behaviour.
-    #[default]
-    Fifo,
-    /// Longest-expected-first by the fitted [`CostModel`], FIFO tiebreak
-    /// on cell index. Scheduling the expensive tail first shrinks the
-    /// end-of-sweep straggler window.
-    Cost(CostModel),
-}
 
 /// Whether [`run_sweep`] emits a stderr progress line per finished cell.
 /// Off by default so library callers and tests stay quiet; the CLI sweep
@@ -340,7 +318,6 @@ pub fn run_sweep(
 /// count. All retry decisions derive from [`cell_seed`], so replaying a
 /// sweep replays every retry sequence bit-for-bit; only wall-clock
 /// timeouts (marked `wall: true`) are machine-dependent.
-#[allow(clippy::too_many_arguments)]
 pub fn run_sweep_supervised(
     datasets: &[StreamDataset],
     algorithms: &[Algorithm],
@@ -349,36 +326,6 @@ pub fn run_sweep_supervised(
     max_new_runs: Option<usize>,
     threads: usize,
     policy: &SupervisePolicy,
-) -> Result<SweepReport, HarnessError> {
-    run_sweep_scheduled(
-        datasets,
-        algorithms,
-        config,
-        checkpoint,
-        max_new_runs,
-        threads,
-        policy,
-        &Schedule::Fifo,
-    )
-}
-
-/// [`run_sweep_supervised`] with an explicit claim-order [`Schedule`].
-///
-/// Under [`Schedule::Cost`] the unresolved cells are claimed
-/// longest-expected-first (`cost ≈ a + b·rows` per learner class, FIFO
-/// tiebreak on cell index). Only the claim order — and therefore the
-/// checkpoint line order, which resume never depends on — changes; the
-/// returned report is bit-identical to FIFO's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep_scheduled(
-    datasets: &[StreamDataset],
-    algorithms: &[Algorithm],
-    config: &HarnessConfig,
-    checkpoint: Option<&Path>,
-    max_new_runs: Option<usize>,
-    threads: usize,
-    policy: &SupervisePolicy,
-    schedule: &Schedule,
 ) -> Result<SweepReport, HarnessError> {
     config.validate()?;
     let mut done: HashMap<(String, String), RunOutcome> = HashMap::new();
@@ -433,37 +380,8 @@ pub fn run_sweep_scheduled(
         };
         let append_error: Mutex<Option<HarnessError>> = Mutex::new(None);
 
-        // Claim order: FIFO, or longest-expected-first under a cost model
-        // (stable tiebreak on cell index). Claim positions map to cell
-        // indices; results stay slot-addressed, so the order cannot leak
-        // into outputs.
-        let claim_order: Option<Vec<usize>> = match schedule {
-            Schedule::Fifo => None,
-            Schedule::Cost(model) => {
-                COST_SCHEDULED.add(to_run.len() as u64);
-                let mut order: Vec<usize> = (0..to_run.len()).collect();
-                let expected: Vec<f64> = to_run
-                    .iter()
-                    .map(|&cell| {
-                        let (d, a) = cells[cell];
-                        model.expected_ns(algorithms[a].name(), datasets[d].n_rows() as u64)
-                    })
-                    .collect();
-                order.sort_by(|&x, &y| {
-                    expected[y]
-                        .total_cmp(&expected[x])
-                        .then(to_run[x].cmp(&to_run[y]))
-                });
-                Some(order)
-            }
-        };
-
-        let ran: Vec<RunOutcome> = parallel_map_watchdog_ordered(
-            to_run.len(),
-            threads,
-            policy.wall_deadline,
-            claim_order.as_deref(),
-            |slot, dog| {
+        let ran: Vec<RunOutcome> =
+            parallel_map_watchdog(to_run.len(), threads, policy.wall_deadline, |slot, dog| {
                 let (d, a) = cells[to_run[slot]];
                 // Ambient attribution: every span recorded while this cell
                 // runs (prepare stages, evaluate stages, the cell span
@@ -498,8 +416,7 @@ pub fn run_sweep_scheduled(
                     }
                 }
                 outcome
-            },
-        );
+            });
         if let Some(e) = append_error
             .into_inner()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -681,6 +598,23 @@ fn f64_field(v: &Value, key: &str, line: usize) -> Result<f64, HarnessError> {
         .ok_or_else(|| HarnessError::Checkpoint(format!("line {line}: {key:?} not a number")))
 }
 
+fn usize_field(v: &Value, key: &str, line: usize) -> Result<usize, HarnessError> {
+    field(v, key, line)?
+        .as_u64()
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| {
+            HarnessError::Checkpoint(format!("line {line}: {key:?} not an unsigned integer"))
+        })
+}
+
+fn bool_field(v: &Value, key: &str, line: usize) -> Result<bool, HarnessError> {
+    field(v, key, line)?
+        .as_bool()
+        .ok_or_else(|| HarnessError::Checkpoint(format!("line {line}: {key:?} not a boolean")))
+}
+
+/// Every field must carry the type [`outcome_to_json`] writes: a value
+/// of another type is corruption, not a default.
 fn record_from_json(v: &Value, line: usize) -> Result<SweepRecord, HarnessError> {
     let dataset = str_field(v, "dataset", line)?;
     let algorithm = str_field(v, "algorithm", line)?;
@@ -692,12 +626,12 @@ fn record_from_json(v: &Value, line: usize) -> Result<SweepRecord, HarnessError>
             reason: str_field(v, "reason", line)?,
         },
         "timed-out" => RunOutcome::TimedOut {
-            windows: field(v, "windows", line)?.as_u64().unwrap_or(0) as usize,
-            items: field(v, "items", line)?.as_u64().unwrap_or(0) as usize,
-            wall: field(v, "wall", line)?.as_bool().unwrap_or(false),
+            windows: usize_field(v, "windows", line)?,
+            items: usize_field(v, "items", line)?,
+            wall: bool_field(v, "wall", line)?,
         },
         "quarantined" => RunOutcome::Quarantined {
-            attempts: field(v, "attempts", line)?.as_u64().unwrap_or(1) as usize,
+            attempts: usize_field(v, "attempts", line)?,
             kind: str_field(v, "kind", line)?,
             reason: str_field(v, "reason", line)?,
         },
@@ -708,22 +642,26 @@ fn record_from_json(v: &Value, line: usize) -> Result<SweepRecord, HarnessError>
                     HarnessError::Checkpoint(format!("line {line}: per_window_loss not an array"))
                 })?
                 .iter()
-                .map(|x| {
-                    if x.is_null() {
-                        f64::NAN
-                    } else {
-                        x.as_f64().unwrap_or(f64::NAN)
-                    }
+                .map(|x| match x.as_f64() {
+                    Some(loss) => Ok(loss),
+                    None if x.is_null() => Ok(f64::NAN),
+                    None => Err(HarnessError::Checkpoint(format!(
+                        "line {line}: \"per_window_loss\" entry not a number"
+                    ))),
                 })
-                .collect();
+                .collect::<Result<_, _>>()?;
             let degradations = field(v, "degradations", line)?
                 .as_array()
-                .map(|xs| {
+                .and_then(|xs| {
                     xs.iter()
-                        .filter_map(|x| x.as_str().map(str::to_string))
-                        .collect()
+                        .map(|x| x.as_str().map(str::to_string))
+                        .collect::<Option<_>>()
                 })
-                .unwrap_or_default();
+                .ok_or_else(|| {
+                    HarnessError::Checkpoint(format!(
+                        "line {line}: \"degradations\" not an array of strings"
+                    ))
+                })?;
             RunOutcome::Completed(RunResult {
                 dataset: dataset.clone(),
                 algorithm: algorithm.clone(),
@@ -731,9 +669,9 @@ fn record_from_json(v: &Value, line: usize) -> Result<SweepRecord, HarnessError>
                 mean_loss: f64_field(v, "mean_loss", line)?,
                 train_seconds: f64_field(v, "train_seconds", line)?,
                 test_seconds: f64_field(v, "test_seconds", line)?,
-                items: field(v, "items", line)?.as_u64().unwrap_or(0) as usize,
+                items: usize_field(v, "items", line)?,
                 throughput: f64_field(v, "throughput", line)?,
-                memory_bytes: field(v, "memory_bytes", line)?.as_u64().unwrap_or(0) as usize,
+                memory_bytes: usize_field(v, "memory_bytes", line)?,
                 degradations,
             })
         }
@@ -987,6 +925,99 @@ mod tests {
         ));
         // Two malformed lines cannot both be the torn tail either.
         std::fs::write(&path, "{ not json\n{ also not json").unwrap();
+        assert!(matches!(
+            load_checkpoint(&path).unwrap_err(),
+            HarnessError::Checkpoint(_)
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn fields_of_the_wrong_type_are_typed_errors() {
+        let completed = SweepRecord {
+            dataset: "A".into(),
+            algorithm: "ARF".into(),
+            outcome: RunOutcome::Completed(RunResult {
+                dataset: "A".into(),
+                algorithm: "ARF".into(),
+                per_window_loss: vec![0.25, 0.5],
+                mean_loss: 0.375,
+                train_seconds: 1.5,
+                test_seconds: 0.5,
+                items: 100,
+                throughput: 50.0,
+                memory_bytes: 4096,
+                degradations: vec!["window 3: skipped".into()],
+            }),
+        };
+        let timed_out = SweepRecord {
+            dataset: "B".into(),
+            algorithm: "EWC".into(),
+            outcome: RunOutcome::TimedOut {
+                windows: 7,
+                items: 280,
+                wall: true,
+            },
+        };
+        let quarantined = SweepRecord {
+            dataset: "C".into(),
+            algorithm: "LwF".into(),
+            outcome: RunOutcome::Quarantined {
+                attempts: 3,
+                kind: "panicked".into(),
+                reason: "boom".into(),
+            },
+        };
+        let cases = [
+            (&timed_out, "windows", json!("7")),
+            (&timed_out, "items", json!("100")),
+            (&timed_out, "wall", json!("yes")),
+            (&quarantined, "attempts", json!("three")),
+            (&completed, "items", json!("100")),
+            (&completed, "memory_bytes", json!(-1)),
+            (&completed, "per_window_loss", json!([0.25, "0.5"])),
+            (&completed, "degradations", json!("none")),
+            (&completed, "degradations", json!(["ok", 3])),
+        ];
+        let path = temp_path("wrong_types");
+        // The valid record after each bad line keeps it from being
+        // dropped as a torn tail.
+        let valid = serde_json::to_string(&record_to_json(&completed)).unwrap();
+        for (record, key, bad) in cases {
+            let mut v = record_to_json(record);
+            v.as_object_mut().unwrap().insert(key, bad.clone());
+            let line = serde_json::to_string(&v).unwrap();
+            std::fs::write(&path, format!("{line}\n{valid}\n")).unwrap();
+            match load_checkpoint(&path) {
+                Err(HarnessError::Checkpoint(msg)) => assert!(
+                    msg.starts_with("line 1:") && msg.contains(key),
+                    "{key} = {bad:?}: {msg}"
+                ),
+                other => panic!("{key} = {bad:?} loaded as {other:?}"),
+            }
+        }
+        // The untouched records still load.
+        for record in [&completed, &timed_out, &quarantined] {
+            let line = serde_json::to_string(&record_to_json(record)).unwrap();
+            std::fs::write(&path, format!("{line}\n{valid}\n")).unwrap();
+            assert_eq!(load_checkpoint(&path).unwrap()[0], *record);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn deeply_nested_line_is_a_typed_error() {
+        // Parsing must give up at the nesting cap instead of overflowing
+        // the stack, which would abort the whole process.
+        let path = temp_path("deep");
+        std::fs::write(
+            &path,
+            format!(
+                "{}\n{{\"dataset\":\"A\",\"algorithm\":\"ARF\",\"status\":\"inapplicable\"}}\n",
+                "[".repeat(200_000)
+            ),
+        )
+        .unwrap();
         assert!(matches!(
             load_checkpoint(&path).unwrap_err(),
             HarnessError::Checkpoint(_)

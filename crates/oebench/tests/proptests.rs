@@ -131,57 +131,4 @@ proptest! {
         let m: f64 = parts[0].parse().expect("mean parses");
         prop_assert!((m - mean).abs() < 0.001);
     }
-
-    /// Tentpole contract of the intra-cell ARF parallelism: the lockstep
-    /// window trainer at 4 workers must reproduce the serial
-    /// `learn_window` forest bit-for-bit — across drifting streams that
-    /// trigger warning-spawned background trees, drift promotions and
-    /// detector resets, and across ensemble sizes and window splits.
-    #[test]
-    fn arf_lockstep_training_matches_serial_bitwise(
-        seed in 0u64..500,
-        n_trees in 1usize..6,
-        n_rows in 400usize..2200,
-        flip_at in 0.3..0.7f64,
-        n_windows in 1usize..4,
-    ) {
-        use oeb_linalg::Matrix;
-        use oeb_tree::{AdaptiveRandomForest, ArfConfig};
-
-        let rows: Vec<Vec<f64>> = (0..n_rows)
-            .map(|i| {
-                let s = seed.wrapping_mul(0x9e37).wrapping_add(i as u64);
-                vec![(s % 100) as f64, ((s >> 8) % 50) as f64, (i % 4) as f64]
-            })
-            .collect();
-        let flip = (n_rows as f64 * flip_at) as usize;
-        let ys: Vec<f64> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, r)| f64::from((r[0] >= 50.0) ^ (i >= flip)))
-            .collect();
-        let cfg = ArfConfig {
-            n_trees,
-            seed: seed ^ 0x617266,
-            ..Default::default()
-        };
-        let mut serial = AdaptiveRandomForest::new(3, 2, cfg);
-        let mut lockstep = AdaptiveRandomForest::new(3, 2, cfg);
-        // Split the stream into windows like the harness does; each
-        // window goes through both trainers.
-        let per = n_rows.div_ceil(n_windows);
-        for chunk_start in (0..n_rows).step_by(per) {
-            let end = (chunk_start + per).min(n_rows);
-            let xs = Matrix::from_rows(&rows[chunk_start..end]);
-            let ys_w = &ys[chunk_start..end];
-            serial.learn_window(&xs, ys_w);
-            oeb_core::arf_train_window_lockstep(&mut lockstep, &xs, ys_w, 4);
-            prop_assert_eq!(
-                serial.digest(),
-                lockstep.digest(),
-                "forest diverged after window ending at row {}", end
-            );
-        }
-        prop_assert_eq!(serial.n_resets, lockstep.n_resets);
-    }
 }

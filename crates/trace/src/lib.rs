@@ -116,8 +116,7 @@ pub fn disable() {
 /// covers. Installed by the sweep/harness around each task via
 /// [`CellCtx::install`]; every span event recorded while a context is
 /// active carries an `Arc` to it, so the trace stream can be grouped per
-/// cell after the fact (and the cost model can regress duration on
-/// `rows`).
+/// cell after the fact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellCtx {
     pub dataset: String,

@@ -7,7 +7,7 @@
 //! the paper reports N/A for ARF on regression streams, and so does this
 //! implementation by construction.
 
-use crate::hoeffding::{fnv_mix, HoeffdingConfig, HoeffdingTree};
+use crate::hoeffding::{HoeffdingConfig, HoeffdingTree};
 use oeb_drift::{Adwin, ConceptDriftDetector};
 use oeb_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -47,7 +47,7 @@ impl Default for ArfConfig {
 
 /// One ensemble member: the foreground tree, its drift and warning
 /// detectors, and the background tree grown since the last warning.
-pub struct ArfMember {
+struct ArfMember {
     tree: HoeffdingTree,
     drift: Adwin,
     warning: Adwin,
@@ -57,29 +57,14 @@ pub struct ArfMember {
 impl ArfMember {
     /// Online-bagging training step: trains the foreground tree (and the
     /// background tree when present) `k` times on the sample. Consumes no
-    /// randomness — `k` comes from the serial
-    /// [`AdaptiveRandomForest::pre_pass_member`] — so members can train
-    /// concurrently without perturbing the shared RNG stream.
-    pub fn bagged_train(&mut self, x: &[f64], y: usize, k: usize) {
+    /// randomness — `k` comes from [`AdaptiveRandomForest::pre_pass_member`].
+    fn bagged_train(&mut self, x: &[f64], y: usize, k: usize) {
         for _ in 0..k {
             self.tree.learn_one(x, y);
             if let Some(bg) = &mut self.background {
                 bg.learn_one(x, y);
             }
         }
-    }
-
-    /// Structural digest of the member (trees, detector state,
-    /// background presence). See [`AdaptiveRandomForest::digest`].
-    pub fn digest(&self) -> u64 {
-        let mut h = self.tree.digest();
-        h = fnv_mix(h, self.drift.mean().to_bits());
-        h = fnv_mix(h, self.warning.mean().to_bits());
-        match &self.background {
-            Some(bg) => h = fnv_mix(h, bg.digest()),
-            None => h = fnv_mix(h, 0x6e6f6e65), // "none"
-        }
-        h
     }
 }
 
@@ -146,18 +131,11 @@ impl AdaptiveRandomForest {
         best
     }
 
-    /// Serial per-member randomness pre-pass for one sample: error
-    /// monitoring, warning/drift handling (either of which may consume
-    /// RNG to draw a background/replacement subspace) and the Poisson bag
-    /// count, returned for [`ArfMember::bagged_train`].
-    ///
-    /// Callers must invoke this in member order for every member of a
-    /// sample before any member trains on it. That is exactly the RNG
-    /// consumption order of the historical fused loop: member `i`'s
-    /// training touched neither the shared RNG nor member `i+1`'s state,
-    /// so hoisting all pre-passes ahead of training is bit-exact.
-    #[doc(hidden)]
-    pub fn pre_pass_member(&mut self, m: &mut ArfMember, x: &[f64], y: usize) -> usize {
+    /// Per-member randomness pre-pass for one sample: error monitoring,
+    /// warning/drift handling (either of which may consume RNG to draw a
+    /// background/replacement subspace) and the Poisson bag count,
+    /// returned for [`ArfMember::bagged_train`].
+    fn pre_pass_member(&mut self, m: &mut ArfMember, x: &[f64], y: usize) -> usize {
         let y = y.min(self.n_classes - 1);
         let n_features = self.n_features;
         let n_classes = self.n_classes;
@@ -204,34 +182,6 @@ impl AdaptiveRandomForest {
             m.bagged_train(x, y.min(self.n_classes - 1), k);
         }
         self.members = members;
-    }
-
-    /// Detaches the ensemble members so a caller can drive
-    /// [`AdaptiveRandomForest::pre_pass_member`] /
-    /// [`ArfMember::bagged_train`] itself (the lockstep-parallel window
-    /// trainer). Pair with [`AdaptiveRandomForest::put_members`].
-    #[doc(hidden)]
-    pub fn take_members(&mut self) -> Vec<ArfMember> {
-        std::mem::take(&mut self.members)
-    }
-
-    /// Reattaches members detached by [`AdaptiveRandomForest::take_members`].
-    #[doc(hidden)]
-    pub fn put_members(&mut self, members: Vec<ArfMember>) {
-        self.members = members;
-    }
-
-    /// Order-sensitive structural digest over every member (tree
-    /// structure and leaf statistics bit patterns, detector means,
-    /// background presence) plus the reset count. Equal digests mean two
-    /// training schedules produced bit-identical forests; used by the
-    /// serial-vs-lockstep equivalence tests and `bench_train`.
-    pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325;
-        for m in &self.members {
-            h = fnv_mix(h, m.digest());
-        }
-        fnv_mix(h, self.n_resets as u64)
     }
 
     /// Learns a whole window sample-by-sample.

@@ -635,55 +635,6 @@ impl HoeffdingTree {
             self.learn_one(xs.row(r), ys[r] as usize);
         }
     }
-
-    /// Order-sensitive structural digest: node shape, split parameters
-    /// and the bit patterns of every leaf statistic (class counts,
-    /// Welford observer state, grace counter). Equal digests mean two
-    /// training schedules produced bit-identical trees.
-    #[doc(hidden)]
-    pub fn digest(&self) -> u64 {
-        fn walk(node: &Node, mut h: u64) -> u64 {
-            match node {
-                Node::Leaf(stats) => {
-                    h = fnv_mix(h, 0x6c656166); // "leaf"
-                    for &c in stats.totals.counts() {
-                        h = fnv_mix(h, c.to_bits());
-                    }
-                    h = fnv_mix(h, stats.totals.majority() as u64);
-                    h = fnv_mix(h, stats.n_since_check as u64);
-                    for g in &stats.observers {
-                        h = fnv_mix(h, g.n.to_bits());
-                        h = fnv_mix(h, g.mean.to_bits());
-                        h = fnv_mix(h, g.m2.to_bits());
-                    }
-                    h
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    h = fnv_mix(h, 0x73706c69); // "spli"
-                    h = fnv_mix(h, *feature as u64);
-                    h = fnv_mix(h, threshold.to_bits());
-                    walk(right, walk(left, h))
-                }
-            }
-        }
-        walk(&self.root, fnv_mix(0xcbf29ce484222325, self.n_nodes as u64))
-    }
-}
-
-/// FNV-1a style mixing step shared by the structural digests here and in
-/// the ARF ensemble.
-pub(crate) fn fnv_mix(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for shift in [0u32, 32] {
-        h ^= u64::from((v >> shift) as u32);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ pub mod cart;
 pub mod gbdt;
 pub mod hoeffding;
 
-pub use arf::{AdaptiveRandomForest, ArfConfig, ArfMember};
+pub use arf::{AdaptiveRandomForest, ArfConfig};
 pub use cart::{DecisionTree, FeaturePresort, TreeConfig, TreeTask};
 pub use gbdt::{Gbdt, GbdtConfig};
 pub use hoeffding::{HoeffdingConfig, HoeffdingTree};

@@ -30,7 +30,8 @@ fn main() {
     // Item-level prequential accuracy: test each item, then train on it.
     let mut hoeffding =
         HoeffdingTree::new(dataset.n_features(), n_classes, HoeffdingConfig::default());
-    let ht = prequential_dataset(&mut hoeffding, &dataset, dataset.n_rows() / 10);
+    let ht = prequential_dataset(&mut hoeffding, &dataset, dataset.n_rows() / 10)
+        .expect("INSECTS is classification");
     println!(
         "Hoeffding tree  — prequential accuracy {:.3} ({} nodes)",
         ht.accuracy,
@@ -38,7 +39,8 @@ fn main() {
     );
 
     let mut arf = AdaptiveRandomForest::new(dataset.n_features(), n_classes, ArfConfig::default());
-    let arf_result = prequential_dataset(&mut arf, &dataset, dataset.n_rows() / 10);
+    let arf_result = prequential_dataset(&mut arf, &dataset, dataset.n_rows() / 10)
+        .expect("INSECTS is classification");
     println!(
         "ARF (5 trees)   — prequential accuracy {:.3} ({} drift resets)",
         arf_result.accuracy, arf.n_resets

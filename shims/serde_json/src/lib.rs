@@ -608,6 +608,16 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_capped_at_128_levels() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str(&nested(128)).is_ok());
+        assert!(from_str(&nested(129)).is_err());
+        assert!(from_str(&format!("{}1{}", "{\"a\":".repeat(129), "}".repeat(129))).is_err());
+        // Far past the cap: an error, not a stack overflow.
+        assert!(from_str(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
     fn from_value_reference_clones() {
         let v = json!([1, 2]);
         let w = json!({ "alias": v[0] });

@@ -2,10 +2,20 @@
 
 use crate::{Error, Map, Number, Value};
 
+/// Deepest array/object nesting a document may use (serde_json's own
+/// default). The parser recurses once per level, so without a cap a
+/// line of `[[[[…` from a corrupt file would overflow the stack and
+/// abort the process instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document from `text`.
 pub fn from_str(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.parse_value()?;
     p.skip_ws();
@@ -18,6 +28,8 @@ pub fn from_str(text: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -50,8 +62,19 @@ impl Parser<'_> {
             Some(b't') => self.literal(b"true", Value::Bool(true)),
             Some(b'f') => self.literal(b"false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("recursion limit exceeded"));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }

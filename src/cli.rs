@@ -10,9 +10,9 @@
 //! ```
 
 use oeb_core::{
-    extract_stats, resolve_threads, run_chaos_matrix, run_sweep_scheduled, set_default_threads,
-    try_run_stream, Algorithm, ChaosOptions, CostModel, HarnessConfig, HarnessError, Scenario,
-    Schedule, StatsConfig, StatsMode, SupervisePolicy,
+    extract_stats, resolve_threads, run_chaos_matrix, run_sweep_supervised, set_default_threads,
+    try_run_stream, Algorithm, ChaosOptions, HarnessConfig, HarnessError, Scenario, StatsConfig,
+    StatsMode, SupervisePolicy,
 };
 use oeb_synth::Level;
 use std::time::Duration;
@@ -82,10 +82,6 @@ pub enum Command {
         out: String,
         algorithm: Option<Algorithm>,
         limit: Option<usize>,
-        /// Path to a `COST_MODEL.json` (`--schedule cost --cost-model P`);
-        /// `None` keeps FIFO claim order. Either way the report is
-        /// bit-identical — the model only permutes the claim order.
-        cost_model: Option<String>,
     },
     /// Chaos-soak run over the fault × drift matrix.
     Chaos {
@@ -154,11 +150,6 @@ options:\n\
                                recompute per window, default) or `incremental`\n\
                                (maintained delta statistics); scores are\n\
                                identical either way\n\
-  --schedule MODE              sweep claim order: `fifo` (default) or `cost`\n\
-                               (longest-expected-first from a fitted cost\n\
-                               model); results are bit-identical either way\n\
-  --cost-model <file>          COST_MODEL.json from `oeb-profile cost-model`;\n\
-                               required by (and only valid with) --schedule cost\n\
   --trace <out.jsonl>          record spans and write them as JSON lines;\n\
                                results are bit-identical with tracing on or off\n\
   --metrics                    print the end-of-run metrics table to stderr";
@@ -191,8 +182,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
     let mut metrics = false;
     let mut cell_deadline: Option<f64> = None;
     let mut max_retries: Option<usize> = None;
-    let mut schedule: Option<String> = None;
-    let mut cost_model: Option<String> = None;
     let mut stats_mode = StatsMode::default();
     let mut scale = 0.25f64;
     let mut seed = 0u64;
@@ -273,27 +262,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
                     CliError::usage(format!("--max-retries needs an integer\n{USAGE}"))
                 })?);
             }
-            "--schedule" => {
-                i += 1;
-                schedule = Some(
-                    args.get(i)
-                        .map(|v| v.to_ascii_lowercase())
-                        .filter(|v| v == "fifo" || v == "cost")
-                        .ok_or_else(|| {
-                            CliError::usage(format!("--schedule needs `fifo` or `cost`\n{USAGE}"))
-                        })?,
-                );
-            }
-            "--cost-model" => {
-                i += 1;
-                cost_model = Some(
-                    args.get(i)
-                        .ok_or_else(|| {
-                            CliError::usage(format!("--cost-model needs a file path\n{USAGE}"))
-                        })?
-                        .clone(),
-                );
-            }
             "--stats-mode" => {
                 i += 1;
                 stats_mode = args
@@ -331,25 +299,11 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
             name: name.to_string(),
             out: out.ok_or_else(|| CliError::usage(format!("export needs --out\n{USAGE}")))?,
         },
-        Some((&"sweep", [])) => {
-            let cost_scheduled = schedule.as_deref() == Some("cost");
-            if cost_scheduled && cost_model.is_none() {
-                return Err(CliError::usage(format!(
-                    "--schedule cost needs --cost-model\n{USAGE}"
-                )));
-            }
-            if !cost_scheduled && cost_model.is_some() {
-                return Err(CliError::usage(format!(
-                    "--cost-model is only valid with --schedule cost\n{USAGE}"
-                )));
-            }
-            Command::Sweep {
-                out: out.ok_or_else(|| CliError::usage(format!("sweep needs --out\n{USAGE}")))?,
-                algorithm,
-                limit,
-                cost_model: if cost_scheduled { cost_model } else { None },
-            }
-        }
+        Some((&"sweep", [])) => Command::Sweep {
+            out: out.ok_or_else(|| CliError::usage(format!("sweep needs --out\n{USAGE}")))?,
+            algorithm,
+            limit,
+        },
         Some((&"chaos", [])) => Command::Chaos { out, limit },
         _ => return Err(CliError::usage(USAGE)),
     };
@@ -576,7 +530,6 @@ fn run_command(opts: &CliOptions) -> Result<String, CliError> {
             out,
             algorithm,
             limit,
-            cost_model,
         } => {
             let datasets: Vec<_> = oeb_synth::selected_five()
                 .into_iter()
@@ -595,14 +548,10 @@ fn run_command(opts: &CliOptions) -> Result<String, CliError> {
                 max_retries: opts.max_retries.unwrap_or(0),
                 ..SupervisePolicy::unsupervised()
             };
-            let schedule = match cost_model {
-                Some(path) => Schedule::Cost(CostModel::load(std::path::Path::new(path))?),
-                None => Schedule::Fifo,
-            };
             // Progress lines go to stderr; done/total is seeded from the
             // checkpoint, so a resumed sweep reports over the whole grid.
             oeb_core::set_sweep_progress(true);
-            let report = run_sweep_scheduled(
+            let report = run_sweep_supervised(
                 &datasets,
                 &algorithms,
                 &cfg,
@@ -610,7 +559,6 @@ fn run_command(opts: &CliOptions) -> Result<String, CliError> {
                 *limit,
                 resolve_threads(opts.threads),
                 &policy,
-                &schedule,
             )?;
             let (completed, inapplicable, failed) = report.counts();
             let mut text = String::new();
@@ -840,7 +788,6 @@ mod tests {
                 out: "ckpt.jsonl".into(),
                 algorithm: Some(Algorithm::NaiveDt),
                 limit: Some(3),
-                cost_model: None,
             }
         );
         assert!(parse(&s(&["sweep"])).is_err(), "sweep requires --out");
@@ -848,37 +795,12 @@ mod tests {
 
     #[test]
     fn parses_schedule_flags() {
-        let o = parse(&s(&[
-            "sweep",
-            "--out",
-            "c.jsonl",
-            "--schedule",
-            "cost",
-            "--cost-model",
-            "COST_MODEL.json",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            o.command,
-            Command::Sweep { ref cost_model, .. } if cost_model.as_deref() == Some("COST_MODEL.json")
-        ));
-        // `fifo` is the default and needs no model.
-        let o = parse(&s(&["sweep", "--out", "c.jsonl", "--schedule", "fifo"])).unwrap();
-        assert!(matches!(
-            o.command,
-            Command::Sweep {
-                cost_model: None,
-                ..
-            }
-        ));
-        // cost without a model, a model without cost, and junk modes are
-        // usage errors.
+        // Sweeps always claim cells in grid order: the claim-order flags
+        // are gone and, like any unknown flag, are usage errors.
         let cases: &[&[&str]] = &[
+            &["sweep", "--out", "c.jsonl", "--schedule", "fifo"],
             &["sweep", "--out", "c.jsonl", "--schedule", "cost"],
             &["sweep", "--out", "c.jsonl", "--cost-model", "m.json"],
-            &["sweep", "--out", "c.jsonl", "--schedule", "lifo"],
-            &["sweep", "--out", "c.jsonl", "--schedule"],
-            &["sweep", "--out", "c.jsonl", "--cost-model"],
         ];
         for case in cases {
             assert_eq!(parse(&s(case)).unwrap_err().code, 2, "{case:?}");
