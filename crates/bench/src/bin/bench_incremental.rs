@@ -13,10 +13,11 @@
 //! * ECOD outlier scores of 16 fixed probe rows.
 //!
 //! The **full** engine recomputes everything from the window's rows
-//! (`missing_stats`-style scan, [`StandardScaler::fit`],
-//! [`ks_statistic`], [`Histogram::new`], [`Ecod::fit`]) — the cost the
-//! pipeline paid before the delta layer. The **incremental** engine
-//! maintains sufficient statistics ([`MissingDelta`], [`ScalerDelta`],
+//! (`missing_stats`-style scan, [`StandardScaler::fit`], one sort per
+//! column and [`ks_statistic_sorted`] against the sorted reference as
+//! the batch KS detector does, [`Histogram::new`], [`Ecod::fit`]) — the
+//! cost of `--stats-mode full`. The **incremental** engine maintains
+//! sufficient statistics ([`MissingDelta`], [`ScalerDelta`],
 //! [`EcdfMultiset`], maintained bin counts, [`EcodDelta`]) and only
 //! absorbs/retracts the rows each slide touches.
 //!
@@ -36,7 +37,9 @@
 //! Usage: `bench_incremental [--quick] [--out FILE]`
 
 use oeb_bench::warm_min_pair;
-use oeb_linalg::{hellinger, ks_between, ks_statistic, EcdfMultiset, EcdfUniverse, Histogram};
+use oeb_linalg::{
+    hellinger, ks_between, ks_statistic_sorted, EcdfMultiset, EcdfUniverse, Histogram,
+};
 use oeb_outlier::{Ecod, EcodDelta};
 use oeb_preprocess::{ScalerDelta, StandardScaler};
 use oeb_tabular::{
@@ -204,8 +207,9 @@ impl BinCounts {
 }
 
 /// Per-column reference state shared by both engines (the first window,
-/// frozen): finite values for the batch KS, multisets for the delta KS,
-/// histogram probabilities, and the fixed bin range.
+/// frozen): finite values sorted by `total_cmp` for the batch KS,
+/// multisets for the delta KS, histogram probabilities, and the fixed bin
+/// range.
 struct Reference {
     finite_cols: Vec<Vec<f64>>,
     sets: Vec<EcdfMultiset>,
@@ -230,11 +234,13 @@ fn build_reference(
     }
     let finite_cols: Vec<Vec<f64>> = (0..d)
         .map(|c| {
-            stream[window.start..window.end]
+            let mut col: Vec<f64> = stream[window.start..window.end]
                 .iter()
                 .map(|row| row[c])
                 .filter(|x| x.is_finite())
-                .collect()
+                .collect();
+            col.sort_unstable_by(f64::total_cmp);
+            col
         })
         .collect();
     // Fixed bin ranges from the whole stream's per-column extremes, so
@@ -303,15 +309,16 @@ fn run_full(
         out.push_scaler(&StandardScaler::fit(&m));
 
         // KS and histogram divergence per column, against the frozen
-        // reference. `ks_statistic` re-sorts both sides every call —
-        // exactly what the batch detectors pay per window.
+        // reference. Each window column is sorted once and the reference
+        // stays sorted — what the batch KS detector pays per window.
         for c in 0..d {
-            let col: Vec<f64> = rows
+            let mut col: Vec<f64> = rows
                 .iter()
                 .map(|row| row[c])
                 .filter(|x| x.is_finite())
                 .collect();
-            out.push_exact(ks_statistic(&col, &reference.finite_cols[c]));
+            col.sort_unstable_by(f64::total_cmp);
+            out.push_exact(ks_statistic_sorted(&col, &reference.finite_cols[c]));
             let (lo, hi) = reference.ranges[c];
             let h = Histogram::new(&col, BINS, lo, hi);
             out.push_exact(hellinger(&h.probabilities(), &reference.probs[c]));

@@ -74,8 +74,8 @@ pub struct TraceFooter {
 pub struct ParsedTrace {
     /// Span records in file order (the deterministic drained order).
     pub spans: Vec<TraceSpan>,
-    /// Footer, when the trace has one (schema v2+).
-    pub footer: Option<TraceFooter>,
+    /// The footer line that ends every v2 trace.
+    pub footer: TraceFooter,
 }
 
 fn field_u64(v: &serde_json::Value, key: &str, line: usize) -> Result<u64, String> {
@@ -84,10 +84,9 @@ fn field_u64(v: &serde_json::Value, key: &str, line: usize) -> Result<u64, Strin
         .ok_or_else(|| format!("line {line}: `{key}` missing or not a non-negative integer"))
 }
 
-/// Parse a trace JSONL document. Tolerates v1 traces (no footer, no
-/// nanosecond fields — `start_us`/`dur_us` are scaled up) so old
-/// artifacts stay analysable; rejects malformed lines with a message
-/// naming the line number.
+/// Parse a schema-v2 trace JSONL document: every span carries `start_ns`
+/// and `dur_ns`, and a footer line ends the file. Rejects malformed lines
+/// with a message naming the line number, and a trace without a footer.
 pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
     let mut spans = Vec::new();
     let mut footer = None;
@@ -103,12 +102,6 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
             serde_json::from_str(line).map_err(|e| format!("line {lineno}: invalid JSON: {e}"))?;
         match v.get("type").and_then(|t| t.as_str()) {
             Some("span") => {
-                let ns_or = |exact: &str, coarse: &str| -> Result<u64, String> {
-                    match v.get(exact).and_then(|x| x.as_u64()) {
-                        Some(n) => Ok(n),
-                        None => Ok(field_u64(&v, coarse, lineno)? * 1_000),
-                    }
-                };
                 spans.push(TraceSpan {
                     name: v
                         .get("name")
@@ -116,8 +109,8 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
                         .ok_or_else(|| format!("line {lineno}: `name` missing"))?
                         .to_string(),
                     slot: field_u64(&v, "slot", lineno)?,
-                    start_ns: ns_or("start_ns", "start_us")?,
-                    dur_ns: ns_or("dur_ns", "dur_us")?,
+                    start_ns: field_u64(&v, "start_ns", lineno)?,
+                    dur_ns: field_u64(&v, "dur_ns", lineno)?,
                     dataset: v.get("dataset").and_then(|x| x.as_str()).map(String::from),
                     learner: v.get("learner").and_then(|x| x.as_str()).map(String::from),
                     cell_seed: v.get("cell_seed").and_then(|x| x.as_u64()),
@@ -136,14 +129,13 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
             }
         }
     }
-    if let Some(f) = footer {
-        if f.events != spans.len() as u64 {
-            return Err(format!(
-                "footer claims {} events but the file holds {}",
-                f.events,
-                spans.len()
-            ));
-        }
+    let footer = footer.ok_or("trace has no footer line (schema v2 ends with one)")?;
+    if footer.events != spans.len() as u64 {
+        return Err(format!(
+            "footer claims {} events but the file holds {}",
+            footer.events,
+            spans.len()
+        ));
     }
     Ok(ParsedTrace { spans, footer })
 }
@@ -191,9 +183,9 @@ pub struct WorkerProfile {
 pub struct Profile {
     /// Span records analysed.
     pub events: u64,
-    /// Dropped-event count from the footer (0 when absent).
+    /// Dropped-event count from the footer.
     pub dropped: u64,
-    /// Trace schema version (1 when the trace had no footer).
+    /// Trace schema version from the footer.
     pub trace_schema: u64,
     /// Per-stage totals over the whole trace.
     pub stages: BTreeMap<String, StageTotal>,
@@ -331,8 +323,8 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
 
     Profile {
         events: trace.spans.len() as u64,
-        dropped: trace.footer.map_or(0, |f| f.dropped),
-        trace_schema: trace.footer.map_or(1, |f| f.schema),
+        dropped: trace.footer.dropped,
+        trace_schema: trace.footer.schema,
         stages,
         cells,
         workers,
@@ -595,7 +587,7 @@ mod tests {
     fn parses_and_analyses_a_small_trace() {
         let trace = parse_trace(&sample_trace()).unwrap();
         assert_eq!(trace.spans.len(), 4);
-        assert_eq!(trace.footer.unwrap().dropped, 0);
+        assert_eq!(trace.footer.dropped, 0);
 
         let p = analyze(&trace, 2);
         assert_eq!(p.stages["cell.run"].count, 2);
@@ -642,13 +634,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_traces_without_nanoseconds_still_parse() {
+    fn v1_traces_are_rejected() {
+        // Microsecond-only spans name the line and the missing field.
         let v1 = "{\"type\":\"span\",\"id\":0,\"slot\":0,\"seq\":0,\"name\":\"a\",\"start_us\":10,\"dur_us\":5}\n";
-        let trace = parse_trace(v1).unwrap();
-        assert_eq!(trace.spans[0].start_ns, 10_000);
-        assert_eq!(trace.spans[0].dur_ns, 5_000);
-        assert!(trace.footer.is_none());
-        assert_eq!(analyze(&trace, 1).trace_schema, 1);
+        let err = parse_trace(v1).unwrap_err();
+        assert!(err.contains("line 1") && err.contains("start_ns"), "{err}");
+        let no_dur = sample_trace().replacen(",\"dur_ns\":4000000", "", 1);
+        let err = parse_trace(&no_dur).unwrap_err();
+        assert!(err.contains("line 1") && err.contains("dur_ns"), "{err}");
+        // Nanosecond spans without the footer line are cut short.
+        let footerless: String = sample_trace()
+            .lines()
+            .filter(|l| !l.contains("footer"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(parse_trace(&footerless).unwrap_err().contains("no footer"));
+        assert!(parse_trace("").unwrap_err().contains("no footer"));
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn profile_totals_match_the_metrics_snapshot_and_are_thread_invariant() {
     oeb_trace::disable();
 
     let trace = parse_trace(&text).expect("own trace parses");
-    assert_eq!(trace.footer.expect("v2 footer").dropped, 0);
+    assert_eq!(trace.footer.dropped, 0);
     let profile = analyze(&trace, 1);
 
     // Exact equality against the snapshot: same counts, same

@@ -38,15 +38,20 @@ impl Default for Cdbd {
 }
 
 impl Cdbd {
-    /// Feeds the next batch of one column; the first batch becomes the
-    /// reference.
+    /// Feeds the next batch of one column (non-finite values are
+    /// ignored). The first batch becomes the reference, and so does the
+    /// next non-empty batch while the reference is empty; adopting a
+    /// reference returns `Stable`. An empty batch is skipped.
     pub fn update(&mut self, batch: &[f64]) -> DriftState {
         let clean: Vec<f64> = batch.iter().copied().filter(|x| x.is_finite()).collect();
-        let Some(reference) = &self.reference else {
-            self.reference = Some(clean);
-            return DriftState::Stable;
+        let reference = match &self.reference {
+            Some(reference) if !reference.is_empty() => reference,
+            _ => {
+                self.reference = Some(clean);
+                return DriftState::Stable;
+            }
         };
-        if reference.is_empty() || clean.is_empty() {
+        if clean.is_empty() {
             return DriftState::Stable;
         }
         // Histograms over the combined range.

@@ -124,15 +124,19 @@ impl CdbdDelta {
         }
     }
 
-    /// Feeds the next batch of one column as a multiset; the first batch
-    /// becomes the reference.
+    /// Feeds the next batch of one column as a multiset. The first batch
+    /// becomes the reference, and so does the next non-empty batch while
+    /// the reference is empty; adopting a reference returns `Stable`.
     pub fn update(&mut self, batch: &EcdfMultiset) -> DriftState {
-        let Some(reference) = &self.reference else {
-            self.reference = Some(batch.clone());
-            return DriftState::Stable;
+        let reference = match &self.reference {
+            Some(reference) if !reference.is_empty() => reference,
+            _ => {
+                self.reference = Some(batch.clone());
+                return DriftState::Stable;
+            }
         };
-        if reference.is_empty() || batch.is_empty() {
-            // Batch semantics: an empty side is skipped without touching
+        if batch.is_empty() {
+            // Batch semantics: an empty batch is skipped without touching
             // the reference or the divergence history.
             return DriftState::Stable;
         }
@@ -400,6 +404,43 @@ mod tests {
         ] {
             assert_eq!(delta.update(&multiset_of(&universe, &w)), batch.update(&w));
         }
+    }
+
+    #[test]
+    fn cdbd_empty_first_batch_matches_a_fresh_detector_in_both_engines() {
+        // One all-NaN batch, then 10 stationary and 10 shifted batches.
+        let mut seed = 53u64;
+        let batches: Vec<Vec<f64>> = (0..20)
+            .map(|i| {
+                (0..300)
+                    .map(|_| {
+                        seed = seed
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let u = (seed >> 11) as f64 / (1u64 << 53) as f64;
+                        u + if i < 10 { 0.0 } else { 3.0 }
+                    })
+                    .collect()
+            })
+            .collect();
+        let universe = universe_of(&batches);
+        let blank = vec![f64::NAN; 300];
+        let mut fresh = Cdbd::default();
+        let mut batch = Cdbd::default();
+        let mut delta = CdbdDelta::default();
+        assert_eq!(batch.update(&blank), DriftState::Stable);
+        assert_eq!(
+            delta.update(&multiset_of(&universe, &blank)),
+            DriftState::Stable
+        );
+        let mut drifts = 0;
+        for b in &batches {
+            let expect = fresh.update(b);
+            assert_eq!(batch.update(b), expect);
+            assert_eq!(delta.update(&multiset_of(&universe, b)), expect);
+            drifts += usize::from(expect.is_drift());
+        }
+        assert!(drifts >= 1, "the shift never fired; test is vacuous");
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! the detector tracks regime changes rather than cumulative divergence.
 
 use crate::state::DriftState;
-use oeb_linalg::{ks_p_value, ks_statistic};
+use oeb_linalg::{ks_p_value, ks_statistic_sorted};
 
 /// Per-column KS drift detector.
 #[derive(Debug, Clone)]
 pub struct KsDetector {
     /// Significance level for drift (paper default 0.05).
     pub alpha: f64,
+    /// The reference window's finite values, sorted by `total_cmp`.
     reference: Option<Vec<f64>>,
 }
 
@@ -28,8 +29,14 @@ impl KsDetector {
 
     /// Feeds the next window of one column (non-finite values are
     /// ignored). The first window becomes the reference.
+    ///
+    /// Each window is sorted once and kept sorted as the reference.
+    /// `total_cmp` orders every finite value, so the sort has exactly one
+    /// result, and [`ks_statistic_sorted`] returns the same bits as
+    /// `ks_statistic` on the unsorted windows.
     pub fn update(&mut self, column: &[f64]) -> DriftState {
-        let clean: Vec<f64> = column.iter().copied().filter(|x| x.is_finite()).collect();
+        let mut clean: Vec<f64> = column.iter().copied().filter(|x| x.is_finite()).collect();
+        clean.sort_unstable_by(f64::total_cmp);
         match &self.reference {
             None => {
                 self.reference = Some(clean);
@@ -40,7 +47,7 @@ impl KsDetector {
                     self.reference = Some(clean);
                     return DriftState::Stable;
                 }
-                let d = ks_statistic(reference, &clean);
+                let d = ks_statistic_sorted(reference, &clean);
                 let p = ks_p_value(d, reference.len(), clean.len());
                 if p < self.alpha {
                     self.reference = Some(clean);
@@ -61,8 +68,76 @@ impl KsDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oeb_linalg::ks_statistic;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The replaced detector: keeps the reference unsorted, and
+    /// `ks_statistic` sorts copies of both sides on every window.
+    #[derive(Default)]
+    struct UnsortedKs {
+        reference: Option<Vec<f64>>,
+    }
+
+    impl UnsortedKs {
+        fn update(&mut self, alpha: f64, column: &[f64]) -> DriftState {
+            let clean: Vec<f64> = column.iter().copied().filter(|x| x.is_finite()).collect();
+            match &self.reference {
+                None => {
+                    self.reference = Some(clean);
+                    DriftState::Stable
+                }
+                Some(reference) => {
+                    if reference.is_empty() || clean.is_empty() {
+                        self.reference = Some(clean);
+                        return DriftState::Stable;
+                    }
+                    let d = ks_statistic(reference, &clean);
+                    let p = ks_p_value(d, reference.len(), clean.len());
+                    if p < alpha {
+                        self.reference = Some(clean);
+                        DriftState::Drift
+                    } else {
+                        DriftState::Stable
+                    }
+                }
+            }
+        }
+    }
+
+    /// Windows of 0-80 values around a level that moves between
+    /// windows, with ties, both zeros, and NaN/inf cells.
+    fn windows() -> impl Strategy<Value = Vec<Vec<f64>>> {
+        let cell = prop_oneof![
+            6 => -1.0..1.0f64,
+            1 => Just(0.0),
+            1 => Just(-0.0),
+            1 => (0u8..3).prop_map(f64::from),
+            1 => prop_oneof![Just(f64::NAN), Just(f64::INFINITY)],
+        ];
+        prop::collection::vec((0u8..4, prop::collection::vec(cell, 0..80)), 1..16).prop_map(|ws| {
+            ws.into_iter()
+                .map(|(level, w)| w.into_iter().map(|x| x + f64::from(level)).collect())
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sorted_reference_matches_the_unsorted_detector(
+            ws in windows(),
+            alpha in prop_oneof![Just(0.05), Just(0.3)],
+        ) {
+            let mut det = KsDetector::new(alpha);
+            let mut reference = UnsortedKs::default();
+            for w in &ws {
+                prop_assert_eq!(det.update(w), reference.update(alpha, w));
+            }
+        }
+    }
 
     fn uniform_window(rng: &mut StdRng, lo: f64, hi: f64, n: usize) -> Vec<f64> {
         (0..n).map(|_| lo + rng.gen::<f64>() * (hi - lo)).collect()

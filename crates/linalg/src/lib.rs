@@ -32,7 +32,7 @@ pub use matrix::{dot, euclidean, norm, sq_dist, Matrix};
 pub use pca::Pca;
 pub use solve::{ridge_regression, solve};
 pub use stats::{
-    five_number, hellinger, kl_divergence, ks_p_value, ks_statistic, mean, pearson, quantile,
-    skewness, std_dev, variance, FiveNumber, Histogram,
+    five_number, hellinger, kl_divergence, ks_p_value, ks_statistic, ks_statistic_sorted, mean,
+    pearson, quantile, skewness, std_dev, variance, FiveNumber, Histogram,
 };
 pub use tsne::{tsne, TsneConfig};

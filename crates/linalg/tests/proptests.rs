@@ -2,8 +2,8 @@
 //! identities that must hold for arbitrary well-formed inputs.
 
 use oeb_linalg::{
-    five_number, hellinger, kernels, kl_divergence, ks_p_value, ks_statistic, quantile,
-    ridge_regression, solve, symmetric_eigen, Histogram, Matrix, Pca,
+    five_number, hellinger, kernels, kl_divergence, ks_p_value, ks_statistic, ks_statistic_sorted,
+    quantile, ridge_regression, solve, symmetric_eigen, Histogram, Matrix, Pca,
 };
 use proptest::prelude::*;
 
@@ -15,6 +15,17 @@ fn small_f64() -> impl Strategy<Value = f64> {
 /// GEMM sparsity skip is exercised, not just the dense path.
 fn kernel_f64() -> impl Strategy<Value = f64> {
     prop_oneof![3 => -100.0..100.0f64, 1 => Just(0.0), 1 => Just(-0.0)]
+}
+
+/// KS samples: ties from a small pool (both zeros among them) mixed
+/// with continuous values.
+fn ks_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        2 => -3.0..3.0f64,
+        1 => Just(0.0),
+        1 => Just(-0.0),
+        1 => (0u8..4).prop_map(|k| f64::from(k) - 1.5),
+    ]
 }
 
 /// GEMM shapes biased towards the awkward cases: empty products,
@@ -226,6 +237,22 @@ proptest! {
         let d = ks_statistic(&xs, &shifted);
         prop_assert!((d - 1.0).abs() < 1e-12);
         prop_assert!(ks_p_value(d, xs.len(), xs.len()) <= 1.0);
+    }
+
+    #[test]
+    fn ks_statistic_sorted_matches_ks_statistic(
+        xs in prop::collection::vec(ks_f64(), 0..60),
+        ys in prop::collection::vec(ks_f64(), 0..60),
+    ) {
+        let sorted = |v: &[f64]| {
+            let mut v = v.to_vec();
+            v.sort_unstable_by(f64::total_cmp);
+            v
+        };
+        prop_assert_eq!(
+            ks_statistic_sorted(&sorted(&xs), &sorted(&ys)).to_bits(),
+            ks_statistic(&xs, &ys).to_bits()
+        );
     }
 }
 

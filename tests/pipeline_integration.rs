@@ -110,6 +110,55 @@ fn stats_are_identical_at_any_thread_count_in_both_modes() {
     }
 }
 
+/// The statistics of "Allstate Claims Severity" (100 encoded columns,
+/// the widest PCA-CD refits in the registry) at scale 0.1, seed 0, as
+/// raw bits. Both modes print these; a kernel rewrite must keep them.
+const ALLSTATE_BITS: [(&str, u64); 22] = [
+    ("missing_rows", 0x3f9e60f04c756b2e),
+    ("missing_cols", 0x3fece739ce739ce7),
+    ("missing_cells", 0x3f50081a9a1b433b),
+    ("drift_hdddm", 0x3fb435e50d79435e),
+    ("drift_kdq", 0x3fe50d79435e50d8),
+    ("drift_pcacd", 0x3fc79435e50d7943),
+    ("drift_ks.avg", 0x3fe7af286bca1af2),
+    ("drift_ks.max", 0x3feca1af286bca1b),
+    ("drift_cdbd.avg", 0x3fc06bca1af286bc),
+    ("drift_cdbd.max", 0x3fcaf286bca1af28),
+    ("drift_adwin.avg", 0x400c000000000000),
+    ("drift_adwin.max", 0x4015555555555555),
+    ("drift_hddm.avg", 0x3fbaaaaaaaaaaaaa),
+    ("drift_hddm.max", 0x3fe5555555555555),
+    ("concept_ddm", 0x3f9bacf914c1bad0),
+    ("concept_eddm", 0x3fd306eb3e45306f),
+    ("concept_adwin", 0x3fb4c1bacf914c1c),
+    ("concept_perm", 0x3fe435e50d79435e),
+    ("anomaly_ecod.avg", 0x3f602b1da46102b2),
+    ("anomaly_ecod.max", 0x3f9999999999999a),
+    ("anomaly_iforest.avg", 0x3f6af286bca1af28),
+    ("anomaly_iforest.max", 0x3f9999999999999a),
+];
+
+#[test]
+fn wide_stream_stats_keep_their_pinned_bits() {
+    let entry = oebench::synth::registry_scaled(0.1)
+        .into_iter()
+        .find(|e| e.spec.name == "Allstate Claims Severity")
+        .unwrap();
+    let dataset = generate(&entry.spec, 0);
+    for mode in [StatsMode::Full, StatsMode::Incremental] {
+        let cfg = StatsConfig {
+            mode,
+            ..Default::default()
+        };
+        assert_eq!(
+            extract_stats(&dataset, &cfg).field_bits(),
+            ALLSTATE_BITS,
+            "{} mode",
+            mode.label()
+        );
+    }
+}
+
 #[test]
 fn every_algorithm_completes_on_both_task_types() {
     let reg = oebench::synth::registry_scaled(SCALE);
