@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, full test suite, clippy with warnings as
-# errors, formatting, a parallel-executor smoke run, and the sweep
-# benchmark artifact. Run from the repo root.
+# errors, formatting, end-to-end smoke runs, and the end-to-end
+# benchmark's golden digests. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -91,27 +91,25 @@ grep -Eq 'evaluate\.window\.latency_us +count=[1-9]' "$smoke_dir/metrics.txt" \
 cargo run --release -p oeb-bench --bin bench_kernels -- \
     --quick --out "$smoke_dir/BENCH_kernels.json"
 
-# Smoke: incremental-vs-full statistics equivalence. The two engines
-# must render identical stats reports below the `stats-mode:` header;
-# the incremental run is traced, so its spans must validate and its
-# stats.* delta counters must land in the metrics table and pass the
-# counter vocabulary gate.
+# Smoke: traced-vs-untraced statistics. The stats report must be
+# byte-identical with tracing on and off; the traced run's spans must
+# validate, its counters must pass the counter vocabulary gate, and the
+# per-column detector tasks must show up as stats.column spans.
 cargo run --release --bin oebench -- stats "Electricity Prices" --scale 0.05 \
-    --stats-mode full > "$smoke_dir/stats_full.txt"
+    > "$smoke_dir/stats_untraced.txt"
 cargo run --release --bin oebench -- stats "Electricity Prices" --scale 0.05 \
-    --stats-mode incremental --trace "$smoke_dir/stats_trace.jsonl" \
-    --metrics > "$smoke_dir/stats_incremental.txt" 2> "$smoke_dir/stats_metrics.txt" \
+    --trace "$smoke_dir/stats_trace.jsonl" \
+    --metrics > "$smoke_dir/stats_traced.txt" 2> "$smoke_dir/stats_metrics.txt" \
     || { cat "$smoke_dir/stats_metrics.txt"; exit 1; }
-diff <(tail -n +2 "$smoke_dir/stats_full.txt") \
-     <(tail -n +2 "$smoke_dir/stats_incremental.txt") \
-    || { echo "ci: incremental stats diverged from the full engine" >&2; exit 1; }
+diff "$smoke_dir/stats_untraced.txt" "$smoke_dir/stats_traced.txt" \
+    || { echo "ci: traced stats diverged from the untraced run" >&2; exit 1; }
 cargo run --release -p oeb-bench --bin trace_check -- "$smoke_dir/stats_trace.jsonl" \
     --counters "$smoke_dir/stats_metrics.txt"
-grep -Eq 'stats\.delta\.absorbed +[1-9]' "$smoke_dir/stats_metrics.txt" \
-    || { echo "ci: no stats.delta.absorbed in stats --metrics output" >&2; exit 1; }
+grep -Eq 'stats\.column +count=[1-9]' "$smoke_dir/stats_metrics.txt" \
+    || { echo "ci: no stats.column spans in stats --metrics output" >&2; exit 1; }
 
-# Smoke: the statistics task list is thread-count invariant. Each engine's
-# report must be byte-identical at one worker and at four. "Allstate
+# Smoke: the statistics task list is thread-count invariant. The report
+# must be byte-identical at one worker and at four. "Allstate
 # Claims Severity" at scale 0.1 (100 encoded columns) reaches the wide
 # PCA-CD refits and the long per-column ADWIN streams that "Electricity
 # Prices" (7 columns) does not.
@@ -119,22 +117,13 @@ for target in "Electricity Prices@0.05" "Allstate Claims Severity@0.1"; do
     name="${target%@*}"
     scale="${target#*@}"
     tag="${name%% *}"
-    for mode in full incremental; do
-        for threads in 1 4; do
-            cargo run --release --bin oebench -- stats "$name" --scale "$scale" \
-                --stats-mode "$mode" --threads "$threads" \
-                > "$smoke_dir/stats_${tag}_${mode}_t${threads}.txt"
-        done
-        diff "$smoke_dir/stats_${tag}_${mode}_t1.txt" "$smoke_dir/stats_${tag}_${mode}_t4.txt" \
-            || { echo "ci: $name $mode stats differ between 1 and 4 threads" >&2; exit 1; }
+    for threads in 1 4; do
+        cargo run --release --bin oebench -- stats "$name" --scale "$scale" \
+            --threads "$threads" > "$smoke_dir/stats_${tag}_t${threads}.txt"
     done
+    diff "$smoke_dir/stats_${tag}_t1.txt" "$smoke_dir/stats_${tag}_t4.txt" \
+        || { echo "ci: $name stats differ between 1 and 4 threads" >&2; exit 1; }
 done
-
-# Smoke: delta-statistics benchmark (quick profile). The binary asserts
-# digest equality between the full and incremental engines while
-# timing, so an equivalence regression fails CI here too.
-cargo run --release -p oeb-bench --bin bench_incremental -- \
-    --quick --out "$smoke_dir/BENCH_incremental.json"
 
 # Smoke: batched training kernels (quick profile). The binary asserts
 # the training equivalences while timing — MLP GEMM batch vs per-sample
@@ -151,15 +140,6 @@ for c in 'train\.mlp\.gemm_batches' 'train\.hoeffding\.split_checks'; do
     grep -Eq "$c +[1-9]" "$smoke_dir/train_metrics.txt" \
         || { echo "ci: no $c in bench_train --metrics output" >&2; exit 1; }
 done
-
-# Smoke: staged (shared prepare + worker pool) vs the per-cell
-# sequential baseline over the five-dataset sweep, plus the
-# traced-vs-untraced bit-identity assertions inside the binary. Writes
-# to the smoke dir — the committed BENCH_sweep.json is regenerated
-# deliberately (with --reference-staged-seconds from a
-# pre-instrumentation build), not clobbered by every CI run.
-cargo run --release -p oeb-bench --bin bench_sweep -- \
-    --scale 0.10 --seeds 3 --threads 4 --out "$smoke_dir/BENCH_sweep.json"
 
 # Smoke: chaos-soak supervision gate. An 8-cell fault x drift grid under
 # full supervision: the chaos command itself exits nonzero on any

@@ -38,9 +38,6 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "prepare.rows",
     "prepare.windows",
     "profile.cells.attributed",
-    "stats.delta.absorbed",
-    "stats.delta.retracted",
-    "stats.full.fallback",
     "supervise.quarantined",
     "supervise.retries",
     "supervise.timeouts",

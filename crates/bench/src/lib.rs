@@ -5,10 +5,9 @@
 //! * the `repro` binary regenerates every table and figure of the
 //!   paper's evaluation (`cargo run -p oeb-bench --release --bin repro --
 //!   all`), writing text and JSON artifacts under `results/`;
-//! * Criterion micro-benches (`cargo bench`) cover the per-window
-//!   kernels behind those artifacts: learner train/predict, drift
-//!   detectors, outlier detectors, preprocessing, and the end-to-end
-//!   prequential pipeline.
+//! * the `bench_kernels` and `bench_train` binaries time the fast
+//!   kernels against their references and assert bit-identical output;
+//! * `trace_check` and `oeb-profile` validate and analyse trace files.
 
 pub mod counter_vocab;
 pub mod profile;

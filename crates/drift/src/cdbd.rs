@@ -167,4 +167,35 @@ mod tests {
         assert_eq!(det.update(&[f64::NAN, 1.0]), DriftState::Stable);
         assert_eq!(det.update(&[1.0, 2.0]), DriftState::Stable);
     }
+
+    #[test]
+    fn empty_first_batch_matches_a_fresh_detector() {
+        // One all-NaN batch, then 10 stationary and 10 shifted batches:
+        // the blinded detector must adopt the first non-empty batch as
+        // its reference and from then on agree with a fresh detector.
+        let mut seed = 53u64;
+        let batches: Vec<Vec<f64>> = (0..20)
+            .map(|i| {
+                (0..300)
+                    .map(|_| {
+                        seed = seed
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let u = (seed >> 11) as f64 / (1u64 << 53) as f64;
+                        u + if i < 10 { 0.0 } else { 3.0 }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut fresh = Cdbd::default();
+        let mut blinded = Cdbd::default();
+        assert_eq!(blinded.update(&[f64::NAN; 300]), DriftState::Stable);
+        let mut drifts = 0;
+        for b in &batches {
+            let expect = fresh.update(b);
+            assert_eq!(blinded.update(b), expect);
+            drifts += usize::from(expect.is_drift());
+        }
+        assert!(drifts >= 1, "the shift never fired; test is vacuous");
+    }
 }

@@ -392,8 +392,8 @@ impl Workspace {
     // -- delta-equivalence --------------------------------------------------
 
     /// Every `impl DeltaStat for T` must be named in at least one test
-    /// that asserts equivalence with the batch path — the contract the
-    /// incremental pipeline's correctness rests on.
+    /// that asserts equivalence with a batch recomputation — the contract
+    /// a maintained statistic's correctness rests on.
     fn delta_equivalence(&self, out: &mut Vec<Diagnostic>) {
         const RULE: &str = "delta-equivalence";
         const HINT: &str = "add a `#[test]` naming the delta type whose name or body marks it \

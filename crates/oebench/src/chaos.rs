@@ -154,7 +154,8 @@ impl ChaosReport {
         text
     }
 
-    /// JSON form for the CI gate and `BENCH_sweep.json`.
+    /// JSON form of the report that `oebench chaos --out` writes and the
+    /// CI gate reads.
     pub fn to_json(&self) -> Value {
         json!({
             "cells": self.cells.iter().map(|c| json!({

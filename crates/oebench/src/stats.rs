@@ -11,26 +11,15 @@
 use crate::executor::{parallel_map, resolve_threads};
 use crate::probe::{GaussianNb, LinearProbe};
 use oeb_drift::{
-    perm_test, Adwin, BatchDriftDetector, Cdbd, CdbdDelta, ConceptDriftDetector, Ddm, DriftState,
-    Eddm, Hdddm, HdddmDelta, HddmA, KdqTreeDetector, KsDeltaDetector, KsDetector, PcaCd,
-    PermConfig,
+    perm_test, Adwin, BatchDriftDetector, Cdbd, ConceptDriftDetector, Ddm, DriftState, Eddm, Hdddm,
+    HddmA, KdqTreeDetector, KsDetector, PcaCd, PermConfig,
 };
-use oeb_linalg::{EcdfMultiset, EcdfUniverse, Matrix};
+use oeb_linalg::Matrix;
 use oeb_outlier::{anomaly_ratio, Ecod, IForestConfig, IsolationForest};
 use oeb_preprocess::{Imputer, KnnImputer, OneHotEncoder, StandardScaler};
-use oeb_tabular::{DeltaStat, MissingDelta, StreamDataset, Table, Task};
-use oeb_trace::{Counter, SpanDef};
+use oeb_tabular::{StreamDataset, Task};
+use oeb_trace::SpanDef;
 use std::ops::Range;
-use std::sync::Arc;
-
-/// Rows/values entered into maintained sufficient statistics.
-static DELTA_ABSORBED: Counter = Counter::new("stats.delta.absorbed");
-/// Rows/values exactly retracted from maintained sufficient statistics.
-static DELTA_RETRACTED: Counter = Counter::new("stats.delta.retracted");
-/// Batch (non-decomposable) detector invocations taken while in
-/// incremental mode — kdq-tree, PCA-CD, IForest, and the concept-drift
-/// probes have no sufficient-statistic form and fall back per window.
-static FULL_FALLBACK: Counter = Counter::new("stats.full.fallback");
 
 /// The sequential preprocessing: encode, impute and scale every window.
 static ENCODE_SPAN: SpanDef = SpanDef::new("stats.encode");
@@ -43,39 +32,6 @@ static PERM_SPAN: SpanDef = SpanDef::new("stats.perm");
 static OUTLIER_SPAN: SpanDef = SpanDef::new("stats.outlier");
 static COLUMN_SPAN: SpanDef = SpanDef::new("stats.column");
 
-/// How the §4.3 statistics are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StatsMode {
-    /// Recompute every detector from scratch on each window (the
-    /// retained batch path).
-    #[default]
-    Full,
-    /// Maintain sufficient statistics (ECDF multisets, popcount missing
-    /// counts) and slide them across windows; decisions are
-    /// bit-identical to [`StatsMode::Full`], non-decomposable detectors
-    /// fall back to the batch path (counted by `stats.full.fallback`).
-    Incremental,
-}
-
-impl StatsMode {
-    /// Parses the CLI spelling (`full` / `incremental`).
-    pub fn parse(s: &str) -> Option<StatsMode> {
-        match s {
-            "full" => Some(StatsMode::Full),
-            "incremental" => Some(StatsMode::Incremental),
-            _ => None,
-        }
-    }
-
-    /// The CLI/report spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            StatsMode::Full => "full",
-            StatsMode::Incremental => "incremental",
-        }
-    }
-}
-
 /// Extraction knobs (cost bounds; defaults match the paper's pipeline
 /// semantics at benchmark scale).
 #[derive(Debug, Clone)]
@@ -87,8 +43,6 @@ pub struct StatsConfig {
     pub max_rows_per_window: usize,
     /// PERM settings.
     pub perm: PermConfig,
-    /// Batch recompute vs maintained sufficient statistics.
-    pub mode: StatsMode,
 }
 
 impl Default for StatsConfig {
@@ -100,7 +54,6 @@ impl Default for StatsConfig {
                 n_permutations: 12,
                 ..Default::default()
             },
-            mode: StatsMode::default(),
         }
     }
 }
@@ -265,9 +218,9 @@ impl OeStats {
         ]
     }
 
-    /// Every floating field as `(name, raw bits)` in a fixed order —
-    /// the equivalence gate between [`StatsMode::Full`] and
-    /// [`StatsMode::Incremental`] compares these for exact equality.
+    /// Every floating field as `(name, raw bits)` in a fixed order — the
+    /// thread-count invariance tests and the benchmark's golden digests
+    /// compare these for exact equality.
     pub fn field_bits(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("missing_rows", self.missing_rows.to_bits()),
@@ -301,13 +254,8 @@ const MIN_OUTLIER_ROWS: usize = 8;
 /// Windows shorter than this are not tested by PERM.
 const MIN_PERM_ROWS: usize = 16;
 
-/// Extracts the full statistics vector for one stream.
-///
-/// With [`StatsMode::Incremental`] the decomposable statistics (missing
-/// ratios, HDDDM, KS, CDBD, ECOD) are derived from maintained
-/// sufficient statistics instead of per-window recomputation; the
-/// result is bit-identical to [`StatsMode::Full`] (the mode-equivalence
-/// tests and the CI smoke pin this).
+/// Extracts the full statistics vector for one stream, recomputing every
+/// detector on each window of the stream's non-overlapping partition.
 ///
 /// The detectors run as one list of [`StatsTask`]s through
 /// [`parallel_map`] at [`resolve_threads`]`(None)` workers. Each task is
@@ -315,10 +263,7 @@ const MIN_PERM_ROWS: usize = 16;
 /// order, so the output is bit-identical at any thread count. Calling
 /// this from inside executor workers would oversubscribe the machine.
 pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
-    let missing = match cfg.mode {
-        StatsMode::Full => dataset.table.missing_stats(),
-        StatsMode::Incremental => incremental_missing_stats(&dataset.table),
-    };
+    let missing = dataset.table.missing_stats();
     let ranges = dataset.windows();
     let n_windows = ranges.len();
 
@@ -344,19 +289,7 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
     }
     drop(encode_span);
 
-    // Per-column value universes for the maintained multisets; only the
-    // incremental mode pays the upfront sort.
     let n_cols_enc = windows.first().map_or(0, Matrix::cols);
-    let universes = match cfg.mode {
-        StatsMode::Full => Vec::new(),
-        StatsMode::Incremental => column_universes(&windows, n_cols_enc),
-    };
-
-    // The concept-drift probes and PERM have no sufficient-statistic
-    // form, so both modes run the batch path.
-    if cfg.mode == StatsMode::Incremental {
-        FULL_FALLBACK.add(2);
-    }
     // Chains first, so the longest tasks start first.
     let mut tasks = vec![
         StatsTask::Kdq,
@@ -374,20 +307,15 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
     }
     tasks.extend((0..n_cols_enc.min(cfg.max_columns)).map(StatsTask::Column));
     let run = |task: StatsTask| match task {
-        StatsTask::Kdq => {
-            TaskOutput::Kdq(batch_chain(&windows, KdqTreeDetector::default(), cfg.mode))
-        }
-        StatsTask::Hdddm => TaskOutput::Hdddm(hdddm_chain(&windows, &universes, cfg.mode)),
-        StatsTask::PcaCd => TaskOutput::PcaCd(batch_chain(&windows, PcaCd::default(), cfg.mode)),
+        StatsTask::Kdq => TaskOutput::Kdq(batch_chain(&windows, KdqTreeDetector::default())),
+        StatsTask::Hdddm => TaskOutput::Hdddm(batch_chain(&windows, Hdddm::default())),
+        StatsTask::PcaCd => TaskOutput::PcaCd(batch_chain(&windows, PcaCd::default())),
         StatsTask::Concept => TaskOutput::Concept(concept_drift_fracs(dataset, &ranges, &windows)),
         StatsTask::Perm(k) => {
             TaskOutput::Perm(perm_flags(dataset, &ranges[k], &windows[k], &cfg.perm))
         }
-        StatsTask::Outlier(k) => TaskOutput::Outlier(outlier_ratios(&windows[k], k, cfg.mode)),
-        StatsTask::Column(c) => {
-            let universe = (cfg.mode == StatsMode::Incremental).then(|| &universes[c]);
-            TaskOutput::Column(column_rates(&windows, c, universe))
-        }
+        StatsTask::Outlier(k) => TaskOutput::Outlier(outlier_ratios(&windows[k], k)),
+        StatsTask::Column(c) => TaskOutput::Column(column_rates(&windows, c)),
     };
     let outputs = parallel_map(tasks.len(), resolve_threads(None), |i| {
         let _span = tasks[i].span().start();
@@ -413,10 +341,7 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
     for output in outputs {
         match output {
             TaskOutput::Kdq(hits) => stats.drift_kdq = hits as f64 / per_window,
-            TaskOutput::Hdddm((hits, ratios)) => {
-                stats.drift_hdddm = hits as f64 / per_window;
-                ecod_ratios.extend(ratios);
-            }
+            TaskOutput::Hdddm(hits) => stats.drift_hdddm = hits as f64 / per_window,
             TaskOutput::PcaCd(hits) => stats.drift_pcacd = hits as f64 / per_window,
             TaskOutput::Concept((ddm, eddm, adwin)) => {
                 stats.concept_ddm = ddm;
@@ -428,7 +353,7 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
                 perm_flagged += usize::from(flagged);
             }
             TaskOutput::Outlier((ecod, iforest)) => {
-                ecod_ratios.extend(ecod);
+                ecod_ratios.push(ecod);
                 iforest_ratios.push(iforest);
             }
             TaskOutput::Column(rates) => {
@@ -456,7 +381,7 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
 enum StatsTask {
     /// kdq-tree over all windows.
     Kdq,
-    /// HDDDM over all windows (plus the ECOD snapshots in incremental mode).
+    /// HDDDM over all windows.
     Hdddm,
     /// PCA-CD over all windows.
     PcaCd,
@@ -489,94 +414,34 @@ impl StatsTask {
 enum TaskOutput {
     /// Windows the kdq-tree flagged.
     Kdq(usize),
-    /// Windows HDDDM flagged, and the ECOD ratios of the windows it
-    /// snapshotted (incremental mode; empty in full mode).
-    Hdddm((usize, Vec<f64>)),
+    /// Windows HDDDM flagged.
+    Hdddm(usize),
     /// Windows PCA-CD flagged.
     PcaCd(usize),
     /// `(DDM, EDDM, ADWIN)` fractions of windows.
     Concept((f64, f64, f64)),
     /// Whether PERM flagged the window.
     Perm(bool),
-    /// `(ECOD ratio, IForest ratio)`; ECOD is `None` in incremental mode.
-    Outlier((Option<f64>, f64)),
+    /// `(ECOD ratio, IForest ratio)`.
+    Outlier((f64, f64)),
     /// `[KS, CDBD, ADWIN, HDDM-A]` rates of one column.
     Column([f64; 4]),
 }
 
-/// Runs a batch detector with no sufficient-statistic form (kdq-tree,
-/// PCA-CD) across the windows and counts the windows it flags. In
-/// incremental mode each window is a fallback.
-fn batch_chain(
-    windows: &[Matrix],
-    mut detector: impl BatchDriftDetector,
-    mode: StatsMode,
-) -> usize {
+/// Runs a multi-dimensional batch detector (kdq-tree, HDDDM, PCA-CD)
+/// across the windows and counts the windows it flags.
+fn batch_chain(windows: &[Matrix], mut detector: impl BatchDriftDetector) -> usize {
     let mut hits = 0;
     for w in windows {
-        if mode == StatsMode::Incremental {
-            FULL_FALLBACK.incr();
-        }
         hits += usize::from(detector.update(w).is_drift());
     }
     hits
 }
 
-/// HDDDM across the windows. Full mode recomputes each window's
-/// histograms; incremental mode slides one multiset per encoded column
-/// across the windows and, since the multisets then hold exactly the
-/// current window's values, also takes each window's ECOD model from
-/// them (equal to a fresh batch fit). Returns the flagged-window count
-/// and those ECOD ratios.
-fn hdddm_chain(
-    windows: &[Matrix],
-    universes: &[Arc<EcdfUniverse>],
-    mode: StatsMode,
-) -> (usize, Vec<f64>) {
-    let mut hits = 0;
-    let mut ecod_ratios = Vec::new();
-    match mode {
-        StatsMode::Full => {
-            let mut hdddm = Hdddm::default();
-            for w in windows {
-                hits += usize::from(hdddm.update(w).is_drift());
-            }
-        }
-        StatsMode::Incremental => {
-            let mut hdddm = HdddmDelta::default();
-            let mut cur: Vec<EcdfMultiset> = universes
-                .iter()
-                .map(|u| EcdfMultiset::new(Arc::clone(u)))
-                .collect();
-            let mut prev: Option<&Matrix> = None;
-            for w in windows {
-                for (c, m) in cur.iter_mut().enumerate() {
-                    slide(m, &prev.map(|p| p.col(c)).unwrap_or_default(), &w.col(c));
-                }
-                prev = Some(w);
-                hits += usize::from(hdddm.update(&cur).is_drift());
-                if w.rows() >= MIN_OUTLIER_ROWS {
-                    let ecod =
-                        Ecod::from_sorted_columns(cur.iter().map(|m| m.to_sorted_vec()).collect());
-                    ecod_ratios.push(anomaly_ratio(&ecod.score_all(w)));
-                }
-            }
-        }
-    }
-    (hits, ecod_ratios)
-}
-
-/// Window `k`'s ECOD ratio (full mode only: incremental mode takes ECOD
-/// from the HDDDM chain's multisets) and IForest ratio, the forest
-/// seeded by the window index.
-fn outlier_ratios(w: &Matrix, k: usize, mode: StatsMode) -> (Option<f64>, f64) {
-    let ecod = match mode {
-        StatsMode::Full => Some(anomaly_ratio(&Ecod::fit(w).score_all(w))),
-        StatsMode::Incremental => {
-            FULL_FALLBACK.incr();
-            None
-        }
-    };
+/// Window `k`'s ECOD ratio and IForest ratio, the forest seeded by the
+/// window index.
+fn outlier_ratios(w: &Matrix, k: usize) -> (f64, f64) {
+    let ecod = anomaly_ratio(&Ecod::fit(w).score_all(w));
     let forest = IsolationForest::fit(
         w,
         &IForestConfig {
@@ -588,71 +453,27 @@ fn outlier_ratios(w: &Matrix, k: usize, mode: StatsMode) -> (Option<f64>, f64) {
     (ecod, anomaly_ratio(&forest.score_all(w)))
 }
 
-/// Slides a column multiset from the previous window's values onto the
-/// next window's: retract every leaving value, absorb every entering one.
-fn slide(cur: &mut EcdfMultiset, leaving: &[f64], entering: &[f64]) {
-    let retracted = leaving.iter().filter(|&&v| cur.remove(v)).count();
-    let absorbed = entering.iter().filter(|&&v| cur.insert(v)).count();
-    DELTA_RETRACTED.add(retracted as u64);
-    DELTA_ABSORBED.add(absorbed as u64);
-}
-
-/// Per-column value universes over every window of the stream.
-fn column_universes(windows: &[Matrix], n_cols: usize) -> Vec<Arc<EcdfUniverse>> {
-    (0..n_cols)
-        .map(|c| {
-            let mut values = Vec::new();
-            for w in windows {
-                values.extend(w.col(c));
-            }
-            Arc::new(EcdfUniverse::from_values(values))
-        })
-        .collect()
-}
-
 /// `[KS, CDBD, ADWIN, HDDM-A]` for encoded column `c`: KS and CDBD as
 /// fractions of windows flagged, ADWIN and HDDM-A as drift events per 1k
-/// items. Without a `universe` KS and CDBD recompute on each window; with
-/// one they read a multiset slid across the windows. ADWIN and HDDM-A are
-/// streaming detectors and consume the values in row order either way.
-fn column_rates(windows: &[Matrix], c: usize, universe: Option<&Arc<EcdfUniverse>>) -> [f64; 4] {
+/// items. KS and CDBD compare whole windows; ADWIN and HDDM-A are
+/// streaming detectors and consume the values in row order.
+fn column_rates(windows: &[Matrix], c: usize) -> [f64; 4] {
+    let mut ks = KsDetector::new(0.05);
+    let mut cdbd = Cdbd::default();
     let mut adwin = Adwin::new(0.002);
     let mut hddm = HddmA::default();
+    let (mut ks_hits, mut cdbd_hits) = (0usize, 0usize);
     let (mut adwin_hits, mut hddm_hits, mut n_items) = (0usize, 0usize, 0usize);
-    let mut feed_items = |col: &[f64]| {
+    for w in windows {
+        let col = w.col(c);
+        ks_hits += usize::from(ks.update(&col).is_drift());
+        cdbd_hits += usize::from(cdbd.update(&col).is_drift());
         for &v in col.iter().filter(|v| v.is_finite()) {
             n_items += 1;
             // Normalise into [0, 1] for HDDM's Hoeffding bounds.
             let bounded = 0.5 + 0.5 * (v / 4.0).tanh();
             adwin_hits += usize::from(adwin.insert(bounded));
             hddm_hits += usize::from(hddm.update(bounded).is_drift());
-        }
-    };
-    let (mut ks_hits, mut cdbd_hits) = (0usize, 0usize);
-    match universe {
-        None => {
-            let mut ks = KsDetector::new(0.05);
-            let mut cdbd = Cdbd::default();
-            for w in windows {
-                let col = w.col(c);
-                ks_hits += usize::from(ks.update(&col).is_drift());
-                cdbd_hits += usize::from(cdbd.update(&col).is_drift());
-                feed_items(&col);
-            }
-        }
-        Some(universe) => {
-            let mut cur = EcdfMultiset::new(Arc::clone(universe));
-            let mut ks = KsDeltaDetector::new(0.05);
-            let mut cdbd = CdbdDelta::default();
-            let mut prev = Vec::new();
-            for w in windows {
-                let col = w.col(c);
-                slide(&mut cur, &prev, &col);
-                ks_hits += usize::from(ks.update(&cur).is_drift());
-                cdbd_hits += usize::from(cdbd.update(&cur).is_drift());
-                feed_items(&col);
-                prev = col;
-            }
         }
     }
     let per_window = windows.len().max(1) as f64;
@@ -663,18 +484,6 @@ fn column_rates(windows: &[Matrix], c: usize, universe: Option<&Arc<EcdfUniverse
         adwin_hits as f64 / per_k_items,
         hddm_hits as f64 / per_k_items,
     ]
-}
-
-/// Whole-table missing statistics via the popcount delta accumulator —
-/// bit-identical to [`Table::missing_stats`] (both count NaN cells of
-/// the numeric row view).
-fn incremental_missing_stats(table: &Table) -> oeb_tabular::MissingStats {
-    let mut delta = MissingDelta::new(table.n_cols());
-    for r in 0..table.n_rows() {
-        delta.absorb(&table.numeric_row(r));
-    }
-    DELTA_ABSORBED.add(table.n_rows() as u64);
-    delta.snapshot()
 }
 
 /// Runs the probe model window-by-window, feeding its error stream into
@@ -883,46 +692,6 @@ mod tests {
         }
         assert!(s.missing_cells >= 0.0 && s.missing_cells <= 1.0);
         assert!(s.drift_hdddm >= 0.0 && s.drift_hdddm <= 1.0);
-    }
-
-    #[test]
-    fn incremental_mode_matches_full_bitwise() {
-        let entries = registry_scaled(0.04);
-        // One drifting stream, one heavy-missing stream: exercises the
-        // reference slides, empty-window rules and imputation paths.
-        for name in ["Electricity Prices", "Indian Cities Weather Bangalore"] {
-            let entry = entries.iter().find(|e| e.spec.name == name).unwrap();
-            let d = generate(&entry.spec, 0);
-            let full = extract_stats(&d, &StatsConfig::default());
-            let inc = extract_stats(
-                &d,
-                &StatsConfig {
-                    mode: StatsMode::Incremental,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(full.n_windows, inc.n_windows);
-            for ((name_a, a), (_, b)) in full.field_bits().iter().zip(inc.field_bits()) {
-                assert_eq!(
-                    *a,
-                    b,
-                    "{name}: field {name_a} differs ({} vs {})",
-                    f64::from_bits(*a),
-                    f64::from_bits(b)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stats_mode_parses_cli_spellings() {
-        assert_eq!(StatsMode::parse("full"), Some(StatsMode::Full));
-        assert_eq!(
-            StatsMode::parse("incremental"),
-            Some(StatsMode::Incremental)
-        );
-        assert_eq!(StatsMode::parse("delta"), None);
-        assert_eq!(StatsMode::Incremental.label(), "incremental");
     }
 
     #[test]

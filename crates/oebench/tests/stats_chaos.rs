@@ -1,8 +1,7 @@
-//! Mode-equivalence fuzzing for the statistics extractor: for arbitrary
+//! Thread-invariance fuzzing for the statistics extractor: for arbitrary
 //! fault plans (NaN bursts, dropped / duplicated / truncated windows,
-//! all-missing columns) over a synthetic stream, [`StatsMode::Full`] and
-//! [`StatsMode::Incremental`] must produce bit-identical statistics — and
-//! the answer must not depend on the executor thread count.
+//! all-missing columns) over a synthetic stream, the statistics must be
+//! bit-identical at any executor thread count.
 //!
 //! Schema violations are the one fault kind held at zero: they change the
 //! column count mid-stream, so the damaged frames cannot be reassembled
@@ -10,7 +9,7 @@
 //! harness-level handling of that fault is covered by
 //! `fault_injection.rs`).
 
-use oeb_core::{extract_stats, set_default_threads, StatsConfig, StatsMode};
+use oeb_core::{extract_stats, set_default_threads, StatsConfig};
 use oeb_faults::{inject_dataset, FaultPlan, WindowFrame};
 use oeb_synth::{generate, DriftPattern, Level, StreamSpec, TaskSpec};
 use oeb_tabular::{Column, Domain, Field, Schema, StreamDataset, Table, Task};
@@ -106,58 +105,35 @@ fn dataset_from_frames(frames: &[WindowFrame], window: usize) -> Option<StreamDa
     ))
 }
 
-fn stats_in_mode(d: &StreamDataset, mode: StatsMode) -> Vec<(&'static str, u64)> {
-    extract_stats(
-        d,
-        &StatsConfig {
-            mode,
-            ..Default::default()
-        },
-    )
-    .field_bits()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Incremental == full, bit for bit, on chaos streams — at 1 and 4
-    /// executor threads. The thread count sets the width of the detector
-    /// task list in both modes, so agreement across counts pins every
-    /// task as independent of scheduling.
+    /// 1 thread == 4 threads, bit for bit, on chaos streams. The thread
+    /// count sets the width of the detector task list, so agreement
+    /// across counts pins every task as independent of scheduling.
     #[test]
-    fn incremental_matches_full_on_chaos_streams(plan in arb_plan(), seed in 0u64..8) {
+    fn chaos_stream_stats_match_at_1_and_4_threads(plan in arb_plan(), seed in 0u64..8) {
         let clean = base_dataset(seed);
         let (frames, _log) = inject_dataset(&clean, &plan, 1.0);
         // Extreme drop rates may legally erase every window; nothing to
         // compare in that case.
         if let Some(damaged) = dataset_from_frames(&frames, clean.default_window) {
-
-        let mut reports: Vec<(String, Vec<(&'static str, u64)>)> = Vec::new();
-            for threads in [1usize, 4] {
+            let bits_at = |threads: usize| {
                 set_default_threads(Some(threads));
-                for mode in [StatsMode::Full, StatsMode::Incremental] {
-                    reports.push((
-                        format!("{} @ {threads} threads", mode.label()),
-                        stats_in_mode(&damaged, mode),
-                    ));
-                }
-            }
+                extract_stats(&damaged, &StatsConfig::default()).field_bits()
+            };
+            let one = bits_at(1);
+            let four = bits_at(4);
             set_default_threads(None);
-
-            let (ref_label, reference) = &reports[0];
-            for (label, bits) in &reports[1..] {
-                for ((name, a), (_, b)) in reference.iter().zip(bits) {
-                    prop_assert_eq!(
-                        *a,
-                        *b,
-                        "field {} differs between {} ({}) and {} ({})",
-                        name,
-                        ref_label,
-                        f64::from_bits(*a),
-                        label,
-                        f64::from_bits(*b)
-                    );
-                }
+            for ((name, a), (_, b)) in one.iter().zip(&four) {
+                prop_assert_eq!(
+                    *a,
+                    *b,
+                    "field {} differs between 1 thread ({}) and 4 threads ({})",
+                    name,
+                    f64::from_bits(*a),
+                    f64::from_bits(*b)
+                );
             }
         }
     }

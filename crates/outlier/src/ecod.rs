@@ -30,21 +30,13 @@ impl Ecod {
     /// Fits ECOD on a training matrix (rows = samples). Non-finite cells
     /// are ignored per-dimension.
     pub fn fit(data: &Matrix) -> Ecod {
-        let sorted = (0..data.cols())
+        let sorted: Vec<Vec<f64>> = (0..data.cols())
             .map(|c| {
                 let mut col: Vec<f64> = data.col(c).into_iter().filter(|x| x.is_finite()).collect();
                 col.sort_by(f64::total_cmp);
                 col
             })
             .collect();
-        Ecod::from_sorted_columns(sorted)
-    }
-
-    /// Assembles a fitted model from pre-sorted per-dimension samples
-    /// (ascending under `total_cmp`, finite values only) — the delta
-    /// pipeline's snapshot path. Skewness is derived from each sorted
-    /// column exactly as [`Ecod::fit`] does.
-    pub fn from_sorted_columns(sorted: Vec<Vec<f64>>) -> Ecod {
         let skew = sorted.iter().map(|col| skewness(col)).collect();
         let mut tails: Vec<Vec<f64>> = Vec::new();
         let tail_of = sorted

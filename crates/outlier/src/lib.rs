@@ -5,12 +5,10 @@
 //! [`iforest::IsolationForest`] (random-split isolation trees), plus the
 //! paper's 3-sigma window-level flagging rule in [`flag`].
 
-pub mod delta;
 pub mod ecod;
 pub mod flag;
 pub mod iforest;
 
-pub use delta::EcodDelta;
 pub use ecod::Ecod;
 pub use flag::{anomaly_ratio, flag_by_sigma};
 pub use iforest::{top_score_index, IForestConfig, IsolationForest};

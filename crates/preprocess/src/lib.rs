@@ -5,12 +5,10 @@
 //! and the four missing-value imputers compared in §6.6 (KNN, regression,
 //! mean, zero).
 
-pub mod delta;
 pub mod encode;
 pub mod impute;
 pub mod scale;
 
-pub use delta::ScalerDelta;
 pub use encode::OneHotEncoder;
 pub use impute::{Imputer, KnnImputer, MeanImputer, RegressionImputer, ZeroImputer};
 pub use scale::{StandardScaler, TargetScaler};

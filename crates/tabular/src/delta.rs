@@ -1,25 +1,20 @@
-//! Sufficient-statistics maintenance over row deltas.
+//! Sufficient statistics maintained under row deltas.
 //!
-//! The incremental statistics pipeline treats every decomposable
-//! statistic as a [`DeltaStat`]: a window slide [`absorb`]s the
-//! entering rows and [`retract`]s the leaving ones, and
-//! [`snapshot`] derives the statistic from the maintained state —
-//! touching `O(changed rows)` instead of the whole window.
+//! A [`DeltaStat`] is a statistic kept up to date as rows enter
+//! ([`absorb`]) and leave ([`retract`]), with [`snapshot`] deriving the
+//! statistic from the maintained state instead of rescanning the rows.
 //!
 //! [`absorb`]: DeltaStat::absorb
 //! [`retract`]: DeltaStat::retract
 //! [`snapshot`]: DeltaStat::snapshot
 //!
-//! This module hosts the trait and the missing-value statistic
-//! ([`MissingDelta`]), which maintains row/column/cell missing counts
-//! from one popcount per 64 columns per touched row (the same word
-//! representation as [`FiniteMask`](crate::FiniteMask)). Other crates
-//! implement the trait for their own statistics (ECDF multisets in
-//! `oeb-drift`/`oeb-outlier`, shifted-sum scaler moments in
-//! `oeb-preprocess`).
-
-use crate::mask::{missing_in_words, nan_words};
-use crate::table::MissingStats;
+//! The implementor is `oeb_tree::hoeffding::LeafTotals`: the Hoeffding
+//! tree's per-leaf class counts, with their running total, majority class
+//! and present-class count. The tree absorbs one labelled sample at a
+//! time and reads the snapshot when it decides whether to evaluate a
+//! split. Its equivalence test asserts that the maintained snapshot is
+//! bit-identical to a rescan of the counts, and the `delta-equivalence`
+//! lint rule requires such a test for every implementor.
 
 /// A statistic maintained under row insertion and exact retraction.
 ///
@@ -41,243 +36,4 @@ pub trait DeltaStat {
 
     /// Derives the statistic from the maintained state.
     fn snapshot(&self) -> Self::Output;
-}
-
-/// Missing-value counts (rows / columns / cells) as a delta statistic.
-///
-/// `snapshot` is bit-identical to
-/// [`Table::missing_stats`](crate::Table::missing_stats) over the same
-/// rows, under the pipeline's missing sentinel: a cell is missing when
-/// it is NaN (categorical cells surface as NaN dictionary indices
-/// through `numeric_row`, so the table and row views agree).
-///
-/// Per touched row the cost is one NaN scan compressed into bit words
-/// plus one popcount per 64 columns; per-column counts update only for
-/// the missing (clear) bits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MissingDelta {
-    n_cols: usize,
-    n_rows: usize,
-    rows_with_missing: usize,
-    cells_missing: usize,
-    col_missing: Vec<usize>,
-    /// Scratch word buffer, reused across rows.
-    words: Vec<u64>,
-}
-
-impl MissingDelta {
-    /// An empty accumulator over `n_cols` columns.
-    pub fn new(n_cols: usize) -> MissingDelta {
-        MissingDelta {
-            n_cols,
-            n_rows: 0,
-            rows_with_missing: 0,
-            cells_missing: 0,
-            col_missing: vec![0; n_cols],
-            words: Vec::new(),
-        }
-    }
-
-    /// Rows currently absorbed.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Missing cells currently accounted.
-    pub fn cells_missing(&self) -> usize {
-        self.cells_missing
-    }
-
-    /// Columns with at least one missing cell.
-    pub fn cols_with_missing(&self) -> usize {
-        self.col_missing.iter().filter(|&&c| c > 0).count()
-    }
-
-    fn apply(&mut self, row: &[f64], sign: i64) {
-        assert_eq!(row.len(), self.n_cols, "row width mismatch");
-        let mut words = std::mem::take(&mut self.words);
-        nan_words(row, &mut words);
-        let missing = row.len() - words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-        if sign > 0 {
-            self.n_rows += 1;
-            self.cells_missing += missing;
-            if missing > 0 {
-                self.rows_with_missing += 1;
-            }
-        } else {
-            assert!(self.n_rows > 0, "retracting from an empty accumulator");
-            self.n_rows -= 1;
-            assert!(
-                self.cells_missing >= missing,
-                "retracting unseen missing cells"
-            );
-            self.cells_missing -= missing;
-            if missing > 0 {
-                assert!(
-                    self.rows_with_missing > 0,
-                    "retracting an unseen missing row"
-                );
-                self.rows_with_missing -= 1;
-            }
-        }
-        if missing > 0 {
-            missing_in_words(&words, self.n_cols, |c| {
-                if sign > 0 {
-                    self.col_missing[c] += 1;
-                } else {
-                    assert!(self.col_missing[c] > 0, "column count underflow");
-                    self.col_missing[c] -= 1;
-                }
-            });
-        }
-        self.words = words;
-    }
-}
-
-impl DeltaStat for MissingDelta {
-    type Output = MissingStats;
-
-    fn absorb(&mut self, row: &[f64]) {
-        self.apply(row, 1);
-    }
-
-    fn retract(&mut self, row: &[f64]) {
-        self.apply(row, -1);
-    }
-
-    /// The three §4.3 ratios, with the identical division order and
-    /// zero-shape handling as `Table::missing_stats`.
-    fn snapshot(&self) -> MissingStats {
-        if self.n_rows == 0 || self.n_cols == 0 {
-            return MissingStats {
-                rows_with_missing: 0.0,
-                missing_columns: 0.0,
-                empty_cells: 0.0,
-            };
-        }
-        MissingStats {
-            rows_with_missing: self.rows_with_missing as f64 / self.n_rows as f64,
-            missing_columns: self.cols_with_missing() as f64 / self.n_cols as f64,
-            empty_cells: self.cells_missing as f64 / (self.n_rows * self.n_cols) as f64,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::column::Column;
-    use crate::schema::{Field, FieldKind, Schema};
-    use crate::table::Table;
-
-    fn toy_table(cells: &[&[f64]]) -> Table {
-        let n_cols = cells.first().map_or(0, |r| r.len());
-        let schema = Schema::new(
-            (0..n_cols)
-                .map(|c| Field {
-                    name: format!("f{c}"),
-                    kind: FieldKind::Numeric,
-                })
-                .collect(),
-        );
-        let columns = (0..n_cols)
-            .map(|c| Column::Numeric(cells.iter().map(|r| r[c]).collect()))
-            .collect();
-        Table::new(schema, columns)
-    }
-
-    #[test]
-    fn snapshot_matches_table_missing_stats_bitwise() {
-        let rows: Vec<Vec<f64>> = (0..40)
-            .map(|r| {
-                (0..7)
-                    .map(|c| {
-                        if (r * 7 + c) % 5 == 0 {
-                            f64::NAN
-                        } else {
-                            (r * c) as f64
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let table = toy_table(&refs);
-        let mut delta = MissingDelta::new(7);
-        for r in &rows {
-            delta.absorb(r);
-        }
-        let got = delta.snapshot();
-        let expect = table.missing_stats();
-        assert_eq!(
-            got.rows_with_missing.to_bits(),
-            expect.rows_with_missing.to_bits()
-        );
-        assert_eq!(
-            got.missing_columns.to_bits(),
-            expect.missing_columns.to_bits()
-        );
-        assert_eq!(got.empty_cells.to_bits(), expect.empty_cells.to_bits());
-    }
-
-    #[test]
-    fn slide_equals_fresh_accumulation() {
-        // Retracting a prefix and absorbing a suffix must equal building
-        // the window from scratch.
-        let rows: Vec<Vec<f64>> = (0..30)
-            .map(|r| {
-                (0..5)
-                    .map(|c| if (r + c) % 4 == 0 { f64::NAN } else { r as f64 })
-                    .collect()
-            })
-            .collect();
-        let mut sliding = MissingDelta::new(5);
-        for r in &rows[0..10] {
-            sliding.absorb(r);
-        }
-        for k in 0..20 {
-            // Slide by one: window is rows[k+1 .. k+11].
-            sliding.retract(&rows[k]);
-            sliding.absorb(&rows[k + 10]);
-            let mut fresh = MissingDelta::new(5);
-            for r in &rows[k + 1..k + 11] {
-                fresh.absorb(r);
-            }
-            assert_eq!(sliding.snapshot(), fresh.snapshot(), "slide {k}");
-            assert_eq!(sliding.cells_missing(), fresh.cells_missing());
-        }
-    }
-
-    #[test]
-    fn empty_accumulator_snapshot_is_zero() {
-        let d = MissingDelta::new(4);
-        let s = d.snapshot();
-        assert_eq!(s.rows_with_missing, 0.0);
-        assert_eq!(s.missing_columns, 0.0);
-        assert_eq!(s.empty_cells, 0.0);
-        let d = MissingDelta::new(0);
-        assert_eq!(d.snapshot().empty_cells, 0.0);
-    }
-
-    #[test]
-    fn wide_rows_span_words() {
-        let mut row = vec![1.0; 130];
-        row[0] = f64::NAN;
-        row[64] = f64::NAN;
-        row[129] = f64::NAN;
-        let mut d = MissingDelta::new(130);
-        d.absorb(&row);
-        assert_eq!(d.cells_missing(), 3);
-        assert_eq!(d.cols_with_missing(), 3);
-        d.retract(&row);
-        assert_eq!(d.cells_missing(), 0);
-        assert_eq!(d.n_rows(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "retracting")]
-    fn retracting_unseen_rows_panics() {
-        let mut d = MissingDelta::new(2);
-        d.retract(&[1.0, 2.0]);
-    }
 }

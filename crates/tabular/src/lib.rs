@@ -21,11 +21,8 @@ pub mod window;
 pub use column::Column;
 pub use csv::{read_table, write_table, CsvError};
 pub use dataset::{Domain, StreamDataset};
-pub use delta::{DeltaStat, MissingDelta};
+pub use delta::DeltaStat;
 pub use mask::FiniteMask;
 pub use schema::{Field, FieldKind, Schema, Task};
 pub use table::{MissingStats, Table};
-pub use window::{
-    scaled_window, sliding_window_ranges, window_ranges, window_slide_delta, window_slide_deltas,
-    SlideDelta,
-};
+pub use window::{scaled_window, window_ranges};

@@ -11,45 +11,6 @@
 //! missing sentinel throughout the pipeline, and infinities are treated as
 //! unusable by the same `is_finite` predicate the imputers already apply.
 
-/// Builds per-row bit words where a **set** bit means the cell is not
-/// NaN. This is the [`Table::missing_stats`](crate::Table::missing_stats)
-/// missing sentinel — unlike the mask's `is_finite`, it counts
-/// infinities as observed — so delta accumulators built on these words
-/// stay bit-identical to the table-level counts. `out` is cleared and
-/// resized to `row.len().div_ceil(64)` words.
-pub fn nan_words(row: &[f64], out: &mut Vec<u64>) {
-    out.clear();
-    out.resize(row.len().div_ceil(64), 0);
-    for (c, x) in row.iter().enumerate() {
-        if !x.is_nan() {
-            out[c / 64] |= 1u64 << (c % 64);
-        }
-    }
-}
-
-/// Calls `f(col)` for every clear (missing) bit among the first `cols`
-/// bits of `words`, in ascending column order, via a clear-bit walk
-/// (`miss &= miss - 1`) so the cost is proportional to the number of
-/// missing cells, not the row width.
-pub fn missing_in_words(words: &[u64], cols: usize, mut f: impl FnMut(usize)) {
-    for (w_idx, &w) in words.iter().enumerate() {
-        if w_idx * 64 >= cols {
-            break;
-        }
-        let bits_here = (cols - w_idx * 64).min(64);
-        let live = if bits_here == 64 {
-            !0u64
-        } else {
-            (1u64 << bits_here) - 1
-        };
-        let mut miss = !w & live;
-        while miss != 0 {
-            f(w_idx * 64 + miss.trailing_zeros() as usize);
-            miss &= miss - 1;
-        }
-    }
-}
-
 /// One bit per cell of a row-major `rows x cols` buffer; set = finite.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiniteMask {
@@ -193,33 +154,6 @@ mod tests {
         assert!(!m.get(0, 64));
         assert!(m.get(0, 65));
         assert_eq!(m.row_words(0).len(), 3);
-    }
-
-    #[test]
-    fn nan_words_use_nan_not_finiteness() {
-        let row = [1.0, f64::NAN, f64::INFINITY, 4.0];
-        let mut words = Vec::new();
-        nan_words(&row, &mut words);
-        assert_eq!(words.len(), 1);
-        // Infinity is observed under the missing-stats sentinel.
-        assert_eq!(words[0] & 0b1111, 0b1101);
-        let mut seen = Vec::new();
-        missing_in_words(&words, 4, |c| seen.push(c));
-        assert_eq!(seen, vec![1]);
-    }
-
-    #[test]
-    fn missing_in_words_respects_column_bound() {
-        // Padding bits past `cols` must not surface as missing columns.
-        let row = vec![f64::NAN; 70];
-        let mut words = Vec::new();
-        nan_words(&row, &mut words);
-        let mut seen = Vec::new();
-        missing_in_words(&words, 70, |c| seen.push(c));
-        assert_eq!(seen, (0..70).collect::<Vec<_>>());
-        seen.clear();
-        missing_in_words(&words, 3, |c| seen.push(c));
-        assert_eq!(seen, vec![0, 1, 2]);
     }
 
     #[test]

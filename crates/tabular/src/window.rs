@@ -37,107 +37,6 @@ pub fn window_ranges(n_rows: usize, size: usize) -> Vec<std::ops::Range<usize>> 
     ranges
 }
 
-/// Overlapping windows of `size` rows advancing by `stride` rows.
-///
-/// A stream shorter than one window yields the single partial window
-/// `0..n_rows`, matching [`window_ranges`]. With `stride == size` the
-/// full windows coincide with the non-overlapping partition; with
-/// `stride < size` consecutive windows share `size - stride` rows, which
-/// is the regime the incremental statistics pipeline exploits — a slide
-/// touches only `stride` entering and `stride` leaving rows.
-///
-/// # Panics
-/// Panics when `size == 0` or `stride == 0`.
-pub fn sliding_window_ranges(
-    n_rows: usize,
-    size: usize,
-    stride: usize,
-) -> Vec<std::ops::Range<usize>> {
-    assert!(size > 0, "window size must be positive");
-    assert!(stride > 0, "stride must be positive");
-    if n_rows == 0 {
-        return Vec::new();
-    }
-    if n_rows < size {
-        return std::iter::once(0..n_rows).collect();
-    }
-    let mut ranges = Vec::with_capacity((n_rows - size) / stride + 1);
-    let mut start = 0;
-    // Overflow-safe for sizes near usize::MAX (see `window_ranges`).
-    while n_rows - start >= size {
-        ranges.push(start..start + size);
-        match start.checked_add(stride) {
-            Some(next) => start = next,
-            None => break,
-        }
-    }
-    ranges
-}
-
-/// The row deltas of one window slide: retract `leaving`, absorb
-/// `entering`, and the maintained statistic now describes the next
-/// window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlideDelta {
-    /// Rows in the previous window but not the next.
-    pub leaving: std::ops::Range<usize>,
-    /// Rows in the next window but not the previous.
-    pub entering: std::ops::Range<usize>,
-}
-
-impl SlideDelta {
-    /// Total rows touched by this slide.
-    pub fn touched(&self) -> usize {
-        self.leaving.len() + self.entering.len()
-    }
-}
-
-/// The delta between two windows of a forward slide.
-///
-/// Overlap-aware: when the windows share rows only the symmetric
-/// difference is reported; disjoint windows (e.g. the non-overlapping
-/// [`window_ranges`] partition) degrade gracefully to "retract all of
-/// `prev`, absorb all of `next`".
-///
-/// # Panics
-/// Panics when `next` is not a forward slide of `prev`
-/// (`next.start >= prev.start && next.end >= prev.end`).
-pub fn window_slide_delta(
-    prev: &std::ops::Range<usize>,
-    next: &std::ops::Range<usize>,
-) -> SlideDelta {
-    assert!(
-        next.start >= prev.start && next.end >= prev.end,
-        "not a forward slide: {prev:?} -> {next:?}"
-    );
-    SlideDelta {
-        leaving: prev.start..prev.end.min(next.start),
-        entering: prev.end.max(next.start)..next.end,
-    }
-}
-
-/// The slide deltas that walk a maintained statistic across `ranges`.
-///
-/// The first element enters the whole first window from an empty
-/// accumulator (`leaving` is empty); each subsequent element is
-/// [`window_slide_delta`] of the consecutive pair. Driving a
-/// [`DeltaStat`](crate::DeltaStat) with retract-leaving /
-/// absorb-entering per element visits every window of `ranges`.
-pub fn window_slide_deltas(ranges: &[std::ops::Range<usize>]) -> Vec<SlideDelta> {
-    let mut deltas = Vec::with_capacity(ranges.len());
-    for (i, r) in ranges.iter().enumerate() {
-        if i == 0 {
-            deltas.push(SlideDelta {
-                leaving: 0..0,
-                entering: r.clone(),
-            });
-        } else {
-            deltas.push(window_slide_delta(&ranges[i - 1], r));
-        }
-    }
-    deltas
-}
-
 /// Applies a multiplicative factor to a window size (the paper's §6.4.2
 /// sweep multiplies the default window size by {0.25, 0.5, 1, 2, 4}),
 /// keeping the result at least 1. A non-finite or non-positive factor
@@ -219,62 +118,6 @@ mod tests {
     #[test]
     fn empty_stream_no_windows() {
         assert!(window_ranges(0, 10).is_empty());
-    }
-
-    #[test]
-    fn sliding_ranges_overlap_by_size_minus_stride() {
-        let w = sliding_window_ranges(100, 20, 5);
-        assert_eq!(w[0], 0..20);
-        assert_eq!(w[1], 5..25);
-        assert_eq!(w.last().unwrap(), &(80..100));
-        assert_eq!(w.len(), 17);
-        // stride == size reproduces the full windows of the partition.
-        assert_eq!(sliding_window_ranges(100, 25, 25), window_ranges(100, 25));
-    }
-
-    #[test]
-    fn sliding_ranges_short_stream_is_one_partial_window() {
-        assert_eq!(sliding_window_ranges(7, 100, 3), vec![0..7]);
-        assert!(sliding_window_ranges(0, 10, 2).is_empty());
-        assert_eq!(sliding_window_ranges(5, usize::MAX, 1), vec![0..5]);
-    }
-
-    #[test]
-    fn slide_delta_reports_symmetric_difference() {
-        let d = window_slide_delta(&(0..20), &(5..25));
-        assert_eq!(d.leaving, 0..5);
-        assert_eq!(d.entering, 20..25);
-        assert_eq!(d.touched(), 10);
-        // Disjoint windows: everything leaves, everything enters.
-        let d = window_slide_delta(&(0..20), &(20..40));
-        assert_eq!(d.leaving, 0..20);
-        assert_eq!(d.entering, 20..40);
-        // Identical windows: nothing moves.
-        let d = window_slide_delta(&(5..25), &(5..25));
-        assert_eq!(d.touched(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a forward slide")]
-    fn slide_delta_rejects_backward_slides() {
-        window_slide_delta(&(10..30), &(0..20));
-    }
-
-    #[test]
-    fn slide_deltas_walk_every_window() {
-        // Replaying the deltas against a multiset of live rows must
-        // reproduce each window's exact row set.
-        for (size, stride) in [(20usize, 5usize), (20, 20), (16, 16), (10, 1)] {
-            let ranges = sliding_window_ranges(97, size, stride);
-            let deltas = window_slide_deltas(&ranges);
-            assert_eq!(deltas.len(), ranges.len());
-            let mut live: Vec<usize> = Vec::new();
-            for (d, r) in deltas.iter().zip(&ranges) {
-                live.retain(|row| !d.leaving.contains(row));
-                live.extend(d.entering.clone());
-                assert_eq!(live, r.clone().collect::<Vec<_>>());
-            }
-        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 use std::sync::Arc;
 
 use oeb_trace::{
-    current_cell_ctx, drain_events, enable, enabled, metrics_to_json, render_metrics_table,
-    render_trace_event, render_trace_footer, reset, set_thread_slot, snapshot, CellCtx, Counter,
-    Gauge, Histogram, SpanDef, Stopwatch, TraceEvent,
+    current_cell_ctx, drain_events, enable, enabled, flush_thread, metrics_to_json,
+    render_metrics_table, render_trace_event, render_trace_footer, reset, set_thread_slot,
+    snapshot, CellCtx, Counter, Gauge, Histogram, SpanDef, Stopwatch, TraceEvent,
 };
 
 static HITS: Counter = Counter::new("t.cache.hit");
@@ -98,6 +98,9 @@ fn spans_merge_in_slot_order() {
                 for _ in 0..3 {
                     let _g = WORKER.start();
                 }
+                // Scoped workers flush before returning: the scope can
+                // release the parent before this thread's TLS backstop.
+                flush_thread();
             });
         }
     });

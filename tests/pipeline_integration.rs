@@ -2,7 +2,7 @@
 //! generation → statistics extraction → representative selection →
 //! prequential evaluation — exercised end to end at small scale.
 
-use oebench::core::{set_default_threads, StatsMode};
+use oebench::core::set_default_threads;
 use oebench::prelude::*;
 
 const SCALE: f64 = 0.02;
@@ -65,7 +65,7 @@ fn full_pipeline_stats_selection_evaluation() {
 }
 
 #[test]
-fn stats_are_identical_at_any_thread_count_in_both_modes() {
+fn stats_are_identical_at_any_thread_count() {
     let mut datasets: Vec<StreamDataset> = slice_entries()
         .iter()
         .map(|e| generate(&e.spec, 0))
@@ -83,36 +83,24 @@ fn stats_are_identical_at_any_thread_count_in_both_modes() {
     ));
     assert_eq!(datasets[7].windows().last().map(|w| w.len()), Some(6));
 
-    for mode in [StatsMode::Full, StatsMode::Incremental] {
-        let cfg = StatsConfig {
-            mode,
-            ..Default::default()
-        };
-        let bits_at = |threads: usize| {
-            set_default_threads(Some(threads));
-            datasets
-                .iter()
-                .map(|d| extract_stats(d, &cfg).field_bits())
-                .collect::<Vec<_>>()
-        };
-        let one = bits_at(1);
-        let four = bits_at(4);
-        set_default_threads(None);
-        for (d, (a, b)) in datasets.iter().zip(one.iter().zip(&four)) {
-            assert_eq!(
-                a,
-                b,
-                "{} ({}) differs between 1 and 4 threads",
-                d.name,
-                mode.label()
-            );
-        }
+    let bits_at = |threads: usize| {
+        set_default_threads(Some(threads));
+        datasets
+            .iter()
+            .map(|d| extract_stats(d, &StatsConfig::default()).field_bits())
+            .collect::<Vec<_>>()
+    };
+    let one = bits_at(1);
+    let four = bits_at(4);
+    set_default_threads(None);
+    for (d, (a, b)) in datasets.iter().zip(one.iter().zip(&four)) {
+        assert_eq!(a, b, "{} differs between 1 and 4 threads", d.name);
     }
 }
 
 /// The statistics of "Allstate Claims Severity" (100 encoded columns,
 /// the widest PCA-CD refits in the registry) at scale 0.1, seed 0, as
-/// raw bits. Both modes print these; a kernel rewrite must keep them.
+/// raw bits. A kernel rewrite must keep them.
 const ALLSTATE_BITS: [(&str, u64); 22] = [
     ("missing_rows", 0x3f9e60f04c756b2e),
     ("missing_cols", 0x3fece739ce739ce7),
@@ -145,18 +133,10 @@ fn wide_stream_stats_keep_their_pinned_bits() {
         .find(|e| e.spec.name == "Allstate Claims Severity")
         .unwrap();
     let dataset = generate(&entry.spec, 0);
-    for mode in [StatsMode::Full, StatsMode::Incremental] {
-        let cfg = StatsConfig {
-            mode,
-            ..Default::default()
-        };
-        assert_eq!(
-            extract_stats(&dataset, &cfg).field_bits(),
-            ALLSTATE_BITS,
-            "{} mode",
-            mode.label()
-        );
-    }
+    assert_eq!(
+        extract_stats(&dataset, &StatsConfig::default()).field_bits(),
+        ALLSTATE_BITS
+    );
 }
 
 #[test]
