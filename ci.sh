@@ -163,6 +163,27 @@ grep -q '"quarantined"' "$smoke_dir/chaos.json" \
 grep -q '"violations": \[\]' "$smoke_dir/chaos.json" \
     || { echo "ci: chaos report lists violations" >&2; exit 1; }
 
+# Smoke: supervision is a no-op on a healthy sweep. The same ten cells,
+# plain and under a generous wall-clock deadline plus a retry budget,
+# must write the same checkpoint once the wall-clock fields are
+# stripped (line order follows scheduling, so sort), and the supervised
+# run must report that it spent nothing.
+for mode in plain supervised; do
+    extra=()
+    if [ "$mode" = supervised ]; then
+        extra=(--cell-deadline 60 --max-retries 1)
+    fi
+    cargo run --release --bin oebench -- sweep --scale 0.05 --limit 10 --threads 4 \
+        --out "$smoke_dir/sweep_$mode.jsonl" "${extra[@]}" > "$smoke_dir/sweep_$mode.txt"
+    sed -E 's/"(train_seconds|test_seconds|throughput)":[0-9.e+-]+,?//g' \
+        "$smoke_dir/sweep_$mode.jsonl" | sort > "$smoke_dir/sweep_$mode.stripped"
+done
+diff "$smoke_dir/sweep_plain.stripped" "$smoke_dir/sweep_supervised.stripped" \
+    || { echo "ci: supervised sweep checkpoint diverged from the plain one" >&2; exit 1; }
+grep -qx 'supervision: 0 retries, 0 recovered, 0 timed out (0 wall-clock), 0 quarantined' \
+    "$smoke_dir/sweep_supervised.txt" \
+    || { cat "$smoke_dir/sweep_supervised.txt"; echo "ci: supervised sweep spent its budget" >&2; exit 1; }
+
 # Smoke: the end-to-end benchmark (oeb-benchmark/, its own package). The
 # quick profile runs one pass of every workload with every invariance
 # check and exits nonzero when one fails; then its own unit tests.

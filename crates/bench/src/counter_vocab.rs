@@ -14,7 +14,6 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "executor.claims",
     "executor.parallel_runs",
     "executor.sequential_runs",
-    "executor.watchdog.fired",
     "faults.injected.all-missing-column",
     "faults.injected.corrupted-cells",
     "faults.injected.dropped-window",
@@ -55,4 +54,5 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "trace.events.dropped",
     "train.hoeffding.split_checks",
     "train.mlp.gemm_batches",
+    "train.mlp.sample_gradients",
 ];

@@ -142,61 +142,26 @@ pub fn metrics_json(snap: &oeb_trace::MetricsSnapshot) -> serde_json::Value {
 /// each reported figure is the minimum across passes.
 pub const WARM_PASSES: usize = 5;
 
-/// Wall-clock sample accumulator for one side of an alternating
-/// warm-pass comparison.
+/// Times `a` and `b` over `passes` alternating warm passes (a, b, a, b,
+/// …) and returns `(min_a_seconds, min_b_seconds)`.
 ///
 /// For a fixed deterministic workload the minimum across passes is the
 /// noise floor — scheduler hiccups and cold caches only ever inflate a
-/// sample — so two timers fed from interleaved passes yield a ratio
-/// that neither side's outliers can skew. Callers drive the alternation
-/// loop themselves, which keeps per-pass hooks (trace enable/disable,
-/// bit-identity asserts) outside the timed regions; [`warm_min_pair`]
-/// wraps the common no-hook case.
-#[derive(Debug, Default)]
-pub struct WarmTimer {
-    samples: Vec<f64>,
-}
-
-impl WarmTimer {
-    /// An empty accumulator.
-    pub fn new() -> WarmTimer {
-        WarmTimer::default()
-    }
-
-    /// Times one pass of `f`, records the sample, and passes through the
-    /// closure's result (so bit-identity checks can run on the output
-    /// without re-entering the timed region).
-    pub fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let watch = Stopwatch::start();
-        let out = f();
-        self.samples.push(watch.elapsed_seconds());
-        out
-    }
-
-    /// Number of samples recorded so far.
-    pub fn passes(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The minimum recorded sample, in seconds.
-    pub fn min_seconds(&self) -> f64 {
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        *sorted.first().expect("min_seconds needs at least one pass")
-    }
-}
-
-/// Times `a` and `b` over `passes` alternating warm passes (a, b, a, b,
-/// …) and returns `(min_a_seconds, min_b_seconds)`.
+/// sample — so interleaving the two sides yields a ratio that neither
+/// side's outliers can skew.
 pub fn warm_min_pair<F: FnMut(), G: FnMut()>(passes: usize, mut a: F, mut b: G) -> (f64, f64) {
     assert!(passes >= 1, "warm_min_pair needs at least one pass");
-    let mut timer_a = WarmTimer::new();
-    let mut timer_b = WarmTimer::new();
-    for _ in 0..passes {
-        timer_a.time(&mut a);
-        timer_b.time(&mut b);
+    fn timed(f: &mut impl FnMut()) -> f64 {
+        let watch = Stopwatch::start();
+        f();
+        watch.elapsed_seconds()
     }
-    (timer_a.min_seconds(), timer_b.min_seconds())
+    let (mut min_a, mut min_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..passes {
+        min_a = min_a.min(timed(&mut a));
+        min_b = min_b.min(timed(&mut b));
+    }
+    (min_a, min_b)
 }
 
 /// Command-line options of the `repro` binary.
@@ -427,32 +392,25 @@ mod tests {
     }
 
     #[test]
-    fn warm_timer_tracks_minimum_and_passes_results_through() {
-        let mut timer = WarmTimer::new();
-        let mut acc = 0u64;
-        for k in 0..4 {
-            acc = timer.time(|| {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                acc + k
-            });
-        }
-        assert_eq!(timer.passes(), 4);
-        assert_eq!(acc, 6);
-        let min = timer.min_seconds();
-        assert!(min >= 0.0005, "sleep floor missing: {min}");
-        assert!(timer.samples.iter().all(|&s| s >= min));
-    }
-
-    #[test]
     fn warm_min_pair_alternates_sides() {
+        // Each side sleeps 30 ms on one pass and 1 ms on the others, so
+        // only its minimum sample lies below 30 ms; the sleep floor keeps
+        // that minimum at 1 ms or more.
         let order = std::cell::RefCell::new(Vec::new());
-        let (a, b) = warm_min_pair(
-            3,
-            || order.borrow_mut().push('a'),
-            || order.borrow_mut().push('b'),
-        );
+        let pass = |side: char, slow: usize| {
+            let ms = if order.borrow().len() / 2 == slow {
+                30
+            } else {
+                1
+            };
+            order.borrow_mut().push(side);
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        };
+        let (a, b) = warm_min_pair(3, || pass('a', 0), || pass('b', 2));
         assert_eq!(*order.borrow(), vec!['a', 'b', 'a', 'b', 'a', 'b']);
-        assert!(a >= 0.0 && b >= 0.0);
+        for min in [a, b] {
+            assert!((0.001..0.030).contains(&min), "not the minimum: {min}");
+        }
     }
 
     #[test]

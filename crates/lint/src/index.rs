@@ -63,8 +63,8 @@ pub struct TestFn {
 /// One static lock acquisition site, attributed to a function.
 #[derive(Debug, Clone)]
 pub struct LockSite {
-    /// Fully-qualified lock identity (`oebench::WatchdogSlot::active`,
-    /// `trace::REGISTRY`, or `file::fn::name` for locals).
+    /// Fully-qualified lock identity (`oebench::Type::field` for a
+    /// struct field, `trace::REGISTRY`, or `file::fn::name` for locals).
     pub lock: String,
     /// `file::fn` of the acquiring function.
     pub func: String,

@@ -14,6 +14,9 @@ use rand::{Rng, SeedableRng};
 
 /// Mini-batches trained through the batched GEMM path.
 static GEMM_BATCHES: Counter = Counter::new("train.mlp.gemm_batches");
+/// Per-sample gradients computed for a Fisher diagonal (EWC's extra
+/// pass over each window).
+static SAMPLE_GRADIENTS: Counter = Counter::new("train.mlp.sample_gradients");
 
 /// The learning objective of the output head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -603,6 +606,7 @@ impl Mlp {
         if n == 0 {
             return fisher;
         }
+        SAMPLE_GRADIENTS.add(n as u64);
         for r in 0..n {
             let g = self.sample_gradient(xs.row(r), ys[r]);
             for (f, gi) in fisher.iter_mut().zip(&g) {

@@ -26,7 +26,7 @@ use crate::error::HarnessError;
 use crate::harness::{DegradePolicy, HarnessConfig};
 use crate::learners::Algorithm;
 use crate::supervise::SupervisePolicy;
-use crate::sweep::{run_sweep, run_sweep_supervised, SupervisionSummary, SweepReport};
+use crate::sweep::{run_sweep, SupervisionSummary, SweepReport};
 use oeb_faults::{FaultKind, FaultPlan};
 use oeb_synth::{Balance, DriftPattern, LabelMechanism, Level, StreamSpec, TaskSpec};
 use oeb_tabular::Domain;
@@ -203,10 +203,11 @@ fn spec_for(name: &str, drift: DriftPattern, rows: usize, seed: u64) -> StreamSp
     }
 }
 
-fn chaos_config(seed: u64, plan: &FaultPlan) -> HarnessConfig {
+fn chaos_config(seed: u64, plan: &FaultPlan, supervise: SupervisePolicy) -> HarnessConfig {
     let mut config = HarnessConfig {
         seed,
         degrade: DegradePolicy::resilient(),
+        supervise,
         ..Default::default()
     };
     config.learner.epochs = 1;
@@ -274,17 +275,16 @@ pub fn run_chaos_matrix(options: &ChaosOptions) -> Result<ChaosReport, HarnessEr
         let scenario = format!("{fault_name}×{drift_name}");
         let spec = spec_for(&scenario, drift, options.rows, options.seed);
         let dataset = oeb_synth::generate(&spec, options.seed);
-        let config = chaos_config(options.seed, plan);
+        let config = chaos_config(options.seed, plan, policy);
 
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            run_sweep_supervised(
+            run_sweep(
                 &[dataset],
                 &algorithms,
                 &config,
                 None,
                 None,
                 options.threads,
-                &policy,
             )
         }));
         let sweep = match ran {
@@ -347,24 +347,13 @@ pub fn run_chaos_matrix(options: &ChaosOptions) -> Result<ChaosReport, HarnessEr
             options.seed,
         );
         let dataset = oeb_synth::generate(&spec, options.seed);
-        let config = chaos_config(options.seed, &FaultPlan::none(options.seed));
-        let supervised = run_sweep_supervised(
-            std::slice::from_ref(&dataset),
-            &algorithms,
-            &config,
-            None,
-            None,
-            options.threads,
-            &policy,
-        )?;
-        let unsupervised = run_sweep(
-            std::slice::from_ref(&dataset),
-            &algorithms,
-            &config,
-            None,
-            None,
-            options.threads,
-        )?;
+        let run = |supervise| {
+            let config = chaos_config(options.seed, &FaultPlan::none(options.seed), supervise);
+            let datasets = std::slice::from_ref(&dataset);
+            run_sweep(datasets, &algorithms, &config, None, None, options.threads)
+        };
+        let supervised = run(policy)?;
+        let unsupervised = run(SupervisePolicy::unsupervised())?;
         if digest(&supervised) != digest(&unsupervised) {
             report.violations.push(
                 "clean control: supervised report diverged from the unsupervised path".into(),
@@ -383,20 +372,19 @@ pub fn run_chaos_matrix(options: &ChaosOptions) -> Result<ChaosReport, HarnessEr
             options.seed,
         );
         let dataset = oeb_synth::generate(&spec, options.seed);
-        let config = chaos_config(options.seed, &FaultPlan::none(options.seed));
         let tight = SupervisePolicy {
             max_windows: Some(2),
             ..policy
         };
+        let config = chaos_config(options.seed, &FaultPlan::none(options.seed), tight);
         let run = |tag: &str, report: &mut ChaosReport| -> Option<SweepReport> {
-            match run_sweep_supervised(
+            match run_sweep(
                 std::slice::from_ref(&dataset),
                 &algorithms,
                 &config,
                 None,
                 None,
                 options.threads,
-                &tight,
             ) {
                 Ok(sweep) => Some(sweep),
                 Err(e) => {

@@ -56,14 +56,14 @@ pub enum HarnessError {
     /// A checkpoint file exists but cannot be parsed.
     Checkpoint(String),
     /// The cell exceeded its supervision budget — a logical deadline
-    /// (windows / items) or the wall-clock watchdog — and was cancelled
+    /// (windows / items) or the wall-clock deadline — and was cancelled
     /// cooperatively instead of hanging the sweep.
     CellTimedOut {
         /// Windows entered before the deadline fired.
         windows: usize,
         /// Items trained before the deadline fired.
         items: usize,
-        /// `true` when the wall-clock watchdog fired (machine-dependent);
+        /// `true` when the wall-clock deadline expired (machine-dependent);
         /// `false` for a logical budget, which is deterministic.
         wall: bool,
     },

@@ -27,8 +27,8 @@
 
 use crate::error::HarnessError;
 use crate::learners::{Algorithm, LearnerConfig};
-use crate::prepare::{evaluate_prepared, evaluate_supervised, prepare_cached, prepare_from_source};
-use crate::supervise::CellBudget;
+use crate::prepare::{evaluate_prepared, prepare_cached, prepare_from_source};
+use crate::supervise::SupervisePolicy;
 use oeb_faults::{FaultPlan, FrameSource};
 use oeb_linalg::Matrix;
 use oeb_preprocess::{Imputer, KnnImputer, MeanImputer, RegressionImputer, ZeroImputer};
@@ -182,6 +182,9 @@ pub struct HarnessConfig {
     /// Optional fault plan: when set, the window stream is routed through
     /// a [`FaultInjector`] before evaluation.
     pub fault_plan: Option<FaultPlan>,
+    /// Deadlines and retry budget for each run; the default supervises
+    /// nothing. The prepare stage ignores it.
+    pub supervise: SupervisePolicy,
 }
 
 impl Default for HarnessConfig {
@@ -198,6 +201,7 @@ impl Default for HarnessConfig {
             seed: 0,
             degrade: DegradePolicy::default(),
             fault_plan: None,
+            supervise: SupervisePolicy::unsupervised(),
         }
     }
 }
@@ -276,25 +280,14 @@ pub fn run_stream(
 /// Composition of the two pipeline stages: the prepared stream comes
 /// from the keyed cache, so consecutive runs differing only in the
 /// learner (a sweep cell's ten algorithms, `run_seeds` callers) share
-/// one preprocessing pass.
+/// one preprocessing pass. The evaluate stage runs under the budget of
+/// `config.supervise`; the (cached, shared) prepare stage runs
+/// unbudgeted — its cost belongs to the whole sweep, not to the one
+/// cell whose attempt happened to populate the cache.
 pub fn try_run_stream(
     dataset: &StreamDataset,
     algorithm: Algorithm,
     config: &HarnessConfig,
-) -> Result<RunResult, HarnessError> {
-    try_run_stream_supervised(dataset, algorithm, config, &CellBudget::unlimited())
-}
-
-/// [`try_run_stream`] under a supervision budget: the evaluate stage
-/// checks the logical deadlines and the wall-clock cancel flag
-/// cooperatively at every window boundary. The (cached, shared) prepare
-/// stage runs unbudgeted — its cost belongs to the whole sweep, not to
-/// the one cell whose attempt happened to populate the cache.
-pub fn try_run_stream_supervised(
-    dataset: &StreamDataset,
-    algorithm: Algorithm,
-    config: &HarnessConfig,
-    budget: &CellBudget,
 ) -> Result<RunResult, HarnessError> {
     config.validate()?;
     // Ambient attribution for every span this cell records (the sweep
@@ -310,7 +303,7 @@ pub fn try_run_stream_supervised(
     CELLS_ATTRIBUTED.incr();
     let cell_span = CELL_RUN_SPAN.start();
     let prepared = prepare_cached(dataset, config)?;
-    let result = evaluate_supervised(&prepared, algorithm, config, budget);
+    let result = evaluate_prepared(&prepared, algorithm, config);
     drop(cell_span);
     if result.is_ok() {
         HARNESS_RUNS.incr();

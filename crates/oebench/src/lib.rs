@@ -33,14 +33,11 @@ pub mod sweep;
 
 pub use chaos::{run_chaos_matrix, ChaosCell, ChaosOptions, ChaosReport};
 pub use error::HarnessError;
-pub use executor::{
-    parallel_map, parallel_map_watchdog, resolve_threads, set_default_threads, CancelFlag,
-    WatchdogSlot,
-};
+pub use executor::{parallel_map, resolve_threads, set_default_threads};
 pub use extend::DriftResetLearner;
 pub use harness::{
-    run_seeds, run_stream, try_run_frames, try_run_stream, try_run_stream_supervised,
-    DegradePolicy, HarnessConfig, ImputerChoice, OutlierRemoval, RunResult,
+    run_seeds, run_stream, try_run_frames, try_run_stream, DegradePolicy, HarnessConfig,
+    ImputerChoice, OutlierRemoval, RunResult,
 };
 pub use learners::{Algorithm, LearnerConfig, StreamLearner};
 pub use plot::{LinePlot, Series};
@@ -60,6 +57,6 @@ pub use supervise::{
     backoff_duration, cell_seed, supervise_cell, CellBudget, SupervisePolicy, Supervised,
 };
 pub use sweep::{
-    load_checkpoint, run_sweep, run_sweep_supervised, set_sweep_progress, RunOutcome,
-    SupervisionSummary, SweepRecord, SweepReport,
+    load_checkpoint, run_sweep, set_sweep_progress, RunOutcome, SupervisionSummary, SweepRecord,
+    SweepReport,
 };

@@ -24,7 +24,6 @@
 use crate::error::HarnessError;
 use crate::harness::{HarnessConfig, OutlierRemoval, RunResult};
 use crate::learners::{Algorithm, StreamLearner};
-use crate::supervise::CellBudget;
 use oeb_faults::{DatasetFrames, FaultInjector, FrameSource, WindowFrame};
 use oeb_linalg::Matrix;
 use oeb_outlier::{flag_by_sigma, Ecod, IForestConfig, IsolationForest};
@@ -365,27 +364,20 @@ pub fn prepare_from_source<S: FrameSource>(
 /// The evaluate stage: runs one learner prequentially over a prepared
 /// stream. Only learner work (predict / train) is timed; the shared
 /// preprocessing cost never enters the per-run wall-clock columns.
+///
+/// The budget of `config.supervise` starts here and is checked
+/// cooperatively at the top of every window, before any work on it, so
+/// a logical budget stops at the same window on every replay. It covers
+/// only the evaluate stage — the prepare stage is a shared, cached
+/// artifact whose cost is amortised across the sweep and cannot be
+/// attributed to one cell.
 pub fn evaluate_prepared(
     prepared: &PreparedStream,
     algorithm: Algorithm,
     config: &HarnessConfig,
 ) -> Result<RunResult, HarnessError> {
-    evaluate_supervised(prepared, algorithm, config, &CellBudget::unlimited())
-}
-
-/// [`evaluate_prepared`] under a supervision budget: the deadline is
-/// checked cooperatively at the top of every window, before any work on
-/// it, so a given budget stops at the same window on every replay. The
-/// budget covers only the evaluate stage — the prepare stage is a
-/// shared, cached artifact whose cost is amortised across the sweep and
-/// cannot be attributed to one cell.
-pub fn evaluate_supervised(
-    prepared: &PreparedStream,
-    algorithm: Algorithm,
-    config: &HarnessConfig,
-    budget: &CellBudget,
-) -> Result<RunResult, HarnessError> {
     config.validate()?;
+    let budget = config.supervise.budget();
     let policy = config.degrade;
     let mut learner_cfg = config.learner.clone();
     learner_cfg.seed = learner_cfg.seed.wrapping_add(config.seed);
@@ -527,8 +519,9 @@ fn capacity() -> usize {
 }
 
 /// Cache key: dataset content fingerprint plus every config field the
-/// prepare stage reads. Learner hyper-parameters are deliberately
-/// excluded — ten learners on one (dataset, seed) share one entry.
+/// prepare stage reads. Learner hyper-parameters and the supervision
+/// policy are deliberately excluded — ten learners on one (dataset,
+/// seed) share one entry, supervised or not.
 fn prepare_key(dataset: &StreamDataset, config: &HarnessConfig) -> String {
     format!(
         "{:016x}|{}|wf={}|imp={:?}|oracle={}|discard={}|out={:?}|shuf={}|cap={}|seed={}|deg={:?}|fault={:?}",
@@ -702,14 +695,15 @@ mod tests {
         let d = small_dataset();
         let cfg = HarnessConfig::default();
         let a = prepare_cached(&d, &cfg).unwrap();
-        // A different learner config must hit the same prepared stream:
-        // prepare does not depend on learner hyper-parameters.
+        // A different learner or supervision config must hit the same
+        // prepared stream: prepare depends on neither.
         let mut other = cfg.clone();
         other.learner.epochs = 17;
+        other.supervise.max_retries = 3;
         let b = prepare_cached(&d, &other).unwrap();
         assert!(
             Arc::ptr_eq(&a, &b),
-            "prepare key must ignore learner config"
+            "prepare key must ignore learner and supervision config"
         );
         // A different seed is a different prepared stream.
         let mut seeded = cfg.clone();

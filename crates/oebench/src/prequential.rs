@@ -73,10 +73,10 @@ pub struct PrequentialResult {
 /// The feature and target lengths must agree (a typed
 /// [`HarnessError::InvalidConfig`] otherwise). `budget` is checked
 /// cooperatively before every item: a [`CellBudget`] with `max_items`
-/// stops test-then-train at exactly that item on every replay, and a
-/// fired wall-clock watchdog is honoured at item granularity instead of
-/// hanging until the stream ends; pass [`CellBudget::unlimited`] for an
-/// unsupervised run.
+/// stops test-then-train at exactly that item on every replay, and an
+/// expired wall-clock deadline is honoured at item granularity instead
+/// of hanging until the stream ends; pass [`CellBudget::unlimited`] for
+/// an unsupervised run.
 pub fn prequential_items<M: IncrementalClassifier>(
     model: &mut M,
     xs: &Matrix,
@@ -259,17 +259,23 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_flag_stops_an_item_run() {
+    fn expired_deadline_stops_an_item_run() {
         let (xs, ys) = stream(100);
         let mut tree = HoeffdingTree::new(2, 2, HoeffdingConfig::default());
-        let flag = crate::executor::CancelFlag::armed();
-        flag.cancel();
-        let budget = CellBudget {
-            cancel: flag,
-            ..CellBudget::unlimited()
-        };
+        let budget = crate::supervise::SupervisePolicy {
+            wall_deadline: Some(std::time::Duration::ZERO),
+            ..Default::default()
+        }
+        .budget();
         let err = prequential_items(&mut tree, &xs, &ys, 10, &budget).unwrap_err();
-        assert!(matches!(err, HarnessError::CellTimedOut { wall: true, .. }));
+        assert!(matches!(
+            err,
+            HarnessError::CellTimedOut {
+                items: 0,
+                wall: true,
+                ..
+            }
+        ));
     }
 
     #[test]

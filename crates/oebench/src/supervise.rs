@@ -1,5 +1,5 @@
-//! Cell supervision: logical deadlines, a wall-clock watchdog hook,
-//! seeded retry with exponential backoff, and quarantine.
+//! Cell supervision: logical deadlines, a wall-clock deadline, seeded
+//! retry with exponential backoff, and quarantine.
 //!
 //! A benchmark sweep over hostile streams needs more than panic
 //! isolation: a cell can *hang* (a diverging learner grinding through a
@@ -11,12 +11,12 @@
 //!   items trained. They are checked cooperatively inside the evaluate
 //!   loop, so hitting one is a pure function of the stream — replays are
 //!   bit-identical at any thread count.
-//! - **Wall-clock deadlines** ride the executor watchdog
-//!   ([`crate::executor::WatchdogSlot`]): the watchdog fires a
-//!   [`CancelFlag`] that the same cooperative checks poll. Wall timeouts
-//!   are machine noise by definition, so they are *retryable* and their
-//!   counter lives under the `supervise.wall.` prefix, which the trace
-//!   layer excludes from the schedule-invariance contract.
+//! - **Wall-clock deadlines** ride the same budget: each attempt's
+//!   [`CellBudget`] starts a clock, and the same cooperative checks read
+//!   it. Wall timeouts are machine noise by definition, so they are
+//!   *retryable* and their counter lives under the `supervise.wall.`
+//!   prefix, which the trace layer excludes from the
+//!   schedule-invariance contract.
 //! - **Seeded retry** ([`supervise_cell`]): every retry decision —
 //!   whether to retry, how long to back off — derives from the cell's
 //!   seed ([`cell_seed`]) and the attempt number, never from a clock or
@@ -26,8 +26,7 @@
 //!   sweep report and checkpoint, instead of aborting the run.
 
 use crate::error::HarnessError;
-use crate::executor::CancelFlag;
-use oeb_trace::Counter;
+use oeb_trace::{Counter, Stopwatch};
 use std::time::Duration;
 
 // Supervision instruments. `supervise.retries`, `supervise.timeouts`
@@ -46,17 +45,18 @@ static WALL_RETRIES: Counter = Counter::new("supervise.wall.retries");
 /// retry budget cannot sleep a sweep for minutes.
 const MAX_BACKOFF_EXP: u32 = 6;
 
-/// How a sweep supervises its cells. The default is fully unsupervised —
-/// no deadlines, no retries — which makes the supervised code path
-/// bit-identical to the historical executor.
+/// How a sweep supervises its cells, carried as
+/// [`HarnessConfig::supervise`](crate::harness::HarnessConfig::supervise).
+/// The default is fully unsupervised — no deadlines, no retries — so a
+/// default config runs every cell once, unbudgeted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisePolicy {
     /// Logical deadline: windows a cell may *enter* (warm-up included).
     pub max_windows: Option<usize>,
     /// Logical deadline: items a cell may test/train.
     pub max_items: Option<usize>,
-    /// Wall-clock deadline per *attempt*, enforced by the executor
-    /// watchdog. Machine-dependent; a fired deadline is retryable.
+    /// Wall-clock deadline per *attempt* of the evaluate stage.
+    /// Machine-dependent; an expired deadline is retryable.
     pub wall_deadline: Option<Duration>,
     /// Retries a failing cell may spend before quarantine. `0` disables
     /// retry and quarantine entirely: failures stay plain failures.
@@ -86,13 +86,14 @@ impl SupervisePolicy {
             || self.max_retries > 0
     }
 
-    /// The logical half of the policy bound to one attempt's cancel
-    /// flag.
-    pub fn budget(&self, cancel: CancelFlag) -> CellBudget {
+    /// A fresh budget for one attempt: the logical limits, and a wall
+    /// clock started now when a deadline is set. A retried cell calls
+    /// this again, so each attempt gets its full wall budget back.
+    pub fn budget(&self) -> CellBudget {
         CellBudget {
             max_windows: self.max_windows,
             max_items: self.max_items,
-            cancel,
+            wall: self.wall_deadline.map(|limit| (Stopwatch::start(), limit)),
         }
     }
 }
@@ -106,47 +107,42 @@ impl Default for SupervisePolicy {
 /// One attempt's deadline state, threaded into the evaluate loop and the
 /// item-level prequential loop. [`CellBudget::check`] is the single
 /// cooperative cancellation point: it reports a logical deadline
-/// (deterministic) or a fired wall-clock watchdog (machine noise) as a
-/// typed [`HarnessError::CellTimedOut`].
+/// (deterministic) or an expired wall-clock deadline (machine noise) as
+/// a typed [`HarnessError::CellTimedOut`].
 #[derive(Debug, Clone, Default)]
 pub struct CellBudget {
     /// Windows the attempt may enter.
     pub max_windows: Option<usize>,
     /// Items the attempt may test/train.
     pub max_items: Option<usize>,
-    /// Wall-clock cancellation signal (from the executor watchdog).
-    pub cancel: CancelFlag,
+    /// The attempt's start and the wall-clock time it may take.
+    pub wall: Option<(Stopwatch, Duration)>,
 }
 
 impl CellBudget {
     /// A budget that never expires (the unsupervised path).
     pub fn unlimited() -> CellBudget {
-        CellBudget {
-            max_windows: None,
-            max_items: None,
-            cancel: CancelFlag::never(),
-        }
+        CellBudget::default()
     }
 
     /// Cooperative deadline check with the attempt's progress so far.
     ///
-    /// The wall-clock flag is tested *after* the logical bounds: when
-    /// both would fire, the deterministic verdict wins so replays agree.
+    /// The clock is read only when a wall deadline is set, and *after*
+    /// the logical bounds: when both would fire, the deterministic
+    /// verdict wins so replays agree.
     pub fn check(&self, windows: usize, items: usize) -> Result<(), HarnessError> {
-        if self.max_windows.is_some_and(|m| windows >= m)
-            || self.max_items.is_some_and(|m| items >= m)
-        {
+        let logical = self.max_windows.is_some_and(|m| windows >= m)
+            || self.max_items.is_some_and(|m| items >= m);
+        let wall = !logical
+            && self
+                .wall
+                .as_ref()
+                .is_some_and(|(started, limit)| started.elapsed_seconds() >= limit.as_secs_f64());
+        if logical || wall {
             return Err(HarnessError::CellTimedOut {
                 windows,
                 items,
-                wall: false,
-            });
-        }
-        if self.cancel.is_cancelled() {
-            return Err(HarnessError::CellTimedOut {
-                windows,
-                items,
-                wall: true,
+                wall,
             });
         }
         Ok(())
@@ -227,12 +223,11 @@ impl<T> Supervised<T> {
 /// Drives one cell through the retry state machine.
 ///
 /// `attempt` is invoked with the 0-based attempt number; it should run
-/// the cell under a *fresh* wall-clock deadline per call (arm the
-/// watchdog slot inside). Retryable failures ([`HarnessError::is_retryable`])
-/// spend the budget with seeded exponential backoff between attempts;
-/// exhausting it yields [`HarnessError::Quarantined`]. Non-retryable
-/// failures — including deterministic logical timeouts — return
-/// immediately. With `max_retries == 0` the attempt's own error is
+/// the cell under a *fresh* [`CellBudget`] per call. Retryable failures
+/// ([`HarnessError::is_retryable`]) spend the budget with seeded
+/// exponential backoff between attempts; exhausting it yields
+/// [`HarnessError::Quarantined`]. Non-retryable failures — including
+/// deterministic logical timeouts — return immediately. With `max_retries == 0` the attempt's own error is
 /// returned untouched, which keeps the unsupervised path's outcomes
 /// byte-identical to the historical sweep.
 pub fn supervise_cell<T>(
@@ -313,6 +308,10 @@ mod tests {
     fn unlimited_budget_never_expires() {
         let b = CellBudget::unlimited();
         assert!(b.check(usize::MAX - 1, usize::MAX - 1).is_ok());
+        // The default policy's budget reads no clock either.
+        let b = SupervisePolicy::unsupervised().budget();
+        assert!(b.wall.is_none());
+        assert!(b.check(usize::MAX - 1, usize::MAX - 1).is_ok());
     }
 
     #[test]
@@ -320,7 +319,7 @@ mod tests {
         let b = CellBudget {
             max_windows: Some(5),
             max_items: Some(1000),
-            cancel: CancelFlag::never(),
+            ..CellBudget::unlimited()
         };
         assert!(b.check(4, 999).is_ok());
         let e = b.check(5, 10).unwrap_err();
@@ -332,17 +331,20 @@ mod tests {
         assert!(matches!(e, HarnessError::CellTimedOut { wall: false, .. }));
     }
 
+    fn wall_budget(deadline: Duration, max_windows: Option<usize>) -> CellBudget {
+        SupervisePolicy {
+            max_windows,
+            wall_deadline: Some(deadline),
+            ..SupervisePolicy::unsupervised()
+        }
+        .budget()
+    }
+
     #[test]
-    fn cancelled_flag_reports_a_wall_timeout() {
-        let flag = CancelFlag::armed();
-        let b = CellBudget {
-            max_windows: None,
-            max_items: None,
-            cancel: flag.clone(),
-        };
-        assert!(b.check(3, 30).is_ok());
-        flag.cancel();
-        let e = b.check(3, 30).unwrap_err();
+    fn expired_deadline_reports_a_wall_timeout() {
+        let generous = wall_budget(Duration::from_secs(3600), None);
+        assert!(generous.check(3, 30).is_ok());
+        let e = wall_budget(Duration::ZERO, None).check(3, 30).unwrap_err();
         assert!(matches!(
             e,
             HarnessError::CellTimedOut {
@@ -354,17 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn logical_verdict_wins_over_a_simultaneous_wall_cancel() {
-        let flag = CancelFlag::armed();
-        flag.cancel();
-        let b = CellBudget {
-            max_windows: Some(2),
-            max_items: None,
-            cancel: flag,
-        };
+    fn logical_verdict_wins_over_a_simultaneous_wall_timeout() {
         // Both deadlines hold; the deterministic one must be reported so
         // replays without the wall race agree.
-        let e = b.check(2, 0).unwrap_err();
+        let e = wall_budget(Duration::ZERO, Some(2))
+            .check(2, 0)
+            .unwrap_err();
         assert!(matches!(e, HarnessError::CellTimedOut { wall: false, .. }));
     }
 

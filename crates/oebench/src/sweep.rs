@@ -12,10 +12,10 @@
 //! produces the same final report as an uninterrupted one.
 
 use crate::error::HarnessError;
-use crate::executor::{parallel_map_watchdog, WatchdogSlot};
-use crate::harness::{try_run_stream_supervised, HarnessConfig, RunResult};
+use crate::executor::parallel_map;
+use crate::harness::{try_run_stream, HarnessConfig, RunResult};
 use crate::learners::Algorithm;
-use crate::supervise::{cell_seed, supervise_cell, SupervisePolicy};
+use crate::supervise::{cell_seed, supervise_cell};
 use oeb_tabular::StreamDataset;
 use oeb_trace::{CellCtx, Counter, SpanDef};
 use serde_json::{json, Value};
@@ -104,7 +104,7 @@ pub enum RunOutcome {
         windows: usize,
         /// Items tested/trained before the deadline fired.
         items: usize,
-        /// `true` for the wall-clock watchdog (machine-dependent),
+        /// `true` for the wall-clock deadline (machine-dependent),
         /// `false` for a logical budget (deterministic).
         wall: bool,
     },
@@ -266,7 +266,7 @@ pub struct SupervisionSummary {
     pub recovered: usize,
     /// Cells stopped by a logical (deterministic) deadline.
     pub timeouts: usize,
-    /// Cells stopped by the wall-clock watchdog (machine-dependent).
+    /// Cells stopped by the wall-clock deadline (machine-dependent).
     pub wall_timeouts: usize,
     /// Cells parked after exhausting their retry budget.
     pub quarantined: usize,
@@ -289,6 +289,16 @@ pub struct SupervisionSummary {
 ///   collected in cell order, and each cell seeds its RNGs from its own
 ///   coordinates. Only the *line order* inside the checkpoint file varies
 ///   with scheduling, and resume never depends on it.
+///
+/// Supervision (`config.supervise`): per-cell logical and wall-clock
+/// deadlines produce typed [`RunOutcome::TimedOut`] records, retryable
+/// failures are retried with seeded backoff, and cells that exhaust the
+/// budget land in [`RunOutcome::Quarantined`]. With no deadline hits and
+/// no retries spent, the report and checkpoint are bit-identical to the
+/// unsupervised sweep's at any thread count. All retry decisions derive
+/// from [`cell_seed`], so replaying a sweep replays every retry sequence
+/// bit-for-bit; only wall-clock timeouts (marked `wall: true`) are
+/// machine-dependent.
 pub fn run_sweep(
     datasets: &[StreamDataset],
     algorithms: &[Algorithm],
@@ -296,36 +306,6 @@ pub fn run_sweep(
     checkpoint: Option<&Path>,
     max_new_runs: Option<usize>,
     threads: usize,
-) -> Result<SweepReport, HarnessError> {
-    run_sweep_supervised(
-        datasets,
-        algorithms,
-        config,
-        checkpoint,
-        max_new_runs,
-        threads,
-        &SupervisePolicy::unsupervised(),
-    )
-}
-
-/// [`run_sweep`] under a [`SupervisePolicy`]: per-cell logical deadlines
-/// and a wall-clock watchdog produce typed [`RunOutcome::TimedOut`]
-/// records, retryable failures are retried with seeded backoff, and
-/// cells that exhaust the budget land in [`RunOutcome::Quarantined`].
-///
-/// Determinism: with no deadline hits and no retries spent, the report
-/// and checkpoint are bit-identical to [`run_sweep`]'s at any thread
-/// count. All retry decisions derive from [`cell_seed`], so replaying a
-/// sweep replays every retry sequence bit-for-bit; only wall-clock
-/// timeouts (marked `wall: true`) are machine-dependent.
-pub fn run_sweep_supervised(
-    datasets: &[StreamDataset],
-    algorithms: &[Algorithm],
-    config: &HarnessConfig,
-    checkpoint: Option<&Path>,
-    max_new_runs: Option<usize>,
-    threads: usize,
-    policy: &SupervisePolicy,
 ) -> Result<SweepReport, HarnessError> {
     config.validate()?;
     let mut done: HashMap<(String, String), RunOutcome> = HashMap::new();
@@ -380,43 +360,42 @@ pub fn run_sweep_supervised(
         };
         let append_error: Mutex<Option<HarnessError>> = Mutex::new(None);
 
-        let ran: Vec<RunOutcome> =
-            parallel_map_watchdog(to_run.len(), threads, policy.wall_deadline, |slot, dog| {
-                let (d, a) = cells[to_run[slot]];
-                // Ambient attribution: every span recorded while this cell
-                // runs (prepare stages, evaluate stages, the cell span
-                // itself) carries its (dataset, learner, seed, rows).
-                let _ctx = CellCtx {
+        let ran: Vec<RunOutcome> = parallel_map(to_run.len(), threads, |slot| {
+            let (d, a) = cells[to_run[slot]];
+            // Ambient attribution: every span recorded while this cell
+            // runs (prepare stages, evaluate stages, the cell span
+            // itself) carries its (dataset, learner, seed, rows).
+            let _ctx = CellCtx {
+                dataset: datasets[d].name.clone(),
+                learner: algorithms[a].name().to_string(),
+                seed: cell_seed(config.seed, &datasets[d].name, algorithms[a].name()),
+                rows: datasets[d].n_rows() as u64,
+            }
+            .install();
+            let cell_span = CELL_SPAN.start();
+            let outcome = run_supervised(&datasets[d], algorithms[a], config);
+            drop(cell_span);
+            if matches!(
+                outcome,
+                RunOutcome::Failed { .. }
+                    | RunOutcome::TimedOut { .. }
+                    | RunOutcome::Quarantined { .. }
+            ) {
+                CELLS_FAILED.incr();
+            }
+            progress.note_done();
+            if let Some(writer) = &writer {
+                let record = SweepRecord {
                     dataset: datasets[d].name.clone(),
-                    learner: algorithms[a].name().to_string(),
-                    seed: cell_seed(config.seed, &datasets[d].name, algorithms[a].name()),
-                    rows: datasets[d].n_rows() as u64,
+                    algorithm: algorithms[a].name().to_string(),
+                    outcome: outcome.clone(),
+                };
+                if let Err(e) = write_checkpoint_line(writer, &record) {
+                    lock_recover(&append_error).get_or_insert(e);
                 }
-                .install();
-                let cell_span = CELL_SPAN.start();
-                let outcome = run_supervised(&datasets[d], algorithms[a], config, policy, dog);
-                drop(cell_span);
-                if matches!(
-                    outcome,
-                    RunOutcome::Failed { .. }
-                        | RunOutcome::TimedOut { .. }
-                        | RunOutcome::Quarantined { .. }
-                ) {
-                    CELLS_FAILED.incr();
-                }
-                progress.note_done();
-                if let Some(writer) = &writer {
-                    let record = SweepRecord {
-                        dataset: datasets[d].name.clone(),
-                        algorithm: algorithms[a].name().to_string(),
-                        outcome: outcome.clone(),
-                    };
-                    if let Err(e) = write_checkpoint_line(writer, &record) {
-                        lock_recover(&append_error).get_or_insert(e);
-                    }
-                }
-                outcome
-            });
+            }
+            outcome
+        });
         if let Some(e) = append_error
             .into_inner()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -442,30 +421,21 @@ pub fn run_sweep_supervised(
     Ok(report)
 }
 
-/// One cell under full supervision: each attempt runs with panic
-/// isolation and a freshly armed wall-clock deadline; the retry state
-/// machine ([`supervise_cell`]) turns the attempt sequence into a single
-/// outcome. With the unsupervised policy this reduces exactly to the
-/// historical `run_isolated`.
+/// One cell under `config.supervise`: each attempt runs with panic
+/// isolation and a fresh budget (`try_run_stream` starts it at the
+/// evaluate stage); the retry state machine ([`supervise_cell`]) turns
+/// the attempt sequence into a single outcome.
 fn run_supervised(
     dataset: &StreamDataset,
     algorithm: Algorithm,
     config: &HarnessConfig,
-    policy: &SupervisePolicy,
-    dog: &WatchdogSlot,
 ) -> RunOutcome {
     let seed = cell_seed(config.seed, &dataset.name, algorithm.name());
-    let supervised = supervise_cell(policy, seed, |_attempt| {
-        // A fresh flag per attempt: a retried cell gets its full wall
-        // budget back, and a late watchdog firing cannot leak into the
-        // next attempt or the worker's next cell.
-        let budget = policy.budget(dog.arm());
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            try_run_stream_supervised(dataset, algorithm, config, &budget)
-        }));
-        dog.disarm();
-        match result {
-            Ok(inner) => inner,
+    let supervised = supervise_cell(&config.supervise, seed, |_attempt| {
+        match catch_unwind(AssertUnwindSafe(|| {
+            try_run_stream(dataset, algorithm, config)
+        })) {
+            Ok(result) => result,
             Err(payload) => Err(HarnessError::Panicked(panic_message(payload.as_ref()))),
         }
     });

@@ -4,13 +4,11 @@
 //! checkpoint/resume may change *when* cells run, never *what* they
 //! compute.
 
-use oeb_core::{
-    run_sweep, run_sweep_supervised, Algorithm, HarnessConfig, RunOutcome, SupervisePolicy,
-    SweepReport,
-};
+use oeb_core::{run_sweep, Algorithm, HarnessConfig, RunOutcome, SupervisePolicy, SweepReport};
 use oeb_synth::{Balance, DriftPattern, LabelMechanism, Level, StreamSpec, TaskSpec};
 use oeb_tabular::{Domain, StreamDataset};
 use proptest::prelude::*;
+use std::time::Duration;
 
 fn tiny_spec(name: &str, classification: bool, rows: usize, seed: u64) -> StreamSpec {
     StreamSpec {
@@ -165,11 +163,11 @@ proptest! {
         prop_assert_eq!(checkpoint_lines, 6);
     }
 
-    /// Supervision acceptance property: with a retry budget armed but no
-    /// deadline configured (and no faults, so the budget is never spent),
-    /// a supervised 4-worker sweep is bit-identical to the unsupervised
-    /// single-worker run — supervision is a strict no-op on healthy
-    /// streams.
+    /// Supervision acceptance property: with a retry budget and a
+    /// generous wall-clock deadline armed (and no faults, so neither is
+    /// ever spent), a supervised 4-worker sweep is bit-identical to the
+    /// unsupervised single-worker run — supervision is a strict no-op on
+    /// healthy streams.
     #[test]
     fn armed_supervision_is_a_noop_on_healthy_streams(
         data_seed in 0u64..50,
@@ -182,15 +180,19 @@ proptest! {
             ..Default::default()
         };
         cfg.learner.epochs = 1;
-        let policy = SupervisePolicy {
-            max_retries: 2,
-            backoff_base: std::time::Duration::from_millis(1),
-            ..SupervisePolicy::unsupervised()
+        let supervised_cfg = HarnessConfig {
+            supervise: SupervisePolicy {
+                max_retries: 2,
+                backoff_base: Duration::from_millis(1),
+                wall_deadline: Some(Duration::from_secs(3600)),
+                ..SupervisePolicy::unsupervised()
+            },
+            ..cfg.clone()
         };
 
         let unsupervised = run_sweep(&datasets, &algorithms, &cfg, None, None, 1).unwrap();
         let supervised =
-            run_sweep_supervised(&datasets, &algorithms, &cfg, None, None, 4, &policy).unwrap();
+            run_sweep(&datasets, &algorithms, &supervised_cfg, None, None, 4).unwrap();
         prop_assert_eq!(digest(&unsupervised), digest(&supervised));
         let s = supervised.supervision();
         prop_assert_eq!(s.retries, 0);
@@ -209,23 +211,73 @@ proptest! {
         let algorithms = [Algorithm::NaiveDt, Algorithm::Arf];
         let mut cfg = HarnessConfig {
             seed: run_seed,
+            supervise: SupervisePolicy {
+                max_windows: Some(2),
+                ..SupervisePolicy::unsupervised()
+            },
             ..Default::default()
         };
         cfg.learner.epochs = 1;
-        let policy = SupervisePolicy {
-            max_windows: Some(2),
-            ..SupervisePolicy::unsupervised()
-        };
 
-        let reference =
-            run_sweep_supervised(&datasets, &algorithms, &cfg, None, None, 1, &policy).unwrap();
+        let reference = run_sweep(&datasets, &algorithms, &cfg, None, None, 1).unwrap();
         prop_assert!(
             reference.timed_out().count() > 0,
             "a 2-window budget must time out some cell"
         );
-        let replay =
-            run_sweep_supervised(&datasets, &algorithms, &cfg, None, None, threads, &policy)
-                .unwrap();
+        let replay = run_sweep(&datasets, &algorithms, &cfg, None, None, threads).unwrap();
         prop_assert_eq!(digest(&reference), digest(&replay));
+    }
+}
+
+/// An already-expired wall-clock deadline stops every cell at its first
+/// window check, before any work, at any worker count: the deadline is
+/// read at the same cooperative points as the logical budget. With a
+/// retry budget, every attempt times out again and the cell is
+/// quarantined.
+#[test]
+fn expired_wall_deadline_times_out_every_cell() {
+    let datasets = grid_datasets(3);
+    let algorithms = [Algorithm::NaiveDt, Algorithm::Arf];
+    let expired = |max_retries| HarnessConfig {
+        supervise: SupervisePolicy {
+            wall_deadline: Some(Duration::ZERO),
+            max_retries,
+            backoff_base: Duration::ZERO,
+            ..SupervisePolicy::unsupervised()
+        },
+        ..Default::default()
+    };
+    for threads in [1, 4] {
+        let report = run_sweep(&datasets, &algorithms, &expired(0), None, None, threads).unwrap();
+        assert_eq!(report.records.len(), 4);
+        for r in &report.records {
+            assert_eq!(
+                r.outcome,
+                RunOutcome::TimedOut {
+                    windows: 0,
+                    items: 0,
+                    wall: true
+                },
+                "{} x {} at {threads} threads",
+                r.dataset,
+                r.algorithm
+            );
+        }
+        assert_eq!(report.supervision().wall_timeouts, 4);
+
+        let report = run_sweep(&datasets, &algorithms, &expired(1), None, None, threads).unwrap();
+        for r in &report.records {
+            assert!(
+                matches!(
+                    &r.outcome,
+                    RunOutcome::Quarantined { attempts: 2, kind, .. } if kind == "cell-timed-out"
+                ),
+                "{} x {} at {threads} threads: {:?}",
+                r.dataset,
+                r.algorithm,
+                r.outcome
+            );
+        }
+        assert_eq!(report.supervision().quarantined, 4);
     }
 }

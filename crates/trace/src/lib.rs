@@ -393,6 +393,7 @@ impl Drop for SpanGuard {
 /// metrics). Always reads the clock — the measured number is identical
 /// whether tracing is on or off — and additionally records a span event
 /// when recording is enabled.
+#[derive(Debug, Clone)]
 pub struct Stopwatch {
     start: Instant,
 }
@@ -772,7 +773,7 @@ impl MetricsSnapshot {
     /// Counters under the schedule-invariant contract: everything except
     /// the `executor.*` family, whose values legitimately depend on which
     /// worker claimed which task, and the `supervise.wall.*` family,
-    /// which counts wall-clock watchdog events (machine noise by
+    /// which counts wall-clock deadline events (machine noise by
     /// definition). Tests assert these are identical across thread
     /// counts.
     pub fn deterministic_counters(&self) -> BTreeMap<String, u64> {

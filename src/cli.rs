@@ -10,7 +10,7 @@
 //! ```
 
 use oeb_core::{
-    extract_stats, resolve_threads, run_chaos_matrix, run_sweep_supervised, set_default_threads,
+    extract_stats, resolve_threads, run_chaos_matrix, run_sweep, set_default_threads,
     try_run_stream, Algorithm, ChaosOptions, HarnessConfig, HarnessError, Scenario, StatsConfig,
     SupervisePolicy,
 };
@@ -108,8 +108,9 @@ pub struct CliOptions {
     pub trace: Option<String>,
     /// When set, print the end-of-run metrics table to stderr.
     pub metrics: bool,
-    /// Per-cell wall-clock deadline in seconds (`--cell-deadline`);
-    /// `None` leaves the watchdog disarmed.
+    /// Per-cell wall-clock deadline in seconds (`--cell-deadline`),
+    /// counted per attempt from the start of the evaluate stage; `None`
+    /// sets no deadline.
     pub cell_deadline: Option<f64>,
     /// Per-cell retry budget before quarantine (`--max-retries`);
     /// `None` keeps the historical fail-fast sweep behaviour.
@@ -137,8 +138,9 @@ options:\n\
   --threads N                  worker count for sweeps and statistics (default:\n\
                                OEBENCH_THREADS or all cores); results are\n\
                                identical for any N\n\
-  --cell-deadline SECS         sweep: wall-clock watchdog per cell; a cell past\n\
-                               the deadline is recorded as timed out (exit 13)\n\
+  --cell-deadline SECS         sweep: wall-clock deadline per cell attempt,\n\
+                               counted from its evaluate stage; a cell past it\n\
+                               is recorded as timed out (exit 13)\n\
   --max-retries N              sweep/chaos: seeded retry budget per cell before\n\
                                quarantine (exit 14); 0 fails fast (default)\n\
   --trace <out.jsonl>          record spans and write them as JSON lines;\n\
@@ -508,24 +510,23 @@ fn run_command(opts: &CliOptions) -> Result<String, CliError> {
             };
             let cfg = HarnessConfig {
                 seed: opts.seed,
+                supervise: SupervisePolicy {
+                    wall_deadline: opts.cell_deadline.map(Duration::from_secs_f64),
+                    max_retries: opts.max_retries.unwrap_or(0),
+                    ..SupervisePolicy::unsupervised()
+                },
                 ..Default::default()
-            };
-            let policy = SupervisePolicy {
-                wall_deadline: opts.cell_deadline.map(Duration::from_secs_f64),
-                max_retries: opts.max_retries.unwrap_or(0),
-                ..SupervisePolicy::unsupervised()
             };
             // Progress lines go to stderr; done/total is seeded from the
             // checkpoint, so a resumed sweep reports over the whole grid.
             oeb_core::set_sweep_progress(true);
-            let report = run_sweep_supervised(
+            let report = run_sweep(
                 &datasets,
                 &algorithms,
                 &cfg,
                 Some(std::path::Path::new(out)),
                 *limit,
                 resolve_threads(opts.threads),
-                &policy,
             )?;
             let (completed, inapplicable, failed) = report.counts();
             let mut text = String::new();
@@ -541,7 +542,7 @@ fn run_command(opts: &CliOptions) -> Result<String, CliError> {
                 "{completed} completed, {inapplicable} inapplicable, {failed} failed; \
                  checkpoint: {out}\n",
             ));
-            if policy.is_active() {
+            if cfg.supervise.is_active() {
                 let s = report.supervision();
                 text.push_str(&format!(
                     "supervision: {} retries, {} recovered, {} timed out \
@@ -881,5 +882,41 @@ mod tests {
         let checkpoint = std::fs::read_to_string(&path).unwrap();
         assert_eq!(checkpoint.lines().count(), 5, "no pair is run twice");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn supervised_sweep_prints_the_plain_records() {
+        let sweep = |tag: &str, extra: &[&str]| {
+            let path = std::env::temp_dir()
+                .join(format!("oeb_cli_sweep_{tag}_{}.jsonl", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let mut args = s(&[
+                "sweep",
+                "--out",
+                path.to_str().unwrap(),
+                "--algorithm",
+                "dt",
+                "--scale",
+                "0.02",
+            ]);
+            args.extend(s(extra));
+            let out = execute(&parse(&args).unwrap()).unwrap();
+            let _ = std::fs::remove_file(&path);
+            out
+        };
+        let plain = sweep("plain", &[]);
+        let supervised = sweep(
+            "supervised",
+            &["--cell-deadline", "60", "--max-retries", "1"],
+        );
+        // Five records, then the counts line, which names the checkpoint.
+        let records = |out: &str| out.lines().take(5).map(str::to_string).collect::<Vec<_>>();
+        assert_eq!(records(&supervised), records(&plain));
+        assert_eq!(plain.lines().count(), 6, "{plain}");
+        assert_eq!(
+            supervised.lines().nth(6),
+            Some("supervision: 0 retries, 0 recovered, 0 timed out (0 wall-clock), 0 quarantined"),
+            "{supervised}"
+        );
     }
 }

@@ -52,41 +52,6 @@ fn outlier_events_hit_nn_harder_than_dt() {
     );
 }
 
-/// §6.3 / Tables 5 and 6: decision trees are much faster and much
-/// smaller than NN-based methods; SEA multiplies the NN footprint by the
-/// ensemble size.
-#[test]
-fn efficiency_ordering_matches_the_paper() {
-    let reg = oebench::synth::registry_scaled(0.05);
-    let entry = reg
-        .iter()
-        .find(|e| e.spec.name == "Electricity Prices")
-        .unwrap();
-    let dataset = oebench::synth::generate(&entry.spec, 0);
-    let cfg = HarnessConfig::default();
-
-    let dt = run_stream(&dataset, Algorithm::NaiveDt, &cfg).unwrap();
-    let nn = run_stream(&dataset, Algorithm::NaiveNn, &cfg).unwrap();
-    let sea_nn = run_stream(&dataset, Algorithm::SeaNn, &cfg).unwrap();
-    let ewc = run_stream(&dataset, Algorithm::Ewc, &cfg).unwrap();
-
-    // Throughput: trees refit per window beat 10-epoch SGD.
-    assert!(
-        dt.throughput > nn.throughput,
-        "DT {} <= NN {}",
-        dt.throughput,
-        nn.throughput
-    );
-    // Memory: DT < NN < EWC (3x) and NN < SEA-NN (~5x).
-    assert!(dt.memory_bytes < nn.memory_bytes);
-    assert!(nn.memory_bytes < ewc.memory_bytes);
-    assert!(nn.memory_bytes * 3 < sea_nn.memory_bytes);
-    // EWC costs roughly double the naive NN time (extra Fisher pass and
-    // penalty work) — the paper notes EWC/LwF "doubling the computational
-    // cost".
-    assert!(ewc.train_seconds > nn.train_seconds);
-}
-
 /// §6.4.1 / Finding (2): more local epochs generally reduce loss.
 #[test]
 fn more_epochs_improve_effectiveness() {
