@@ -36,12 +36,12 @@ trap 'rm -rf "$smoke_dir"' EXIT
 
 # Static invariant gate (oeb-lint v2): the token rules (determinism,
 # NaN-safety, panic hygiene) plus the workspace-level semantic rules
-# (counter vocabulary sync, exit-code registry, delta-equivalence
-# coverage, lock-order cycles, stale suppressions) — see DESIGN.md,
-# "Static invariants". The JSON report lands next to the bench
-# artifacts; --time-budget-ms is a self-timing gate — the full
-# workspace pass (index + all rules) must stay under one second or the
-# lint itself fails CI. For remediation guidance run it by hand:
+# (counter vocabulary sync, exit-code registry, lock-order cycles,
+# stale suppressions) — see DESIGN.md, "Static invariants". The JSON
+# report lands in the smoke dir; --time-budget-ms is a self-timing
+# gate — the full workspace pass (index + all rules) must stay under
+# one second or the lint itself fails CI. For remediation guidance run
+# it by hand:
 #   cargo run --release -p oeb-lint -- check --fix-hints
 cargo run --release -p oeb-lint -- check --json --time-budget-ms 1000 \
     > "$smoke_dir/LINT_report.json" \
@@ -51,10 +51,12 @@ cargo run --release -p oeb-bench --bin repro -- table4 \
 
 # Smoke: observability. The same run traced: every JSONL record must
 # match the span schema (required keys, monotone ids — trace_check),
-# the metrics table must show prepare-cache hits, and the result
-# artifact must be byte-identical to the untraced run (table4.txt holds
-# only losses; table4.json embeds wall-clock throughput, so the
-# bit-identity contract is checked on the .txt).
+# the metrics table must show prepare-cache hits and the fast kernel
+# paths at work (batched MLP SGD, Hoeffding split checks, blocked GEMM,
+# pruned KNN candidates; their bits are pinned by the crate tests), and
+# the result artifact must be byte-identical to the untraced run
+# (table4.txt holds only losses; table4.json embeds wall-clock
+# throughput, so the bit-identity contract is checked on the .txt).
 cargo run --release -p oeb-bench --bin repro -- table4 \
     --scale 0.05 --seeds 1 --threads 4 --out "$smoke_dir/traced" \
     --trace "$smoke_dir/trace.jsonl" --metrics 2> "$smoke_dir/metrics.txt" \
@@ -63,6 +65,11 @@ cargo run --release -p oeb-bench --bin trace_check -- "$smoke_dir/trace.jsonl" \
     --counters "$smoke_dir/metrics.txt"
 grep -Eq 'prepare\.cache\.hit +[1-9]' "$smoke_dir/metrics.txt" \
     || { echo "ci: no prepare-cache hits in --metrics output" >&2; exit 1; }
+for c in 'train\.mlp\.gemm_batches' 'train\.hoeffding\.split_checks' \
+         'gemm\.dispatch\.blocked' 'knn\.candidates\.pruned'; do
+    grep -Eq "$c +[1-9]" "$smoke_dir/metrics.txt" \
+        || { echo "ci: no $c in table4 --metrics output" >&2; exit 1; }
+done
 diff "$smoke_dir/table4.txt" "$smoke_dir/traced/table4.txt" \
     || { echo "ci: traced run diverged from untraced table4.txt" >&2; exit 1; }
 
@@ -84,12 +91,6 @@ grep -Eq 'profile\.cells\.attributed +[1-9]' "$smoke_dir/metrics.txt" \
     || { echo "ci: no profile.cells.attributed in --metrics output" >&2; exit 1; }
 grep -Eq 'evaluate\.window\.latency_us +count=[1-9]' "$smoke_dir/metrics.txt" \
     || { echo "ci: no evaluate.window.latency_us histogram in --metrics output" >&2; exit 1; }
-
-# Smoke: compute kernels (blocked GEMM, pruned KNN imputation) vs their
-# scalar references — asserts bit-identical outputs while timing, so a
-# kernel regression fails CI here rather than skewing a golden artifact.
-cargo run --release -p oeb-bench --bin bench_kernels -- \
-    --quick --out "$smoke_dir/BENCH_kernels.json"
 
 # Smoke: traced-vs-untraced statistics. The stats report must be
 # byte-identical with tracing on and off; the traced run's spans must
@@ -123,22 +124,6 @@ for target in "Electricity Prices@0.05" "Allstate Claims Severity@0.1"; do
     done
     diff "$smoke_dir/stats_${tag}_t1.txt" "$smoke_dir/stats_${tag}_t4.txt" \
         || { echo "ci: $name stats differ between 1 and 4 threads" >&2; exit 1; }
-done
-
-# Smoke: batched training kernels (quick profile). The binary asserts
-# the training equivalences while timing — MLP GEMM batch vs per-sample
-# SGD (bit-identical parameters), Hoeffding maintained-aggregate splits
-# vs the rescanning reference (bit-identical tuples). Its traced pass
-# must surface both train.* counters and pass the counter vocabulary
-# gate.
-cargo run --release -p oeb-bench --bin bench_train -- \
-    --quick --out "$smoke_dir/BENCH_train.json" \
-    --metrics "$smoke_dir/train_metrics.txt"
-cargo run --release -p oeb-bench --bin trace_check -- \
-    --counters "$smoke_dir/train_metrics.txt"
-for c in 'train\.mlp\.gemm_batches' 'train\.hoeffding\.split_checks'; do
-    grep -Eq "$c +[1-9]" "$smoke_dir/train_metrics.txt" \
-        || { echo "ci: no $c in bench_train --metrics output" >&2; exit 1; }
 done
 
 # Smoke: chaos-soak supervision gate. An 8-cell fault x drift grid under

@@ -19,8 +19,8 @@
 //! valid but its footer records silently dropped events (the trace is
 //! truncated and span totals can no longer match the metrics
 //! snapshot). At least one of the two inputs is required —
-//! `--counters` alone gates a metrics table from an untraced benchmark
-//! (e.g. `bench_train`).
+//! `--counters` alone gates the metrics table of a run made with
+//! `--metrics` but without `--trace`.
 
 use std::process::exit;
 

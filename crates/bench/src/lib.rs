@@ -5,9 +5,11 @@
 //! * the `repro` binary regenerates every table and figure of the
 //!   paper's evaluation (`cargo run -p oeb-bench --release --bin repro --
 //!   all`), writing text and JSON artifacts under `results/`;
-//! * the `bench_kernels` and `bench_train` binaries time the fast
-//!   kernels against their references and assert bit-identical output;
 //! * `trace_check` and `oeb-profile` validate and analyse trace files.
+//!
+//! Performance is measured end to end by the `oeb-benchmark` package
+//! at the repository root; the fast kernels' bit-identity to their
+//! references is asserted by the crate tests.
 
 pub mod counter_vocab;
 pub mod profile;
@@ -112,56 +114,6 @@ pub fn render_figures(out: &ExperimentOutput) -> Vec<(String, String)> {
         }
         _ => Vec::new(),
     }
-}
-
-/// Converts an [`oeb_trace::MetricsSnapshot`] into a JSON value for
-/// embedding in benchmark artifacts: counters verbatim, spans as
-/// `{count, total_seconds}`.
-pub fn metrics_json(snap: &oeb_trace::MetricsSnapshot) -> serde_json::Value {
-    let mut counters = serde_json::Map::new();
-    for (name, v) in &snap.counters {
-        counters.insert(name.clone(), (*v).into());
-    }
-    let mut spans = serde_json::Map::new();
-    for (name, s) in &snap.spans {
-        spans.insert(
-            name.clone(),
-            serde_json::json!({
-                "count": s.count,
-                "total_seconds": s.total_ns as f64 / 1e9,
-            }),
-        );
-    }
-    serde_json::json!({
-        "counters": serde_json::Value::Object(counters),
-        "spans": serde_json::Value::Object(spans),
-    })
-}
-
-/// Number of alternating warm passes the benchmark bins run by default;
-/// each reported figure is the minimum across passes.
-pub const WARM_PASSES: usize = 5;
-
-/// Times `a` and `b` over `passes` alternating warm passes (a, b, a, b,
-/// …) and returns `(min_a_seconds, min_b_seconds)`.
-///
-/// For a fixed deterministic workload the minimum across passes is the
-/// noise floor — scheduler hiccups and cold caches only ever inflate a
-/// sample — so interleaving the two sides yields a ratio that neither
-/// side's outliers can skew.
-pub fn warm_min_pair<F: FnMut(), G: FnMut()>(passes: usize, mut a: F, mut b: G) -> (f64, f64) {
-    assert!(passes >= 1, "warm_min_pair needs at least one pass");
-    fn timed(f: &mut impl FnMut()) -> f64 {
-        let watch = Stopwatch::start();
-        f();
-        watch.elapsed_seconds()
-    }
-    let (mut min_a, mut min_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..passes {
-        min_a = min_a.min(timed(&mut a));
-        min_b = min_b.min(timed(&mut b));
-    }
-    (min_a, min_b)
 }
 
 /// Command-line options of the `repro` binary.
@@ -389,28 +341,6 @@ mod tests {
     fn all_is_accepted() {
         let o = parse_args(&s(&["all"])).unwrap();
         assert_eq!(o.experiments, vec!["all"]);
-    }
-
-    #[test]
-    fn warm_min_pair_alternates_sides() {
-        // Each side sleeps 30 ms on one pass and 1 ms on the others, so
-        // only its minimum sample lies below 30 ms; the sleep floor keeps
-        // that minimum at 1 ms or more.
-        let order = std::cell::RefCell::new(Vec::new());
-        let pass = |side: char, slow: usize| {
-            let ms = if order.borrow().len() / 2 == slow {
-                30
-            } else {
-                1
-            };
-            order.borrow_mut().push(side);
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        };
-        let (a, b) = warm_min_pair(3, || pass('a', 0), || pass('b', 2));
-        assert_eq!(*order.borrow(), vec!['a', 'b', 'a', 'b', 'a', 'b']);
-        for min in [a, b] {
-            assert!((0.001..0.030).contains(&min), "not the minimum: {min}");
-        }
     }
 
     #[test]

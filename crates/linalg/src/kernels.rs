@@ -299,8 +299,8 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 }
 
 /// The scalar `ikj` reference: the pre-kernel `Matrix::matmul` loop.
-/// Kept public so the equivalence proptests and the kernel benchmark
-/// compare against the exact historical path.
+/// Kept public so the equivalence proptests compare against the exact
+/// historical path.
 pub fn matmul_scalar_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_gemm_shapes(a, b, out);
     out.as_mut_slice().fill(0.0);
@@ -543,10 +543,10 @@ fn guarded_tile(
 // The three kernels below batch those loops with register tiles while
 // keeping each output element's accumulation strictly k-sequential in
 // the historical order, so they are bit-identical to the per-sample
-// references (kept public as `*_reference_into` for the proptests and
-// `bench_train`). Multiplication operand order is also preserved
-// (weights × activations, delta × input) so NaN-payload propagation
-// cannot differ either.
+// references (the `*_reference_into` functions, compared bit for bit
+// by this module's tests). Multiplication operand order is also
+// preserved (weights × activations, delta × input) so NaN-payload
+// propagation cannot differ either.
 
 /// Rows of X per register tile in [`matmul_xwt_bias_into`].
 const XW_MR: usize = 4;
@@ -626,7 +626,8 @@ pub fn matmul_xwt_bias_into(x: &Matrix, w: &Matrix, bias: &[f64], out: &mut Matr
 
 /// The per-sample forward reference: one [`dot_from`] chain per output
 /// element, exactly the historical `Layer::forward` loop over the batch.
-pub fn matmul_xwt_bias_reference_into(x: &Matrix, w: &Matrix, bias: &[f64], out: &mut Matrix) {
+/// [`matmul_xwt_bias_into`] runs it below the blocking threshold.
+fn matmul_xwt_bias_reference_into(x: &Matrix, w: &Matrix, bias: &[f64], out: &mut Matrix) {
     assert_xwt_shapes(x, w, bias, out);
     for r in 0..x.rows() {
         let xrow = x.row(r);
@@ -757,7 +758,8 @@ pub fn matmul_noskip_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 
 /// The no-skip backward reference: the historical
 /// `prev_delta += delta[k] * w.row(k)` chain lifted over the batch.
-pub fn matmul_noskip_reference_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+#[cfg(test)]
+fn matmul_noskip_reference_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_gemm_shapes(a, b, out);
     out.as_mut_slice().fill(0.0);
     noskip_accumulate_reference(a, b, out);
@@ -905,7 +907,8 @@ fn atb_tile_avx2(
 
 /// The gradient-accumulation reference: the historical per-sample
 /// weight-gradient loop run over the whole batch.
-pub fn matmul_at_b_accum_reference_into(a: &Matrix, b: &Matrix, out: &mut [f64]) {
+#[cfg(test)]
+fn matmul_at_b_accum_reference_into(a: &Matrix, b: &Matrix, out: &mut [f64]) {
     assert_atb_shapes(a, b, out);
     atb_accumulate_reference(a, b, out);
 }

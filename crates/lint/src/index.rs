@@ -1,7 +1,6 @@
 //! Workspace index: one pass over every parsed file distils the facts
 //! the semantic rules consume — counter construction sites, the
-//! `HarnessError` exit-code/kind tables, `DeltaStat` impls, test
-//! functions with the types they exercise, and a static lock-order
+//! `HarnessError` exit-code/kind tables, and a static lock-order
 //! graph. The index is serializable (`oeb-lint index --json`) so other
 //! tooling can consume the same facts the rules do, and it is the
 //! source of truth for the generated counter vocabulary
@@ -40,26 +39,6 @@ pub struct ExitArm {
     pub line: u32,
 }
 
-/// One `impl DeltaStat for T` site.
-#[derive(Debug, Clone)]
-pub struct DeltaImpl {
-    pub type_name: String,
-    pub file: String,
-    pub line: u32,
-}
-
-/// One `#[test]` function, with the capitalised identifiers its body
-/// mentions (candidate type names) and whether it asserts bitwise /
-/// snapshot equivalence.
-#[derive(Debug, Clone)]
-pub struct TestFn {
-    pub name: String,
-    pub file: String,
-    pub line: u32,
-    pub types: Vec<String>,
-    pub equivalence: bool,
-}
-
 /// One static lock acquisition site, attributed to a function.
 #[derive(Debug, Clone)]
 pub struct LockSite {
@@ -92,8 +71,6 @@ pub struct WorkspaceIndex {
     pub exit_arms: Vec<ExitArm>,
     /// File declaring `impl HarnessError` (workspace-relative).
     pub exit_file: Option<String>,
-    pub delta_impls: Vec<DeltaImpl>,
-    pub test_fns: Vec<TestFn>,
     pub lock_sites: Vec<LockSite>,
     pub lock_edges: Vec<LockEdge>,
     pub file_count: usize,
@@ -135,10 +112,6 @@ impl WorkspaceIndex {
             .sort_by(|a, b| (&a.name, &a.file, a.line).cmp(&(&b.name, &b.file, b.line)));
         idx.gauges
             .sort_by(|a, b| (&a.name, &a.file, a.line).cmp(&(&b.name, &b.file, b.line)));
-        idx.delta_impls
-            .sort_by(|a, b| (&a.type_name, &a.file).cmp(&(&b.type_name, &b.file)));
-        idx.test_fns
-            .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
         idx.lock_sites
             .sort_by(|a, b| (&a.file, a.line, &a.lock).cmp(&(&b.file, b.line, &b.lock)));
         idx.lock_edges.sort_by(|a, b| {
@@ -204,10 +177,6 @@ impl WorkspaceIndex {
             "exit_codes": self.exit_arms.iter().map(|a| serde_json::json!({
                 "variant": a.variant, "code": a.code, "kind": a.kind, "line": a.line,
             })).collect::<Vec<_>>(),
-            "delta_impls": self.delta_impls.iter().map(|d| serde_json::json!({
-                "type": d.type_name, "file": d.file, "line": d.line,
-            })).collect::<Vec<_>>(),
-            "test_fns": self.test_fns.len(),
             "lock_sites": self.lock_sites.iter().map(|s| serde_json::json!({
                 "lock": s.lock, "func": s.func, "file": s.file, "line": s.line,
             })).collect::<Vec<_>>(),
@@ -219,7 +188,7 @@ impl WorkspaceIndex {
 }
 
 // ---------------------------------------------------------------------------
-// Collection pass: metrics, exit arms, delta impls, test fns, fns, statics
+// Collection pass: metrics, exit arms, fns, statics
 // ---------------------------------------------------------------------------
 
 /// A function the lock analysis will scan, with enough context to
@@ -273,9 +242,6 @@ fn collect_item(item: &Item, ctx: &mut CollectCtx) {
                     params: item.params.iter().map(|p| p.name.clone()).collect(),
                     wrapper_param: None,
                 });
-                if item.is_test_item() {
-                    collect_test_fn(item, body, ctx);
-                }
                 collect_exit_arms(item, body, ctx);
             }
         }
@@ -296,13 +262,6 @@ fn collect_item(item: &Item, ctx: &mut CollectCtx) {
                 id,
             });
         }
-        ItemKind::Impl if item.trait_name.as_deref() == Some("DeltaStat") => {
-            ctx.idx.delta_impls.push(DeltaImpl {
-                type_name: item.name.clone(),
-                file: ctx.file.path.clone(),
-                line: item.start_line,
-            });
-        }
         _ => {}
     }
     let saved = ctx.impl_type.clone();
@@ -313,39 +272,6 @@ fn collect_item(item: &Item, ctx: &mut CollectCtx) {
         collect_item(child, ctx);
     }
     ctx.impl_type = saved;
-}
-
-/// `#[test]` fn: record capitalised identifiers (candidate type names)
-/// and whether it asserts equivalence (bitwise/snapshot assertions in
-/// the body, or an equivalence-shaped name).
-fn collect_test_fn(item: &Item, body: (usize, usize), ctx: &mut CollectCtx) {
-    let tokens = &ctx.file.tokens[body.0..body.1.min(ctx.file.tokens.len())];
-    let mut types: Vec<String> = tokens
-        .iter()
-        .filter(|t| {
-            t.kind == TokenKind::Ident
-                && t.text
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_ascii_uppercase())
-        })
-        .map(|t| t.text.clone())
-        .collect();
-    types.sort();
-    types.dedup();
-    let body_marker = tokens
-        .iter()
-        .any(|t| t.kind == TokenKind::Ident && (t.text == "to_bits" || t.text == "field_bits"));
-    let name_marker = ["bitwise", "equivalence", "matches"]
-        .iter()
-        .any(|m| item.name.contains(m));
-    ctx.idx.test_fns.push(TestFn {
-        name: item.name.clone(),
-        file: ctx.file.path.clone(),
-        line: item.start_line,
-        types,
-        equivalence: body_marker || name_marker,
-    });
 }
 
 /// Inside `impl HarnessError`, the `exit_code()` / `kind()` bodies are
@@ -916,27 +842,6 @@ mod tests {
         assert_eq!(idx.exit_arms[0].code, Some(3));
         assert_eq!(idx.exit_arms[0].kind.as_deref(), Some("a"));
         assert_eq!(idx.exit_arms[1].code, Some(4));
-    }
-
-    #[test]
-    fn delta_impls_and_equivalence_tests_are_found() {
-        let (_, idx) = ws(&[(
-            "crates/tabular/src/delta.rs",
-            "pub struct MissingDelta { n: usize }\n\
-             impl DeltaStat for MissingDelta { }\n\
-             #[cfg(test)]\nmod tests {\n\
-               #[test]\n fn snapshot_matches_bitwise() {\n\
-                 let d = MissingDelta { n: 0 };\n\
-                 assert_eq!(1f64.to_bits(), 1f64.to_bits());\n\
-               }\n\
-             }\n",
-        )]);
-        assert_eq!(idx.delta_impls.len(), 1);
-        assert_eq!(idx.delta_impls[0].type_name, "MissingDelta");
-        assert_eq!(idx.test_fns.len(), 1);
-        let t = &idx.test_fns[0];
-        assert!(t.equivalence);
-        assert!(t.types.iter().any(|n| n == "MissingDelta"));
     }
 
     #[test]

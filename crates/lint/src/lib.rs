@@ -15,10 +15,9 @@
 //! suppressions); [`rules`] runs seven per-file token checks over the
 //! comment-free tokens. A second, workspace-level layer —
 //! [`index`] (one-pass serialisable index of metric sites, exit arms,
-//! `DeltaStat` impls, test fns, and lock acquisitions) feeding
-//! [`semantic`] — runs five cross-file contract rules: counter
-//! vocabulary sync, the exit-code registry, delta-equivalence test
-//! coverage, lock-order cycles, and stale suppressions. The `oeb-lint`
+//! and lock acquisitions) feeding [`semantic`] — runs four cross-file
+//! contract rules: counter vocabulary sync, the exit-code registry,
+//! lock-order cycles, and stale suppressions. The `oeb-lint`
 //! binary walks the workspace and gates CI:
 //!
 //! ```text

@@ -248,14 +248,12 @@ fn run_index(args: &[String]) -> ExitCode {
         let idx = &ws.index;
         println!(
             "oeb-lint index: {} files, {} counters ({} in vocabulary), {} gauges, \
-             {} exit codes, {} DeltaStat impls, {} test fns, {} lock sites, {} lock edges",
+             {} exit codes, {} lock sites, {} lock edges",
             idx.file_count,
             idx.counters.len(),
             idx.counter_vocabulary().len(),
             idx.gauges.len(),
             idx.exit_arms.len(),
-            idx.delta_impls.len(),
-            idx.test_fns.len(),
             idx.lock_sites.len(),
             idx.lock_edges.len()
         );

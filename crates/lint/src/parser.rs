@@ -2,8 +2,8 @@
 //!
 //! Where the v1 rules matched raw token shapes, the v2 semantic rules
 //! need to know *what item* a token belongs to: which `fn` a lock is
-//! acquired in, whether an `impl` implements `DeltaStat`, whether a
-//! `const` is the generated counter vocabulary, which functions carry
+//! acquired in, which type an `impl` block is for, whether a `const`
+//! is the generated counter vocabulary, which functions carry
 //! `#[test]`. This parser recovers exactly that structure — items with
 //! names, attributes, fields, parameters, and body token ranges — and
 //! deliberately nothing more: expressions stay a flat token slice that
@@ -67,8 +67,6 @@ pub struct Item {
     /// Item name: the fn/struct/enum/mod/const name; for an `impl`,
     /// the implemented *type* name (last path segment).
     pub name: String,
-    /// For `impl Trait for Type`, the trait's last path segment.
-    pub trait_name: Option<String>,
     pub attrs: Vec<Attr>,
     /// First line of the item (its first attribute if any).
     pub start_line: u32,
@@ -203,7 +201,6 @@ impl<'a> Parser<'a> {
         let mut item = Item {
             kind,
             name: String::new(),
-            trait_name: None,
             attrs,
             start_line,
             end_line: kw.line,
@@ -450,7 +447,7 @@ impl<'a> Parser<'a> {
     }
 
     /// `impl<G> Path for Path where … { items }` — `name` is the target
-    /// type's last path segment, `trait_name` the trait's (when present).
+    /// type's last path segment.
     fn finish_impl(&mut self, item: &mut Item, end: usize) {
         // Skip generic parameters `<…>` by angle counting.
         if self.is_punct(self.pos, "<") {
@@ -473,14 +470,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let first = self.path_last_segment(end);
+        item.name = self.path_last_segment(end);
         if self.is_ident(self.pos, "for") {
             self.pos += 1;
-            let target = self.path_last_segment(end);
-            item.trait_name = Some(first);
-            item.name = target;
-        } else {
-            item.name = first;
+            item.name = self.path_last_segment(end);
         }
         let (stop, has_body) = self.body_or_semi(self.pos, end);
         if has_body {
@@ -713,16 +706,14 @@ mod tests {
     }
 
     #[test]
-    fn impls_capture_trait_and_type() {
-        let src = "impl DeltaStat for MissingDelta { fn absorb(&mut self) {} }\n\
+    fn impls_are_named_after_their_type() {
+        let src = "impl fmt::Display for Report { fn fmt(&self) {} }\n\
                    impl<T> Plain<T> { fn m(&self) {} }\n";
         let items = parse(src);
         assert_eq!(items[0].kind, ItemKind::Impl);
-        assert_eq!(items[0].trait_name.as_deref(), Some("DeltaStat"));
-        assert_eq!(items[0].name, "MissingDelta");
+        assert_eq!(items[0].name, "Report");
         assert_eq!(items[0].children.len(), 1);
-        assert_eq!(items[0].children[0].name, "absorb");
-        assert_eq!(items[1].trait_name, None);
+        assert_eq!(items[0].children[0].name, "fmt");
         assert_eq!(items[1].name, "Plain");
         assert_eq!(items[1].children[0].name, "m");
     }

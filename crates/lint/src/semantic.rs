@@ -1,11 +1,10 @@
 //! Workspace-level semantic rules, consuming the [`WorkspaceIndex`].
 //!
-//! Where the token rules judge one file at a time, these five rules
+//! Where the token rules judge one file at a time, these four rules
 //! check contracts that span the workspace: the counter vocabulary
 //! must match the construction sites, the exit-code registry must
-//! match the documented table, every `DeltaStat` impl must carry an
-//! equivalence test, the static lock graph must be acyclic, and every
-//! suppression must still have something to suppress.
+//! match the documented table, the static lock graph must be acyclic,
+//! and every suppression must still have something to suppress.
 //!
 //! Suppression works exactly as for token rules: each diagnostic is
 //! anchored to a source line, and an `// oeb-lint: allow(<rule>)` on
@@ -37,13 +36,6 @@ pub const SEMANTIC_RULES: &[(&str, &str, &str)] = &[
          the checked-in EXIT_CODES.md table matches the source (README links the table)",
         "update crates/oebench/src/error.rs and EXIT_CODES.md together so codes, kinds, \
          and rows agree",
-    ),
-    (
-        "delta-equivalence",
-        "every type implementing DeltaStat is exercised by at least one test asserting \
-         bitwise/snapshot equivalence against the batch path",
-        "add a `#[test]` naming the delta type whose name or body marks it as an \
-         equivalence check (`*_bitwise`, `*_matches_*`, or a `to_bits` assertion)",
     ),
     (
         "lock-order",
@@ -120,12 +112,11 @@ impl Workspace {
         out
     }
 
-    /// The four index-driven rules, unsuppressed.
+    /// The three index-driven rules, unsuppressed.
     pub fn semantic_raw(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         self.counter_vocab_sync(&mut out);
         self.exit_code_registry(&mut out);
-        self.delta_equivalence(&mut out);
         self.lock_order(&mut out);
         out
     }
@@ -386,37 +377,6 @@ impl Workspace {
                 hint: HINT,
             }),
             Err(_) => {}
-        }
-    }
-
-    // -- delta-equivalence --------------------------------------------------
-
-    /// Every `impl DeltaStat for T` must be named in at least one test
-    /// that asserts equivalence with a batch recomputation — the contract
-    /// a maintained statistic's correctness rests on.
-    fn delta_equivalence(&self, out: &mut Vec<Diagnostic>) {
-        const RULE: &str = "delta-equivalence";
-        const HINT: &str = "add a `#[test]` naming the delta type whose name or body marks it \
-                            as an equivalence check (`*_bitwise`, `*_matches_*`, or a `to_bits` \
-                            assertion)";
-        for imp in &self.index.delta_impls {
-            let covered = self
-                .index
-                .test_fns
-                .iter()
-                .any(|t| t.equivalence && t.types.iter().any(|n| n == &imp.type_name));
-            if !covered {
-                out.push(self.semantic_diag(
-                    RULE,
-                    HINT,
-                    &imp.file,
-                    imp.line,
-                    format!(
-                        "`{}` implements DeltaStat but no equivalence test names it",
-                        imp.type_name
-                    ),
-                ));
-            }
         }
     }
 

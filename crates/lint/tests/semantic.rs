@@ -1,4 +1,4 @@
-//! Golden tests for the five workspace-level semantic rules. Each
+//! Golden tests for the four workspace-level semantic rules. Each
 //! fixture under `tests/fixtures/semantic/` is a miniature workspace:
 //! the `_pos` variant must produce exactly the diagnostics listed in
 //! its `expected.txt` (one `<file> <line> <rule>` triple per line),
@@ -66,16 +66,6 @@ fn exit_code_registry_positive() {
 #[test]
 fn exit_code_registry_suppressed() {
     assert_fixture("exit_code_allow");
-}
-
-#[test]
-fn delta_equivalence_positive() {
-    assert_fixture("delta_equiv_pos");
-}
-
-#[test]
-fn delta_equivalence_suppressed() {
-    assert_fixture("delta_equiv_allow");
 }
 
 #[test]

@@ -17,4 +17,4 @@ pub mod trainer;
 
 pub use exemplar::ExemplarBuffer;
 pub use mlp::{argmax, softmax, softmax_into, Mlp, Objective, TrainOpts};
-pub use trainer::{train_window, train_window_reference, Regularizer, SgdConfig};
+pub use trainer::{train_window, Regularizer, SgdConfig};

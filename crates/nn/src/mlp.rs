@@ -255,8 +255,8 @@ impl Mlp {
     /// kernel keeps every output element's accumulation chain in the
     /// historical per-sample order (bias-seeded, k-ascending, row-
     /// ascending respectively), so the result is bit-identical to
-    /// [`Mlp::train_batch_reference`] — asserted by the proptests in
-    /// `tests/proptests.rs` and re-checked by `bench_train`.
+    /// [`Mlp::train_batch_reference`] — asserted by the proptest
+    /// `batched_train_matches_reference_bitwise` in `tests/proptests.rs`.
     pub fn train_batch(
         &mut self,
         xs: &Matrix,
@@ -430,7 +430,7 @@ impl Mlp {
 
     /// The historical per-sample `train_batch` body, retained verbatim as
     /// the bitwise reference for the batched path (proptested in
-    /// `tests/proptests.rs`, timed by `bench_train`).
+    /// `tests/proptests.rs`, which is why it stays public).
     pub fn train_batch_reference(
         &mut self,
         xs: &Matrix,

@@ -67,31 +67,6 @@ pub fn train_window(
     cfg: &SgdConfig,
     reg: &Regularizer,
 ) -> f64 {
-    train_window_impl(model, xs, ys, cfg, reg, false)
-}
-
-/// [`train_window`] driving the retained per-sample
-/// [`Mlp::train_batch_reference`] instead of the batched GEMM path.
-/// Exists so `bench_train` and the equivalence tests can time/compare
-/// whole-window training on both paths with identical shuffling.
-pub fn train_window_reference(
-    model: &mut Mlp,
-    xs: &Matrix,
-    ys: &[f64],
-    cfg: &SgdConfig,
-    reg: &Regularizer,
-) -> f64 {
-    train_window_impl(model, xs, ys, cfg, reg, true)
-}
-
-fn train_window_impl(
-    model: &mut Mlp,
-    xs: &Matrix,
-    ys: &[f64],
-    cfg: &SgdConfig,
-    reg: &Regularizer,
-    reference: bool,
-) -> f64 {
     assert_eq!(xs.rows(), ys.len(), "feature/target length mismatch");
     if xs.rows() == 0 {
         return 0.0;
@@ -121,11 +96,7 @@ fn train_window_impl(
         let mut epoch_loss = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            epoch_loss += if reference {
-                model.train_batch_reference(xs, ys, chunk, cfg.lr, &opts)
-            } else {
-                model.train_batch(xs, ys, chunk, cfg.lr, &opts)
-            };
+            epoch_loss += model.train_batch(xs, ys, chunk, cfg.lr, &opts);
             batches += 1;
         }
         last_epoch_loss = epoch_loss / batches.max(1) as f64;

@@ -500,23 +500,14 @@ type CacheSlot = Arc<Mutex<Option<CachedPrepare>>>;
 struct PrepareCache {
     map: HashMap<String, CacheSlot>,
     order: VecDeque<String>,
-    capacity: usize,
 }
 
 static CACHE: Mutex<Option<PrepareCache>> = Mutex::new(None);
 
-/// Default number of prepared streams kept resident. Sharing is
-/// temporally local (one dataset crosses all algorithms and seeds before
-/// the sweep moves on), so a small window suffices; override with
-/// `OEBENCH_PREPARE_CACHE` (0 disables caching).
-const DEFAULT_CAPACITY: usize = 8;
-
-fn capacity() -> usize {
-    std::env::var("OEBENCH_PREPARE_CACHE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_CAPACITY)
-}
+/// Number of prepared streams kept resident. Sharing is temporally
+/// local (one dataset crosses all algorithms and seeds before the sweep
+/// moves on), so a small window suffices.
+const CAPACITY: usize = 8;
 
 /// Cache key: dataset content fingerprint plus every config field the
 /// prepare stage reads. Learner hyper-parameters and the supervision
@@ -549,17 +540,12 @@ pub fn prepare_cached(
     dataset: &StreamDataset,
     config: &HarnessConfig,
 ) -> Result<Arc<PreparedStream>, HarnessError> {
-    let cap = capacity();
-    if cap == 0 {
-        return prepare_stream(dataset, config).map(Arc::new);
-    }
     let key = prepare_key(dataset, config);
     let slot: CacheSlot = {
         let mut guard = CACHE.lock();
         let cache = guard.get_or_insert_with(|| PrepareCache {
             map: HashMap::new(),
             order: VecDeque::new(),
-            capacity: cap,
         });
         match cache.map.get(&key) {
             Some(slot) => {
@@ -571,7 +557,7 @@ pub fn prepare_cached(
                 let slot: CacheSlot = Arc::new(Mutex::new(None));
                 cache.map.insert(key.clone(), slot.clone());
                 cache.order.push_back(key);
-                while cache.order.len() > cache.capacity {
+                while cache.order.len() > CAPACITY {
                     if let Some(evicted) = cache.order.pop_front() {
                         cache.map.remove(&evicted);
                         CACHE_EVICT.incr();

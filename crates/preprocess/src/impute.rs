@@ -149,9 +149,10 @@ impl Imputer for KnnImputer {
 /// The pre-kernel brute-force KNN imputation: rank *every* reference row by
 /// NaN-aware distance, then per missing column take the first `k` ranked
 /// rows observing it. Retained verbatim as the semantic reference — the
-/// pruned path must match it bit for bit (asserted by tests and the kernel
-/// benchmark).
-pub fn knn_impute_reference(k: usize, data: &mut Matrix, reference: &Matrix) {
+/// pruned path must match it bit for bit (asserted by
+/// `pruned_knn_is_bit_identical_to_reference`) — and run by
+/// [`KnnImputer`] when the data and reference widths differ.
+fn knn_impute_reference(k: usize, data: &mut Matrix, reference: &Matrix) {
     let k = k.max(1);
     let fallback = nan_col_means(reference);
     let n_ref = reference.rows();

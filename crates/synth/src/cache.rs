@@ -26,25 +26,15 @@ static CACHE_EVICT: Counter = Counter::new("synth.cache.evict");
 struct GenCache {
     map: HashMap<(String, u64), Arc<StreamDataset>>,
     order: VecDeque<(String, u64)>,
-    capacity: usize,
 }
 
 static CACHE: Mutex<Option<GenCache>> = Mutex::new(None);
 
-/// Default number of `(spec, seed)` entries kept resident.
-const DEFAULT_CAPACITY: usize = 16;
-
-fn capacity() -> usize {
-    std::env::var("OEBENCH_SYNTH_CACHE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_CAPACITY)
-}
+/// Number of `(spec, seed)` entries kept resident.
+const CAPACITY: usize = 16;
 
 /// Memoized [`generate`]: returns a shared handle to the dataset for
-/// `(spec, seed)`, generating it on first request. A capacity of zero
-/// (via `OEBENCH_SYNTH_CACHE=0`) disables retention — every call
-/// regenerates.
+/// `(spec, seed)`, generating it on first request.
 ///
 /// The key is the spec's full `Debug` rendering plus the seed, so any
 /// field change (rows, drift pattern, window, ...) is a distinct entry.
@@ -54,7 +44,6 @@ pub fn generate_cached(spec: &StreamSpec, seed: u64) -> Arc<StreamDataset> {
     let cache = guard.get_or_insert_with(|| GenCache {
         map: HashMap::new(),
         order: VecDeque::new(),
-        capacity: capacity(),
     });
     if let Some(hit) = cache.map.get(&key) {
         CACHE_HIT.incr();
@@ -65,14 +54,12 @@ pub fn generate_cached(spec: &StreamSpec, seed: u64) -> Arc<StreamDataset> {
     // pair would otherwise duplicate the (deterministic) work, and
     // generation is cheap relative to the downstream evaluation.
     let dataset = Arc::new(generate(spec, seed));
-    if cache.capacity > 0 {
-        cache.map.insert(key.clone(), dataset.clone());
-        cache.order.push_back(key);
-        while cache.order.len() > cache.capacity {
-            if let Some(evicted) = cache.order.pop_front() {
-                cache.map.remove(&evicted);
-                CACHE_EVICT.incr();
-            }
+    cache.map.insert(key.clone(), dataset.clone());
+    cache.order.push_back(key);
+    while cache.order.len() > CAPACITY {
+        if let Some(evicted) = cache.order.pop_front() {
+            cache.map.remove(&evicted);
+            CACHE_EVICT.incr();
         }
     }
     dataset

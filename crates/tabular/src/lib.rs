@@ -12,7 +12,6 @@
 pub mod column;
 pub mod csv;
 pub mod dataset;
-pub mod delta;
 pub mod mask;
 pub mod schema;
 pub mod table;
@@ -21,7 +20,6 @@ pub mod window;
 pub use column::Column;
 pub use csv::{read_table, write_table, CsvError};
 pub use dataset::{Domain, StreamDataset};
-pub use delta::DeltaStat;
 pub use mask::FiniteMask;
 pub use schema::{Field, FieldKind, Schema, Task};
 pub use table::{MissingStats, Table};

@@ -4,7 +4,6 @@
 //! (§4.5 of the paper).
 
 use oeb_linalg::Matrix;
-use oeb_tabular::DeltaStat;
 use oeb_trace::Counter;
 
 /// Grace-period split evaluations performed across all trees.
@@ -34,15 +33,17 @@ impl Gaussian {
     }
 
     /// P(X <= x) under the fitted Gaussian.
+    #[cfg(test)]
     fn cdf(&self, x: f64) -> f64 {
         cdf_with(self.mean, self.std(), x)
     }
 }
 
-/// [`Gaussian::cdf`] with the standard deviation precomputed: split
-/// evaluation caches `std()` once per (feature, class) instead of
-/// recomputing it for each of the eight candidate thresholds. Same
-/// arithmetic, so the cached path is bit-identical.
+/// P(X <= x) under a Gaussian with mean `mean` and standard deviation
+/// `s`. Split evaluation caches `std()` once per (feature, class) and
+/// passes it here for each of the eight candidate thresholds; the test
+/// reference evaluator recomputes it per threshold, with the same
+/// arithmetic, so both paths produce the same bits.
 fn cdf_with(mean: f64, s: f64, x: f64) -> f64 {
     if s <= 1e-12 {
         return if x >= mean { 1.0 } else { 0.0 };
@@ -63,13 +64,13 @@ fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Maintained per-leaf class-count aggregates in the [`DeltaStat`]
-/// spirit: the running total, the presence count (classes with a
-/// nonzero count), and the incrementally tracked majority class.
+/// Maintained per-leaf class-count aggregates: the running total, the
+/// presence count (classes with a nonzero count), and the incrementally
+/// tracked majority class.
 ///
 /// Exactness contract (each piece is asserted bitwise by
 /// `leaf_totals_snapshot_matches_batch_rescan`):
-/// * `total` — counts only ever change by `±1.0`, so both the running
+/// * `total` — counts only ever grow by `1.0`, so both the running
 ///   total and any left-to-right re-sum are exact integer arithmetic
 ///   below 2^53 and produce identical bits;
 /// * `majority` — maintained with the first-argmax rule (a class takes
@@ -139,22 +140,11 @@ impl LeafTotals {
             }
         }
     }
-
-    fn retract_class(&mut self, y: usize) {
-        self.counts[y] -= 1.0;
-        self.total -= 1.0;
-        // oeb-lint: allow(float-eq) -- counts are exact integers
-        if self.counts[y] == 0.0 {
-            self.present -= 1;
-        }
-        // Retraction can demote the incumbent in favour of any class, so
-        // rescan (retraction only happens on the DeltaStat path, never in
-        // the tree's hot loop).
-        self.majority = rescan_majority(&self.counts);
-    }
 }
 
-/// First-index argmax over the counts (the historical majority rule).
+/// First-index argmax over the counts (the historical majority rule):
+/// the rescan the tests check [`LeafTotals::majority`] against.
+#[cfg(test)]
 fn rescan_majority(counts: &[f64]) -> usize {
     let mut best = 0;
     for (c, &v) in counts.iter().enumerate() {
@@ -163,27 +153,6 @@ fn rescan_majority(counts: &[f64]) -> usize {
         }
     }
     best
-}
-
-impl DeltaStat for LeafTotals {
-    /// `(total, majority, present)`.
-    type Output = (f64, usize, usize);
-
-    /// Absorbs one labelled sample; `row[0]` is the class index.
-    fn absorb(&mut self, row: &[f64]) {
-        let y = (row.first().copied().unwrap_or(0.0) as usize).min(self.counts.len() - 1);
-        self.absorb_class(y);
-    }
-
-    /// Retracts one previously absorbed sample.
-    fn retract(&mut self, row: &[f64]) {
-        let y = (row.first().copied().unwrap_or(0.0) as usize).min(self.counts.len() - 1);
-        self.retract_class(y);
-    }
-
-    fn snapshot(&self) -> (f64, usize, usize) {
-        (self.total, self.majority, self.present)
-    }
 }
 
 /// Reused buffers for split evaluation: the per-class `(n, mean, std)`
@@ -267,10 +236,11 @@ impl LeafStats {
     /// feature against its own neighbouring thresholds would make
     /// `best - second` vanish for every informative attribute.
     ///
-    /// This is the maintained-aggregate fast path; it is bit-identical
-    /// to [`LeafStats::best_splits_reference`] (asserted by the in-crate
-    /// equivalence tests and timed by `bench_train`) via three exact
-    /// rewrites of the historical evaluation:
+    /// This is the maintained-aggregate fast path. Three exact rewrites
+    /// of the historical evaluation (kept as the test-only
+    /// `best_splits_reference`) make it bit-identical to that
+    /// evaluation, as `fast_split_eval_matches_reference_bitwise`
+    /// asserts:
     /// * **pure-leaf skip** — with at most one observed class the parent
     ///   entropy is `-0.0` and every admissible child entropy term is
     ///   `nl * -0.0 = -0.0`, so every candidate gain is exactly
@@ -357,6 +327,7 @@ impl LeafStats {
     /// in the same order): re-sums the total, recomputes every std per
     /// threshold, and allocates fresh left/right vectors — the bitwise
     /// reference for [`LeafStats::best_splits`].
+    #[cfg(test)]
     fn best_splits_reference(&self, allowed: &[usize]) -> (f64, usize, f64, f64) {
         let counts = self.totals.counts();
         let parent = Self::entropy(counts);
@@ -600,10 +571,10 @@ impl HoeffdingTree {
 
     /// Evaluates split candidates at the root leaf on the fast
     /// (maintained-aggregate) or retained reference path. Returns `None`
-    /// once the root has split. Bench/test hook for timing and bitwise
-    /// comparison of the two evaluators; not part of the learner API.
-    #[doc(hidden)]
-    pub fn root_split_eval(&mut self, reference: bool) -> Option<(f64, usize, f64, f64)> {
+    /// once the root has split. Test hook for the bitwise comparison of
+    /// the two evaluators.
+    #[cfg(test)]
+    fn root_split_eval(&mut self, reference: bool) -> Option<(f64, usize, f64, f64)> {
         let Self {
             root,
             scratch,
@@ -622,7 +593,6 @@ impl HoeffdingTree {
             Node::Leaf(stats) => Some(if reference {
                 stats.best_splits_reference(allowed)
             } else {
-                SPLIT_CHECKS.incr();
                 stats.best_splits(allowed, scratch)
             }),
             Node::Split { .. } => None,
@@ -740,48 +710,47 @@ mod tests {
         assert!(p < 2);
     }
 
-    /// The [`LeafTotals`] delta aggregates (total / majority / presence)
-    /// must match a batch rescan of the raw counts bitwise after any
-    /// absorb/retract sequence.
+    /// The [`LeafTotals`] maintained aggregates (total / majority /
+    /// presence / counts) must match a batch rescan of the absorbed
+    /// labels bitwise after every sample. The label draw drifts from
+    /// class to class, so the majority changes hands, including on ties
+    /// won by a lower index.
     #[test]
     fn leaf_totals_snapshot_matches_batch_rescan() {
         let n_classes = 5;
         let mut totals = LeafTotals::new(n_classes);
-        let mut live: Vec<Vec<f64>> = Vec::new();
+        let mut labels: Vec<usize> = Vec::new();
         let mut state = 0x9e3779b97f4a7c15u64;
         for step in 0..4000 {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let retract = !live.is_empty() && (step % 3 == 2);
-            if retract {
-                let idx = (state >> 33) as usize % live.len();
-                let row = live.swap_remove(idx);
-                totals.retract(&row);
+            let draw = (state >> 33) as usize;
+            let y = if draw.is_multiple_of(3) {
+                n_classes - 1 - (step / 400) % n_classes
             } else {
-                let row = vec![((state >> 33) as usize % n_classes) as f64];
-                totals.absorb(&row);
-                live.push(row);
-            }
-            // Batch rescan from the surviving rows.
+                draw % n_classes
+            };
+            totals.absorb_class(y);
+            labels.push(y);
+            // Batch rescan of every absorbed label.
             let mut counts = vec![0.0f64; n_classes];
-            for row in &live {
-                counts[row[0] as usize] += 1.0;
+            for &label in &labels {
+                counts[label] += 1.0;
             }
             let total: f64 = counts.iter().sum();
             let present = counts.iter().filter(|&&c| c > 0.0).count();
-            let (t, maj, p) = totals.snapshot();
             assert_eq!(
-                t.to_bits(),
+                totals.total().to_bits(),
                 total.to_bits(),
                 "total diverged at step {step}"
             );
             assert_eq!(
-                maj,
+                totals.majority(),
                 rescan_majority(&counts),
                 "majority diverged at step {step}"
             );
-            assert_eq!(p, present, "presence diverged at step {step}");
+            assert_eq!(totals.present, present, "presence diverged at step {step}");
             for (c, (&a, &b)) in totals.counts().iter().zip(&counts).enumerate() {
                 assert_eq!(
                     a.to_bits(),
