@@ -92,6 +92,26 @@ grep -Eq 'profile\.cells\.attributed +[1-9]' "$smoke_dir/metrics.txt" \
 grep -Eq 'evaluate\.window\.latency_us +count=[1-9]' "$smoke_dir/metrics.txt" \
     || { echo "ci: no evaluate.window.latency_us histogram in --metrics output" >&2; exit 1; }
 
+# Smoke: the experiment grid. Figure 14 (AIR x 7 imputers x 2 seeds x 3
+# learners through run_matrix) must render byte-identically at one
+# worker and at four, and the learners of each prepared stream must
+# share it: run_matrix runs them back to back, so the prepare cache
+# reports hits.
+for threads in 1 4; do
+    extra=()
+    if [ "$threads" = 4 ]; then
+        extra=(--metrics)
+    fi
+    cargo run --release -p oeb-bench --bin repro -- fig14 --scale 0.05 --seeds 2 \
+        --threads "$threads" --out "$smoke_dir/fig14_t$threads" "${extra[@]}" \
+        2> "$smoke_dir/fig14_t${threads}.err" \
+        || { cat "$smoke_dir/fig14_t${threads}.err"; exit 1; }
+done
+diff "$smoke_dir/fig14_t1/fig14.txt" "$smoke_dir/fig14_t4/fig14.txt" \
+    || { echo "ci: fig14 differs between 1 and 4 threads" >&2; exit 1; }
+grep -Eq 'prepare\.cache\.hit +[1-9]' "$smoke_dir/fig14_t4.err" \
+    || { echo "ci: fig14 learners did not share prepared streams" >&2; exit 1; }
+
 # Smoke: traced-vs-untraced statistics. The stats report must be
 # byte-identical with tracing on and off; the traced run's spans must
 # validate, its counters must pass the counter vocabulary gate, and the

@@ -256,8 +256,9 @@ fn run_repro_inner(opts: &ReproOptions) -> std::io::Result<Vec<ExperimentOutput>
         scale: opts.scale,
         seeds: (0..opts.n_seeds as u64).collect(),
     };
-    // Deep call sites (run_matrix's experiment grid) resolve their
-    // worker count through this process-wide default.
+    // The experiment grid behind every table and figure (`run_matrix`)
+    // and the statistics task list resolve their worker count through
+    // this process-wide default.
     oeb_core::set_default_threads(opts.threads);
     fs::create_dir_all(&opts.out_dir)?;
     let mut stats_cache: Option<Vec<OeStats>> = None;

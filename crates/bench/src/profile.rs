@@ -17,12 +17,15 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use oeb_core::parallel_map;
+use serde_json::Value;
 
-/// Span names that carry a whole cell's wall time. `cell.run` wraps the
-/// per-seed harness funnel (every execution path); `sweep.cell` is the
-/// sweep's per-grid-cell umbrella and is only used as a fallback for
-/// traces recorded before the harness span existed.
-const CELL_WALL_SPANS: [&str; 2] = ["cell.run", "sweep.cell"];
+/// The span that carries a whole cell's wall time: `cell.run` wraps
+/// `try_run_stream`, the one per-run funnel of every execution path.
+const CELL_WALL_SPAN: &str = "cell.run";
+
+/// The attribution fields a span carries when it ran under a `CellCtx`:
+/// all four or none, since they serialise from one context.
+const ATTRIBUTION: [&str; 4] = ["dataset", "learner", "cell_seed", "rows"];
 
 /// One span record parsed back out of a trace file.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,65 +81,105 @@ pub struct ParsedTrace {
     pub footer: TraceFooter,
 }
 
-fn field_u64(v: &serde_json::Value, key: &str, line: usize) -> Result<u64, String> {
+fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
     v.get(key)
-        .and_then(|x| x.as_u64())
-        .ok_or_else(|| format!("line {line}: `{key}` missing or not a non-negative integer"))
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("`{key}` missing or not a non-negative integer"))
 }
 
-/// Parse a schema-v2 trace JSONL document: every span carries `start_ns`
-/// and `dur_ns`, and a footer line ends the file. Rejects malformed lines
-/// with a message naming the line number, and a trace without a footer.
+/// An optional attribution field: absent, or well typed.
+fn attribution_field<T>(
+    v: &Value,
+    key: &str,
+    parse: impl Fn(&Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(key)
+        .map(|x| parse(x).ok_or_else(|| format!("`{key}` is mistyped or empty")))
+        .transpose()
+}
+
+/// Validates the span record that `id` spans precede.
+fn parse_span(v: &Value, id: u64) -> Result<TraceSpan, String> {
+    let found = field_u64(v, "id")?;
+    if found != id {
+        return Err(format!(
+            "ids must run 0..n in order: expected {id}, got {found}"
+        ));
+    }
+    for key in ["seq", "start_us", "dur_us"] {
+        field_u64(v, key)?;
+    }
+    let text = |x: &Value| x.as_str().filter(|s| !s.is_empty()).map(String::from);
+    let name = v
+        .get("name")
+        .and_then(text)
+        .ok_or("`name` missing or empty")?;
+    let present = ATTRIBUTION.iter().filter(|k| v.get(k).is_some()).count();
+    if present != 0 && present != ATTRIBUTION.len() {
+        return Err(format!(
+            "partial attribution: {present} of {ATTRIBUTION:?} present"
+        ));
+    }
+    Ok(TraceSpan {
+        name,
+        slot: field_u64(v, "slot")?,
+        start_ns: field_u64(v, "start_ns")?,
+        dur_ns: field_u64(v, "dur_ns")?,
+        dataset: attribution_field(v, "dataset", text)?,
+        learner: attribution_field(v, "learner", text)?,
+        cell_seed: attribution_field(v, "cell_seed", Value::as_u64)?,
+        rows: attribution_field(v, "rows", Value::as_u64)?,
+    })
+}
+
+/// Validates the footer record that `spans` span records precede.
+fn parse_footer(v: &Value, spans: u64) -> Result<TraceFooter, String> {
+    let footer = TraceFooter {
+        schema: field_u64(v, "schema")?,
+        events: field_u64(v, "events")?,
+        dropped: field_u64(v, "dropped")?,
+    };
+    if footer.schema < 2 {
+        return Err(format!(
+            "footer `schema` must be >= 2, got {}",
+            footer.schema
+        ));
+    }
+    if footer.events != spans {
+        return Err(format!(
+            "footer claims {} events but the file holds {spans}",
+            footer.events
+        ));
+    }
+    Ok(footer)
+}
+
+/// Parse and validate a schema-v2 trace JSONL document, the one reader
+/// behind `trace_check` and `oeb-profile`. Every span carries ids
+/// `0..n` in file order, unsigned `slot`/`seq`/`start_us`/`dur_us`/
+/// `start_ns`/`dur_ns`, a non-empty `name`, and either all four
+/// attribution fields, well typed, or none. The footer (`schema >= 2`)
+/// ends the file and its `events` equals the span count. Rejects the
+/// first violation (a blank line is invalid JSON) with a message naming
+/// its line, and a trace without a footer.
 pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
     let mut spans = Vec::new();
     let mut footer = None;
     for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
+        let at_line = |e: String| format!("line {}: {e}", idx + 1);
         if footer.is_some() {
-            return Err(format!("line {lineno}: record after the footer"));
+            return Err(at_line("record after the footer".into()));
         }
-        let v: serde_json::Value =
-            serde_json::from_str(line).map_err(|e| format!("line {lineno}: invalid JSON: {e}"))?;
-        match v.get("type").and_then(|t| t.as_str()) {
-            Some("span") => {
-                spans.push(TraceSpan {
-                    name: v
-                        .get("name")
-                        .and_then(|n| n.as_str())
-                        .ok_or_else(|| format!("line {lineno}: `name` missing"))?
-                        .to_string(),
-                    slot: field_u64(&v, "slot", lineno)?,
-                    start_ns: field_u64(&v, "start_ns", lineno)?,
-                    dur_ns: field_u64(&v, "dur_ns", lineno)?,
-                    dataset: v.get("dataset").and_then(|x| x.as_str()).map(String::from),
-                    learner: v.get("learner").and_then(|x| x.as_str()).map(String::from),
-                    cell_seed: v.get("cell_seed").and_then(|x| x.as_u64()),
-                    rows: v.get("rows").and_then(|x| x.as_u64()),
-                });
-            }
-            Some("footer") => {
-                footer = Some(TraceFooter {
-                    schema: field_u64(&v, "schema", lineno)?,
-                    events: field_u64(&v, "events", lineno)?,
-                    dropped: field_u64(&v, "dropped", lineno)?,
-                });
-            }
-            other => {
-                return Err(format!("line {lineno}: unknown record type {other:?}"));
-            }
+        let v: Value =
+            serde_json::from_str(line).map_err(|e| at_line(format!("invalid JSON: {e}")))?;
+        let n = spans.len() as u64;
+        match v.get("type").and_then(Value::as_str) {
+            Some("span") => spans.push(parse_span(&v, n).map_err(at_line)?),
+            Some("footer") => footer = Some(parse_footer(&v, n).map_err(at_line)?),
+            other => return Err(at_line(format!("unknown record type {other:?}"))),
         }
     }
     let footer = footer.ok_or("trace has no footer line (schema v2 ends with one)")?;
-    if footer.events != spans.len() as u64 {
-        return Err(format!(
-            "footer claims {} events but the file holds {}",
-            footer.events,
-            spans.len()
-        ));
-    }
     Ok(ParsedTrace { spans, footer })
 }
 
@@ -244,10 +287,6 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
             by_cell.entry(key).or_default().push(s);
         }
     }
-    let wall_span = CELL_WALL_SPANS
-        .iter()
-        .copied()
-        .find(|w| trace.spans.iter().any(|s| s.name == *w));
     let grouped: Vec<_> = by_cell.iter().collect();
     let mut cells: Vec<CellProfile> = parallel_map(grouped.len(), threads.max(1), |i| {
         let ((dataset, learner, seed), spans) = &grouped[i];
@@ -263,7 +302,7 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
             let t = cell.stages.entry(s.name.clone()).or_default();
             t.count += 1;
             t.total_ns += s.dur_ns;
-            if Some(s.name.as_str()) == wall_span {
+            if s.name == CELL_WALL_SPAN {
                 cell.wall_ns += s.dur_ns;
             }
         }
@@ -303,7 +342,7 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
     let cell_workers = trace
         .spans
         .iter()
-        .filter(|s| Some(s.name.as_str()) == wall_span)
+        .filter(|s| s.name == CELL_WALL_SPAN)
         .map(|s| s.slot)
         .collect::<std::collections::BTreeSet<_>>()
         .len()
@@ -334,11 +373,6 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
         lower_bound_ns,
         utilization,
     }
-}
-
-/// Convenience: parse then analyse.
-pub fn profile_trace(text: &str, threads: usize) -> Result<Profile, String> {
-    Ok(analyze(&parse_trace(text)?, threads))
 }
 
 fn stage_map_json(stages: &BTreeMap<String, StageTotal>) -> serde_json::Value {
@@ -543,22 +577,23 @@ pub fn check_metrics(p: &Profile, metrics_text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
 
-    fn span(name: &str, slot: u64, start: u64, dur: u64) -> String {
+    fn span(id: u64, name: &str, slot: u64, start: u64, dur: u64) -> String {
         format!(
-            "{{\"type\":\"span\",\"id\":0,\"slot\":{slot},\"seq\":0,\"name\":\"{name}\",\"start_us\":{},\"dur_us\":{},\"start_ns\":{start},\"dur_ns\":{dur}}}",
+            "{{\"type\":\"span\",\"id\":{id},\"slot\":{slot},\"seq\":0,\"name\":\"{name}\",\"start_us\":{},\"dur_us\":{},\"start_ns\":{start},\"dur_ns\":{dur}}}",
             start / 1_000,
             dur / 1_000
         )
     }
 
     fn cell_span(
+        id: u64,
         name: &str,
         slot: u64,
         start: u64,
         dur: u64,
         cell: (&str, &str, u64, u64),
     ) -> String {
-        let mut line = span(name, slot, start, dur);
+        let mut line = span(id, name, slot, start, dur);
         line.pop();
         format!(
             "{line},\"dataset\":\"{}\",\"learner\":\"{}\",\"cell_seed\":{},\"rows\":{}}}",
@@ -568,16 +603,17 @@ mod tests {
 
     fn sample_trace() -> String {
         let lines = [
-            cell_span("cell.run", 1, 0, 4_000_000, ("beijing", "arf", 7, 100)),
+            cell_span(0, "cell.run", 1, 0, 4_000_000, ("beijing", "arf", 7, 100)),
             cell_span(
+                1,
                 "evaluate.train",
                 1,
                 100,
                 1_000_000,
                 ("beijing", "arf", 7, 100),
             ),
-            cell_span("cell.run", 2, 0, 2_000_000, ("room", "tree", 9, 50)),
-            span("report.render", 0, 4_000_000, 500_000),
+            cell_span(2, "cell.run", 2, 0, 2_000_000, ("room", "tree", 9, 50)),
+            span(3, "report.render", 0, 4_000_000, 500_000),
             "{\"type\":\"footer\",\"schema\":2,\"events\":4,\"dropped\":0}".to_string(),
         ];
         lines.join("\n") + "\n"
@@ -628,12 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn footer_event_count_must_match() {
-        let bad = sample_trace().replace("\"events\":4", "\"events\":9");
-        assert!(parse_trace(&bad).unwrap_err().contains("footer claims"));
-    }
-
-    #[test]
     fn v1_traces_are_rejected() {
         // Microsecond-only spans name the line and the missing field.
         let v1 = "{\"type\":\"span\",\"id\":0,\"slot\":0,\"seq\":0,\"name\":\"a\",\"start_us\":10,\"dur_us\":5}\n";
@@ -650,6 +680,45 @@ mod tests {
             .collect();
         assert!(parse_trace(&footerless).unwrap_err().contains("no footer"));
         assert!(parse_trace("").unwrap_err().contains("no footer"));
+    }
+
+    #[test]
+    fn malformed_lines_are_rejected_naming_the_line() {
+        let good = sample_trace();
+        assert!(parse_trace(&good).is_ok());
+        // (line, first occurrence to corrupt, its replacement, fragment)
+        let cases = [
+            (2, "\"id\":1", "\"id\":5", "ids must run"),
+            (1, "\"seq\":0,", "", "`seq`"),
+            (1, "\"start_us\":0", "\"start_us\":-1", "`start_us`"),
+            (4, "\"dur_us\":500", "\"dur_us\":0.5", "`dur_us`"),
+            (4, "\"report.render\"", "\"\"", "`name`"),
+            (1, ",\"rows\":100", "", "partial attribution"),
+            (1, "\"beijing\"", "7", "`dataset`"),
+            (3, "\"tree\"", "\"\"", "`learner`"),
+            (3, "\"cell_seed\":9", "\"cell_seed\":\"9\"", "`cell_seed`"),
+            (5, "\"schema\":2", "\"schema\":1", "`schema`"),
+            (5, "\"events\":4", "\"events\":3", "footer claims"),
+            (
+                3,
+                "\n{\"type\":\"span\",\"id\":2",
+                "\n\n{\"type\":\"span\",\"id\":2",
+                "invalid JSON",
+            ),
+        ];
+        for (line, from, to, fragment) in cases {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "{from} not in the fixture");
+            let err = parse_trace(&bad).unwrap_err();
+            assert!(
+                err.starts_with(&format!("line {line}: ")) && err.contains(fragment),
+                "{from} -> {to}: expected line {line} / {fragment}, got {err}"
+            );
+        }
+        // Nothing follows the footer.
+        let trailing = format!("{good}{}\n", span(4, "late", 0, 0, 1));
+        let err = parse_trace(&trailing).unwrap_err();
+        assert!(err.starts_with("line 6: record after the footer"), "{err}");
     }
 
     #[test]

@@ -67,45 +67,6 @@ impl FrameSource for FrameVec {
     }
 }
 
-/// A [`FrameSource`] over frames shared behind an [`Arc`](std::sync::Arc):
-/// many consumers (e.g. one prepare pass per fault plan, or a replay of a
-/// captured stream) iterate the same materialized window list without
-/// duplicating it. Each `next_frame` clones only the yielded window; the
-/// backing list itself is never copied per consumer.
-#[derive(Debug, Clone)]
-pub struct SharedFrames {
-    frames: std::sync::Arc<Vec<WindowFrame>>,
-    next: usize,
-}
-
-impl SharedFrames {
-    /// Wraps a shared frame list; iteration starts at the first frame.
-    pub fn new(frames: std::sync::Arc<Vec<WindowFrame>>) -> SharedFrames {
-        SharedFrames { frames, next: 0 }
-    }
-
-    /// Collects every frame of `source` into a shareable list.
-    pub fn capture<S: FrameSource>(source: &mut S) -> std::sync::Arc<Vec<WindowFrame>> {
-        let mut frames = Vec::with_capacity(source.n_windows());
-        while let Some(f) = source.next_frame() {
-            frames.push(f);
-        }
-        std::sync::Arc::new(frames)
-    }
-}
-
-impl FrameSource for SharedFrames {
-    fn n_windows(&self) -> usize {
-        self.frames.len()
-    }
-
-    fn next_frame(&mut self) -> Option<WindowFrame> {
-        let frame = self.frames.get(self.next)?.clone();
-        self.next += 1;
-        Some(frame)
-    }
-}
-
 /// Streams a [`StreamDataset`] window by window: each frame holds the
 /// one-hot encoded feature block and raw targets of one window. Neither
 /// imputation nor scaling happens here — that is the harness's job.
@@ -163,9 +124,11 @@ impl FrameSource for DatasetFrames<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
+    /// `n` windows of `rows x cols` consecutive values with alternating
+    /// binary targets (shared with the injector tests).
     pub(crate) fn toy_frames(n: usize, rows: usize, cols: usize) -> Vec<WindowFrame> {
         (0..n)
             .map(|w| {
@@ -179,29 +142,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    #[test]
-    fn shared_frames_replay_without_copying_the_list() {
-        let backing = std::sync::Arc::new(toy_frames(3, 4, 2));
-        let mut a = SharedFrames::new(backing.clone());
-        let mut b = SharedFrames::new(backing.clone());
-        // Two independent cursors over one backing list.
-        assert_eq!(a.next_frame().unwrap().index, 0);
-        assert_eq!(a.next_frame().unwrap().index, 1);
-        assert_eq!(b.next_frame().unwrap().index, 0);
-        assert_eq!(a.n_windows(), 3);
-        // Only the local Arcs (backing + two cursors) hold the list.
-        assert_eq!(std::sync::Arc::strong_count(&backing), 3);
-    }
-
-    #[test]
-    fn capture_materializes_a_source() {
-        let mut src = FrameVec::new(toy_frames(2, 3, 2));
-        let captured = SharedFrames::capture(&mut src);
-        assert_eq!(captured.len(), 2);
-        let mut replay = SharedFrames::new(captured);
-        assert_eq!(replay.next_frame().unwrap(), toy_frames(2, 3, 2)[0]);
     }
 
     #[test]

@@ -286,22 +286,8 @@ fn drop_column(m: &Matrix, victim: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::tests::toy_frames;
     use crate::frame::FrameVec;
-
-    fn toy_frames(n: usize, rows: usize, cols: usize) -> Vec<WindowFrame> {
-        (0..n)
-            .map(|w| {
-                let data: Vec<f64> = (0..rows * cols)
-                    .map(|i| (w * rows * cols + i) as f64)
-                    .collect();
-                WindowFrame {
-                    index: w,
-                    features: Matrix::from_vec(rows, cols, data),
-                    targets: (0..rows).map(|r| ((w + r) % 2) as f64).collect(),
-                }
-            })
-            .collect()
-    }
 
     fn drain<S: FrameSource>(mut src: S) -> Vec<WindowFrame> {
         let mut out = Vec::new();

@@ -19,6 +19,6 @@ mod frame;
 mod inject;
 mod plan;
 
-pub use frame::{DatasetFrames, FrameSource, FrameVec, SharedFrames, WindowFrame};
+pub use frame::{DatasetFrames, FrameSource, FrameVec, WindowFrame};
 pub use inject::{inject_dataset, FaultInjector};
 pub use plan::{FaultEvent, FaultKind, FaultLog, FaultPlan};

@@ -255,8 +255,8 @@ impl Mlp {
     /// kernel keeps every output element's accumulation chain in the
     /// historical per-sample order (bias-seeded, k-ascending, row-
     /// ascending respectively), so the result is bit-identical to
-    /// [`Mlp::train_batch_reference`] — asserted by the proptest
-    /// `batched_train_matches_reference_bitwise` in `tests/proptests.rs`.
+    /// `Mlp::train_batch_reference` — asserted by the proptest
+    /// `batched_train_matches_reference_bitwise` in this file's tests.
     pub fn train_batch(
         &mut self,
         xs: &Matrix,
@@ -429,9 +429,10 @@ impl Mlp {
     }
 
     /// The historical per-sample `train_batch` body, retained verbatim as
-    /// the bitwise reference for the batched path (proptested in
-    /// `tests/proptests.rs`, which is why it stays public).
-    pub fn train_batch_reference(
+    /// the bitwise reference for the batched path (proptested in this
+    /// file's tests).
+    #[cfg(test)]
+    fn train_batch_reference(
         &mut self,
         xs: &Matrix,
         ys: &[f64],
@@ -460,13 +461,10 @@ impl Mlp {
             let x = xs.row(r);
             let y = ys[r];
             // Forward with cached post-activations.
-            // oeb-lint: allow(panic-in-library) -- acts has n_layers + 1 >= 1 entries by construction
             acts[0].clear();
-            // oeb-lint: allow(panic-in-library) -- acts has n_layers + 1 >= 1 entries by construction
             acts[0].extend_from_slice(x);
             for li in 0..n_layers {
                 let (done, rest) = acts.split_at_mut(li + 1);
-                // oeb-lint: allow(panic-in-library) -- li < n_layers, so rest is non-empty
                 let next = &mut rest[0];
                 self.layers[li].forward(&done[li], next);
                 if li + 1 < n_layers {
@@ -487,7 +485,6 @@ impl Mlp {
                     delta[c] -= 1.0;
                 }
                 Objective::SquaredError => {
-                    // oeb-lint: allow(panic-in-library) -- squared-error nets have output dim 1
                     let diff = out[0] - y;
                     total_loss += diff * diff;
                     delta.push(2.0 * diff);
@@ -509,7 +506,6 @@ impl Mlp {
                         }
                     }
                     Objective::SquaredError => {
-                        // oeb-lint: allow(panic-in-library) -- squared-error nets have output dim 1
                         delta[0] += lambda * 2.0 * (out[0] - prev_out[0]);
                     }
                 }
@@ -720,6 +716,7 @@ pub fn argmax(xs: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn xor_data() -> (Matrix, Vec<f64>) {
         // A noisy XOR-ish separable problem.
@@ -916,5 +913,90 @@ mod tests {
     #[test]
     fn argmax_first_on_ties() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The contract of the GEMM training path: batched
+        /// `train_batch` must be bit-identical to the retained per-sample
+        /// reference across degenerate shapes (1-row batches, single-neuron
+        /// layers) and with the LwF / EWC options on. Data mixes in exact
+        /// zeros, huge magnitudes (overflow to inf exercises the no-skip
+        /// chains) and NaN (exercises the skipped-update path).
+        #[test]
+        fn batched_train_matches_reference_bitwise(
+            seed in 0u64..1000,
+            arch in prop_oneof![
+                Just((1usize, vec![], 1usize)),
+                Just((1, vec![1], 1)),
+                Just((3, vec![1, 4], 2)),
+                Just((5, vec![8, 4], 3)),
+                Just((2, vec![16, 8], 2)),
+            ],
+            n_rows in 1usize..70,
+            objective_sel in 0usize..2,
+            reg_sel in 0usize..3,
+            lambda in 0.01..5.0f64,
+            data in prop::collection::vec(
+                prop_oneof![
+                    5 => -3.0..3.0f64,
+                    1 => Just(0.0),
+                    1 => Just(1e300),
+                    1 => Just(f64::NAN),
+                ],
+                1..64,
+            ),
+        ) {
+            let (input, hidden, output) = arch;
+            let objective = if objective_sel == 0 && output > 1 {
+                Objective::CrossEntropy
+            } else {
+                Objective::SquaredError
+            };
+            let (width, n_out) = if objective == Objective::SquaredError {
+                (input, 1)
+            } else {
+                (input, output)
+            };
+            let rows: Vec<Vec<f64>> = (0..n_rows)
+                .map(|r| (0..width).map(|c| data[(r * 31 + c * 7) % data.len()]).collect())
+                .collect();
+            let ys: Vec<f64> = (0..n_rows).map(|r| (r % n_out.max(2)) as f64).collect();
+            let xs = Matrix::from_rows(&rows);
+            let mut batched = Mlp::new(input, &hidden, n_out, objective, seed);
+            let mut reference = batched.clone();
+            let teacher = Mlp::new(input, &hidden, n_out, objective, seed ^ 0x5eed);
+            let anchor = batched.get_params();
+            let fisher: Vec<f64> = (0..batched.n_params()).map(|i| (i % 5) as f64 * 0.25).collect();
+            let opts = match reg_sel {
+                1 => TrainOpts { ewc: Some((&anchor, &fisher, lambda)), ..Default::default() },
+                2 => TrainOpts { distill: Some((&teacher, lambda)), ..Default::default() },
+                _ => TrainOpts::default(),
+            };
+            // Several steps, including 1-row batches and a ragged tail.
+            let all: Vec<usize> = (0..n_rows).collect();
+            for step in 0..3 {
+                let batch: Vec<usize> = match step {
+                    0 => vec![all[seed as usize % n_rows]],
+                    1 => all.clone(),
+                    _ => all.iter().copied().step_by(2).collect(),
+                };
+                let lb = batched.train_batch(&xs, &ys, &batch, 0.01, &opts);
+                let lr_ = reference.train_batch_reference(&xs, &ys, &batch, 0.01, &opts);
+                prop_assert!(
+                    lb.to_bits() == lr_.to_bits() || (lb.is_nan() && lr_.is_nan()),
+                    "loss diverged at step {}: {} vs {}", step, lb, lr_
+                );
+                let pb = batched.get_params();
+                let pr = reference.get_params();
+                for (i, (a, b)) in pb.iter().zip(&pr).enumerate() {
+                    prop_assert_eq!(
+                        a.to_bits(), b.to_bits(),
+                        "param {} diverged at step {}: {} vs {}", i, step, a, b
+                    );
+                }
+            }
+        }
     }
 }

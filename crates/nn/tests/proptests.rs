@@ -89,87 +89,6 @@ proptest! {
         }
     }
 
-    /// The tentpole contract of the GEMM training path: batched
-    /// `train_batch` must be bit-identical to the retained per-sample
-    /// reference across degenerate shapes (1-row batches, single-neuron
-    /// layers) and with the LwF / EWC options on. Data mixes in exact
-    /// zeros, huge magnitudes (overflow to inf exercises the no-skip
-    /// chains) and NaN (exercises the skipped-update path).
-    #[test]
-    fn batched_train_matches_reference_bitwise(
-        seed in 0u64..1000,
-        arch in prop_oneof![
-            Just((1usize, vec![], 1usize)),
-            Just((1, vec![1], 1)),
-            Just((3, vec![1, 4], 2)),
-            Just((5, vec![8, 4], 3)),
-            Just((2, vec![16, 8], 2)),
-        ],
-        n_rows in 1usize..70,
-        objective_sel in 0usize..2,
-        reg_sel in 0usize..3,
-        lambda in 0.01..5.0f64,
-        data in prop::collection::vec(
-            prop_oneof![
-                5 => -3.0..3.0f64,
-                1 => Just(0.0),
-                1 => Just(1e300),
-                1 => Just(f64::NAN),
-            ],
-            1..64,
-        ),
-    ) {
-        let (input, hidden, output) = arch;
-        let objective = if objective_sel == 0 && output > 1 {
-            Objective::CrossEntropy
-        } else {
-            Objective::SquaredError
-        };
-        let (width, n_out) = if objective == Objective::SquaredError {
-            (input, 1)
-        } else {
-            (input, output)
-        };
-        let rows: Vec<Vec<f64>> = (0..n_rows)
-            .map(|r| (0..width).map(|c| data[(r * 31 + c * 7) % data.len()]).collect())
-            .collect();
-        let ys: Vec<f64> = (0..n_rows).map(|r| (r % n_out.max(2)) as f64).collect();
-        let xs = Matrix::from_rows(&rows);
-        let mut batched = Mlp::new(input, &hidden, n_out, objective, seed);
-        let mut reference = batched.clone();
-        let teacher = Mlp::new(input, &hidden, n_out, objective, seed ^ 0x5eed);
-        let anchor = batched.get_params();
-        let fisher: Vec<f64> = (0..batched.n_params()).map(|i| (i % 5) as f64 * 0.25).collect();
-        let opts = match reg_sel {
-            1 => TrainOpts { ewc: Some((&anchor, &fisher, lambda)), ..Default::default() },
-            2 => TrainOpts { distill: Some((&teacher, lambda)), ..Default::default() },
-            _ => TrainOpts::default(),
-        };
-        // Several steps, including 1-row batches and a ragged tail.
-        let all: Vec<usize> = (0..n_rows).collect();
-        for step in 0..3 {
-            let batch: Vec<usize> = match step {
-                0 => vec![all[seed as usize % n_rows]],
-                1 => all.clone(),
-                _ => all.iter().copied().step_by(2).collect(),
-            };
-            let lb = batched.train_batch(&xs, &ys, &batch, 0.01, &opts);
-            let lr_ = reference.train_batch_reference(&xs, &ys, &batch, 0.01, &opts);
-            prop_assert!(
-                lb.to_bits() == lr_.to_bits() || (lb.is_nan() && lr_.is_nan()),
-                "loss diverged at step {}: {} vs {}", step, lb, lr_
-            );
-            let pb = batched.get_params();
-            let pr = reference.get_params();
-            for (i, (a, b)) in pb.iter().zip(&pr).enumerate() {
-                prop_assert_eq!(
-                    a.to_bits(), b.to_bits(),
-                    "param {} diverged at step {}: {} vs {}", i, step, a, b
-                );
-            }
-        }
-    }
-
     #[test]
     fn training_config_is_deterministic(seed in 0u64..50) {
         let rows: Vec<Vec<f64>> = (0..64).map(|i| vec![(i % 8) as f64 / 8.0]).collect();

@@ -4,7 +4,7 @@
 //! (Figure 7), and anomaly-event detection (Figure 8).
 
 use super::{json_f64, json_series, ExpContext, ExperimentOutput};
-use crate::harness::{run_stream, HarnessConfig};
+use crate::harness::{try_run_stream, HarnessConfig};
 use crate::learners::Algorithm;
 use crate::report::TextTable;
 use oeb_drift::{BatchDriftDetector, Hdddm};
@@ -71,7 +71,7 @@ pub fn fig5(ctx: &ExpContext) -> ExperimentOutput {
     let mut base = HarnessConfig::default();
     base.learner.epochs = 5;
 
-    let oracle = run_stream(
+    let oracle = try_run_stream(
         &d,
         Algorithm::NaiveNn,
         &HarnessConfig {
@@ -80,8 +80,8 @@ pub fn fig5(ctx: &ExpContext) -> ExperimentOutput {
         },
     )
     .expect("NN applies");
-    let normal = run_stream(&d, Algorithm::NaiveNn, &base).expect("NN applies");
-    let discard = run_stream(
+    let normal = try_run_stream(&d, Algorithm::NaiveNn, &base).expect("NN applies");
+    let discard = try_run_stream(
         &d,
         Algorithm::NaiveNn,
         &HarnessConfig {
@@ -230,8 +230,8 @@ pub fn fig7(ctx: &ExpContext) -> ExperimentOutput {
     let d = ctx.dataset(&entry, 0);
     let mut cfg = HarnessConfig::default();
     cfg.learner.epochs = 5;
-    let dt = run_stream(&d, Algorithm::NaiveDt, &cfg).expect("DT applies");
-    let nn = run_stream(&d, Algorithm::NaiveNn, &cfg).expect("NN applies");
+    let dt = try_run_stream(&d, Algorithm::NaiveDt, &cfg).expect("DT applies");
+    let nn = try_run_stream(&d, Algorithm::NaiveNn, &cfg).expect("NN applies");
 
     // Mark drift windows with HDDDM over the encoded windows.
     let encoder = OneHotEncoder::fit(&d.table, &d.feature_cols());

@@ -5,7 +5,7 @@
 
 use super::datasets::level_labels;
 use super::{json_f64, ExpContext, ExperimentOutput};
-use crate::harness::{run_seeds, HarnessConfig};
+use crate::harness::{try_run_stream, HarnessConfig, RunResult};
 use crate::learners::Algorithm;
 use crate::recommend::render_tree;
 use crate::report::{fmt_summary, TextTable};
@@ -16,83 +16,117 @@ use serde_json::json;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One `(dataset, algorithm)` cell of a result matrix.
+/// One `(dataset, algorithm, variant)` cell of a result matrix.
 #[derive(Debug, Clone)]
 pub struct MatrixCell {
     /// Dataset name.
     pub dataset: String,
     /// Algorithm.
     pub algorithm: Algorithm,
-    /// `(mean, std)` of the mean loss over seeds; `None` = N/A.
+    /// Name of the harness-config variant (`default` for the tables).
+    pub variant: String,
+    /// `(mean, std)` of the mean loss over the seeds whose loss is valid;
+    /// `None` = N/A.
     pub summary: Option<(f64, f64)>,
-    /// Mean throughput (items/s) over seeds.
+    /// Mean throughput (items/s) over the seeds whose run completed.
     pub throughput: f64,
-    /// Mean peak memory (KB) over seeds.
+    /// Mean peak memory (KB) over the seeds whose run completed.
     pub memory_kb: f64,
+    /// Mean training wall-clock seconds over the seeds whose run
+    /// completed.
+    pub train_seconds: f64,
 }
 
-/// Runs a dataset x algorithm result matrix under the prequential
-/// harness; results are memoized per (scale, seeds, dataset-set) within
-/// the process so Table 4/5/6 share one sweep.
+/// The one variant the result tables run: the default harness config.
+pub(super) fn default_variant() -> Vec<(String, HarnessConfig)> {
+    vec![("default".to_string(), HarnessConfig::default())]
+}
+
+/// The experiment grid: runs every (dataset, variant, seed, algorithm)
+/// combination under the prequential harness and folds the seeds into
+/// one [`MatrixCell`] per (dataset, algorithm, variant), returned in that
+/// order. Every table and figure of §6 that reports a mean over seeds
+/// comes from here.
+///
+/// The runs fan out over the executor with the algorithm innermost, so
+/// the learners of one prepared stream run back to back and share it
+/// through the prepare cache. Collection is in grid order, so the cells
+/// are identical for every worker count. A failed run (ARF on
+/// regression) drops out of the means; a diverged loss drops out of the
+/// summary only.
+///
+/// Results are memoized per (scale, seeds, datasets, algorithms,
+/// variants) within the process, so Table 4/5/6 share one grid and
+/// Table 10 reuses Figure 10's.
 pub fn run_matrix(
     ctx: &ExpContext,
     entries: &[DatasetEntry],
     algorithms: &[Algorithm],
+    variants: &[(String, HarnessConfig)],
 ) -> Arc<Vec<MatrixCell>> {
     static CACHE: Mutex<Option<HashMap<String, Arc<Vec<MatrixCell>>>>> = Mutex::new(None);
+    let names: Vec<&str> = entries.iter().map(|e| e.spec.name.as_str()).collect();
     let key = format!(
-        "{:.4}|{:?}|{}|{}",
-        ctx.scale,
-        ctx.seeds,
-        entries
-            .iter()
-            .map(|e| e.spec.name.as_str())
-            .collect::<Vec<_>>()
-            .join(","),
-        algorithms.len(),
+        "{:.4}|{:?}|{names:?}|{algorithms:?}|{variants:?}",
+        ctx.scale, ctx.seeds
     );
     if let Some(cached) = CACHE.lock().get_or_insert_with(HashMap::new).get(&key) {
         return cached.clone();
     }
 
-    // Fan the (dataset x algorithm) grid across workers; collection is
-    // in grid order, so the matrix is identical for every worker count.
-    // Workers crossing the same dataset share its prepared stream
-    // through the prepare cache instead of preprocessing it per learner.
+    // Run `i` is (dataset e, variant v, seed s, algorithm a), row-major.
+    let (n_variants, n_seeds, n_algs) = (variants.len(), ctx.seeds.len(), algorithms.len());
+    let run_index =
+        |e: usize, v: usize, s: usize, a: usize| ((e * n_variants + v) * n_seeds + s) * n_algs + a;
+    let n_runs = entries.len() * n_variants * n_seeds * n_algs;
     let threads = crate::executor::resolve_threads(None);
-    let grid: Vec<(usize, usize)> = (0..entries.len())
-        .flat_map(|e| (0..algorithms.len()).map(move |a| (e, a)))
-        .collect();
-    let cells = crate::executor::parallel_map(grid.len(), threads, |i| {
-        let (e, a) = grid[i];
-        let (entry, alg) = (&entries[e], algorithms[a]);
-        let cfg = HarnessConfig::default();
-        let (summary, results) = run_seeds(
-            |seed| oeb_synth::generate_cached(&entry.spec, seed),
-            alg,
-            &cfg,
-            &ctx.seeds,
+    let runs = crate::executor::parallel_map(n_runs, threads, |i| {
+        let (a, s) = (i % n_algs, i / n_algs % n_seeds);
+        let (v, e) = (
+            i / (n_algs * n_seeds) % n_variants,
+            i / (n_algs * n_seeds * n_variants),
         );
-        let throughput = if results.is_empty() {
-            0.0
-        } else {
-            results.iter().map(|r| r.throughput).sum::<f64>() / results.len() as f64
+        let seed = ctx.seeds[s];
+        let cfg = HarnessConfig {
+            seed,
+            ..variants[v].1.clone()
         };
-        let memory_kb = if results.is_empty() {
-            0.0
-        } else {
-            results.iter().map(|r| r.memory_bytes as f64).sum::<f64>()
-                / results.len() as f64
-                / 1024.0
-        };
-        MatrixCell {
-            dataset: entry.spec.name.clone(),
-            algorithm: alg,
-            summary,
-            throughput,
-            memory_kb,
-        }
+        let dataset = oeb_synth::generate_cached(&entries[e].spec, seed);
+        try_run_stream(&dataset, algorithms[a], &cfg).ok()
     });
+
+    let mut cells = Vec::with_capacity(entries.len() * n_algs * n_variants);
+    for (e, entry) in entries.iter().enumerate() {
+        for (a, &algorithm) in algorithms.iter().enumerate() {
+            for (v, (variant, _)) in variants.iter().enumerate() {
+                let done: Vec<&RunResult> = (0..n_seeds)
+                    .filter_map(|s| runs[run_index(e, v, s, a)].as_ref())
+                    .collect();
+                let mean_of = |f: fn(&RunResult) -> f64| {
+                    if done.is_empty() {
+                        0.0
+                    } else {
+                        done.iter().map(|r| f(r)).sum::<f64>() / done.len() as f64
+                    }
+                };
+                let losses: Vec<f64> = done
+                    .iter()
+                    .filter(|r| r.is_valid())
+                    .map(|r| r.mean_loss)
+                    .collect();
+                cells.push(MatrixCell {
+                    dataset: entry.spec.name.clone(),
+                    algorithm,
+                    variant: variant.clone(),
+                    summary: (!losses.is_empty())
+                        .then(|| (oeb_linalg::mean(&losses), oeb_linalg::std_dev(&losses))),
+                    throughput: mean_of(|r| r.throughput),
+                    memory_kb: mean_of(|r| r.memory_bytes as f64) / 1024.0,
+                    train_seconds: mean_of(|r| r.train_seconds),
+                });
+            }
+        }
+    }
     let arc = Arc::new(cells);
     CACHE
         .lock()
@@ -101,7 +135,7 @@ pub fn run_matrix(
     arc
 }
 
-fn short_name(entry: &DatasetEntry) -> String {
+pub(super) fn short_name(entry: &DatasetEntry) -> String {
     entry
         .selected
         .map(str::to_string)
@@ -117,16 +151,11 @@ fn matrix_table(
     let mut headers = vec!["Dataset".to_string()];
     headers.extend(algorithms.iter().map(|a| a.name().to_string()));
     let mut t = TextTable::new(headers);
-    for entry in entries {
-        let mut row = vec![short_name(entry)];
-        for &alg in algorithms {
-            let cell = cells
-                .iter()
-                .find(|c| c.dataset == entry.spec.name && c.algorithm == alg)
-                .expect("matrix covers all pairs");
-            row.push(value_of(cell));
-        }
-        t.row(row);
+    // One variant, so each dataset's algorithms are consecutive cells.
+    for (entry, row) in entries.iter().zip(cells.chunks(algorithms.len())) {
+        let mut line = vec![short_name(entry)];
+        line.extend(row.iter().map(&value_of));
+        t.row(line);
     }
     t
 }
@@ -154,7 +183,7 @@ fn matrix_json(cells: &[MatrixCell]) -> serde_json::Value {
 pub fn table4(ctx: &ExpContext) -> ExperimentOutput {
     let entries = ctx.selected_five();
     let algorithms = Algorithm::all();
-    let cells = run_matrix(ctx, &entries, &algorithms);
+    let cells = run_matrix(ctx, &entries, &algorithms, &default_variant());
     let t = matrix_table(&entries, &algorithms, &cells, |c| fmt_summary(c.summary));
     ExperimentOutput {
         id: "table4",
@@ -169,7 +198,7 @@ pub fn table4(ctx: &ExpContext) -> ExperimentOutput {
 pub fn table5(ctx: &ExpContext) -> ExperimentOutput {
     let entries = ctx.selected_five();
     let algorithms = Algorithm::all();
-    let cells = run_matrix(ctx, &entries, &algorithms);
+    let cells = run_matrix(ctx, &entries, &algorithms, &default_variant());
     let t = matrix_table(&entries, &algorithms, &cells, |c| {
         if c.throughput > 0.0 {
             format!("{:.0}", c.throughput)
@@ -190,7 +219,7 @@ pub fn table5(ctx: &ExpContext) -> ExperimentOutput {
 pub fn table6(ctx: &ExpContext) -> ExperimentOutput {
     let entries = ctx.selected_five();
     let algorithms = Algorithm::all();
-    let cells = run_matrix(ctx, &entries, &algorithms);
+    let cells = run_matrix(ctx, &entries, &algorithms, &default_variant());
     let t = matrix_table(&entries, &algorithms, &cells, |c| {
         if c.memory_kb > 0.0 {
             format!("{:.1}", c.memory_kb)
@@ -214,7 +243,7 @@ pub fn table9(ctx: &ExpContext) -> ExperimentOutput {
         .into_iter()
         .filter(|a| *a != Algorithm::Arf)
         .collect();
-    let cells = run_matrix(ctx, &entries, &algorithms);
+    let cells = run_matrix(ctx, &entries, &algorithms, &default_variant());
     let t = matrix_table(&entries, &algorithms, &cells, |c| fmt_summary(c.summary));
 
     // Per-dataset winner counts, the evidence for "no silver bullet".
@@ -222,15 +251,10 @@ pub fn table9(ctx: &ExpContext) -> ExperimentOutput {
     // co-winner — declaring a single winner over a 0.296-vs-0.300 gap
     // would overstate how decisive the differences are.
     let mut wins: HashMap<&'static str, usize> = HashMap::new();
-    for entry in &entries {
-        let scored: Vec<(Algorithm, f64)> = algorithms
+    for row in cells.chunks(algorithms.len()) {
+        let scored: Vec<(Algorithm, f64)> = row
             .iter()
-            .filter_map(|&a| {
-                cells
-                    .iter()
-                    .find(|c| c.dataset == entry.spec.name && c.algorithm == a)
-                    .and_then(|c| c.summary.map(|(m, _)| (a, m)))
-            })
+            .filter_map(|c| c.summary.map(|(m, _)| (c.algorithm, m)))
             .collect();
         let Some(best) = scored
             .iter()
@@ -346,16 +370,79 @@ mod tests {
     fn run_matrix_is_memoized() {
         let ctx = tiny_ctx();
         let entries = ctx.selected_five();
-        let a = run_matrix(&ctx, &entries, &Algorithm::all());
-        let b = run_matrix(&ctx, &entries, &Algorithm::all());
+        let a = run_matrix(&ctx, &entries, &Algorithm::all(), &default_variant());
+        let b = run_matrix(&ctx, &entries, &Algorithm::all(), &default_variant());
         assert!(Arc::ptr_eq(&a, &b), "second call should hit the cache");
+        // The key names the learners, not their count.
+        let one = &entries[..1];
+        let dt = run_matrix(&ctx, one, &[Algorithm::NaiveDt], &default_variant());
+        let nn = run_matrix(&ctx, one, &[Algorithm::NaiveNn], &default_variant());
+        assert_eq!(dt[0].algorithm, Algorithm::NaiveDt);
+        assert_eq!(nn[0].algorithm, Algorithm::NaiveNn);
+    }
+
+    #[test]
+    fn run_matrix_folds_seeds_in_dataset_learner_variant_order() {
+        let ctx = ExpContext {
+            scale: 0.02,
+            seeds: vec![0, 1],
+        };
+        // One classification and one regression stream.
+        let entries: Vec<DatasetEntry> = ctx
+            .selected_five()
+            .into_iter()
+            .filter(|e| matches!(e.selected, Some("ELECTRICITY" | "POWER")))
+            .collect();
+        assert!(entries[0].is_classification() && !entries[1].is_classification());
+        let algorithms = [Algorithm::NaiveDt, Algorithm::Arf];
+        let halved = HarnessConfig {
+            window_factor: 0.5,
+            ..Default::default()
+        };
+        let variants = [default_variant(), vec![("window x0.5".into(), halved)]].concat();
+        let cells = run_matrix(&ctx, &entries, &algorithms, &variants);
+        let mut expected = Vec::new();
+        for entry in &entries {
+            for alg in algorithms {
+                for variant in &variants {
+                    expected.push((entry, alg, variant));
+                }
+            }
+        }
+        assert_eq!(cells.len(), expected.len());
+        for (cell, (entry, alg, (variant, cfg))) in cells.iter().zip(expected) {
+            let coords = (&entry.spec.name, alg, variant);
+            assert_eq!((&cell.dataset, cell.algorithm, &cell.variant), coords);
+            // The valid losses of the seeds, run one at a time.
+            let losses: Vec<f64> = ctx
+                .seeds
+                .iter()
+                .filter_map(|&seed| {
+                    let d = oeb_synth::generate_cached(&entry.spec, seed);
+                    let cfg = HarnessConfig {
+                        seed,
+                        ..cfg.clone()
+                    };
+                    try_run_stream(&d, alg, &cfg).ok()
+                })
+                .filter(RunResult::is_valid)
+                .map(|r| r.mean_loss)
+                .collect();
+            if alg == Algorithm::Arf && !entry.is_classification() {
+                assert!(losses.is_empty() && cell.summary.is_none(), "{coords:?}");
+                continue;
+            }
+            let (mean, std) = cell.summary.expect("valid seeds give a summary");
+            assert_eq!(mean.to_bits(), oeb_linalg::mean(&losses).to_bits());
+            assert_eq!(std.to_bits(), oeb_linalg::std_dev(&losses).to_bits());
+        }
     }
 
     #[test]
     fn trees_dominate_nn_throughput() {
         let ctx = tiny_ctx();
         let entries = ctx.selected_five();
-        let cells = run_matrix(&ctx, &entries, &Algorithm::all());
+        let cells = run_matrix(&ctx, &entries, &Algorithm::all(), &default_variant());
         let mean_tp = |alg: Algorithm| {
             let v: Vec<f64> = cells
                 .iter()
@@ -375,7 +462,7 @@ mod tests {
     fn nn_memory_is_constant_and_trees_small() {
         let ctx = tiny_ctx();
         let entries = ctx.selected_five();
-        let cells = run_matrix(&ctx, &entries, &Algorithm::all());
+        let cells = run_matrix(&ctx, &entries, &Algorithm::all(), &default_variant());
         let nn: Vec<f64> = cells
             .iter()
             .filter(|c| c.algorithm == Algorithm::NaiveNn)

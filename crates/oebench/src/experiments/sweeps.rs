@@ -1,95 +1,49 @@
 //! Hyper-parameter and ablation sweeps: Figures 10–19 and Table 10 of
 //! the paper.
 
+use super::main_results::{default_variant, run_matrix, short_name, MatrixCell};
 use super::{json_f64, json_series, ExpContext, ExperimentOutput};
-use crate::harness::{run_seeds, run_stream, HarnessConfig, ImputerChoice, OutlierRemoval};
+use crate::harness::{try_run_stream, HarnessConfig, ImputerChoice, OutlierRemoval};
 use crate::learners::Algorithm;
 use crate::report::{fmt_summary, TextTable};
 use oeb_synth::DatasetEntry;
 use serde_json::json;
 
-/// One sweep cell.
-struct SweepCell {
-    dataset: String,
-    algorithm: Algorithm,
-    variant: String,
-    summary: Option<(f64, f64)>,
-    train_seconds: f64,
+/// The short name (`ROOM`, `AIR`, ...) of a cell's dataset.
+fn cell_short_name(entries: &[DatasetEntry], cell: &MatrixCell) -> String {
+    entries
+        .iter()
+        .find(|e| e.spec.name == cell.dataset)
+        .map_or_else(|| cell.dataset.clone(), short_name)
 }
 
-/// Runs `algorithms x variants` over `entries`, averaging over the
-/// context seeds.
-fn sweep(
-    ctx: &ExpContext,
-    entries: &[DatasetEntry],
-    algorithms: &[Algorithm],
-    variants: &[(String, HarnessConfig)],
-) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for entry in entries {
-        for &alg in algorithms {
-            for (variant, cfg) in variants {
-                let (summary, results) = run_seeds(
-                    |seed| oeb_synth::generate_cached(&entry.spec, seed),
-                    alg,
-                    cfg,
-                    &ctx.seeds,
-                );
-                let train_seconds = if results.is_empty() {
-                    0.0
-                } else {
-                    results.iter().map(|r| r.train_seconds).sum::<f64>() / results.len() as f64
-                };
-                cells.push(SweepCell {
-                    dataset: entry
-                        .selected
-                        .map(str::to_string)
-                        .unwrap_or_else(|| entry.spec.name.clone()),
-                    algorithm: alg,
-                    variant: variant.clone(),
-                    summary,
-                    train_seconds,
-                });
-            }
-        }
-    }
-    cells
-}
-
-/// Renders a sweep as `dataset x algorithm` rows with one column per
-/// variant.
+/// Renders a [`run_matrix`] grid as `dataset x algorithm` rows with one
+/// column per variant.
 fn sweep_output(
     id: &'static str,
     title: &'static str,
-    variants: &[String],
-    cells: &[SweepCell],
+    entries: &[DatasetEntry],
+    variants: &[(String, HarnessConfig)],
+    cells: &[MatrixCell],
 ) -> ExperimentOutput {
     let mut headers = vec!["Dataset".to_string(), "Algorithm".to_string()];
-    headers.extend(variants.iter().cloned());
+    headers.extend(variants.iter().map(|(name, _)| name.clone()));
     let mut t = TextTable::new(headers);
-    let mut seen: Vec<(String, Algorithm)> = Vec::new();
-    for c in cells {
-        let key = (c.dataset.clone(), c.algorithm);
-        if !seen.contains(&key) {
-            seen.push(key);
-        }
-    }
-    for (dataset, alg) in &seen {
-        let mut row = vec![dataset.clone(), alg.name().to_string()];
-        for v in variants {
-            let cell = cells
-                .iter()
-                .find(|c| &c.dataset == dataset && c.algorithm == *alg && &c.variant == v)
-                .expect("sweep covers all variants");
-            row.push(fmt_summary(cell.summary));
-        }
-        t.row(row);
+    // Cells come in (dataset, algorithm, variant) order: one row per
+    // (dataset, algorithm), one column per variant.
+    for row in cells.chunks(variants.len().max(1)) {
+        let mut line = vec![
+            cell_short_name(entries, &row[0]),
+            row[0].algorithm.name().to_string(),
+        ];
+        line.extend(row.iter().map(|c| fmt_summary(c.summary)));
+        t.row(line);
     }
     let json_cells: Vec<serde_json::Value> = cells
         .iter()
         .map(|c| {
             json!({
-                "dataset": c.dataset,
+                "dataset": cell_short_name(entries, c),
                 "algorithm": c.algorithm.name(),
                 "variant": c.variant,
                 "loss_mean": c.summary.map(|(m, _)| json_f64(m)),
@@ -106,6 +60,23 @@ fn sweep_output(
     }
 }
 
+/// One variant per value: `apply` sets the value on a default config
+/// and `name` labels its column.
+fn variants_of<T: Clone>(
+    values: &[T],
+    name: impl Fn(&T) -> String,
+    apply: impl Fn(&mut HarnessConfig, T),
+) -> Vec<(String, HarnessConfig)> {
+    values
+        .iter()
+        .map(|x| {
+            let mut cfg = HarnessConfig::default();
+            apply(&mut cfg, x.clone());
+            (name(x), cfg)
+        })
+        .collect()
+}
+
 const NN_ALGS: [Algorithm; 5] = [
     Algorithm::NaiveNn,
     Algorithm::Ewc,
@@ -114,25 +85,22 @@ const NN_ALGS: [Algorithm; 5] = [
     Algorithm::SeaNn,
 ];
 
+/// The epochs axis {1, 5, 10, 20} of Figure 10 and Table 10: one list,
+/// so Table 10's NN grid is Figure 10's and the memo serves it.
+fn epoch_variants() -> Vec<(String, HarnessConfig)> {
+    variants_of(
+        &[1usize, 5, 10, 20],
+        |e| format!("epochs={e}"),
+        |c, e| c.learner.epochs = e,
+    )
+}
+
 /// Figure 10: number of local epochs {1, 5, 10, 20} for the NN family.
 pub fn fig10(ctx: &ExpContext) -> ExperimentOutput {
-    let entries = ctx.selected_five();
-    let variants: Vec<(String, HarnessConfig)> = [1usize, 5, 10, 20]
-        .iter()
-        .map(|&e| {
-            let mut cfg = HarnessConfig::default();
-            cfg.learner.epochs = e;
-            (format!("epochs={e}"), cfg)
-        })
-        .collect();
-    let names: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
-    let cells = sweep(ctx, &entries, &NN_ALGS, &variants);
-    sweep_output(
-        "fig10",
-        "Test error / loss vs local epochs per window",
-        &names,
-        &cells,
-    )
+    let (entries, variants) = (ctx.selected_five(), epoch_variants());
+    let cells = run_matrix(ctx, &entries, &NN_ALGS, &variants);
+    let title = "Test error / loss vs local epochs per window";
+    sweep_output("fig10", title, &entries, &variants, &cells)
 }
 
 /// Figure 11: window-size factor {0.25, 0.5, 1, 2, 4} for NN and tree
@@ -146,65 +114,48 @@ pub fn fig11(ctx: &ExpContext) -> ExperimentOutput {
         Algorithm::NaiveGbdt,
         Algorithm::SeaDt,
     ];
-    let variants: Vec<(String, HarnessConfig)> = [0.25, 0.5, 1.0, 2.0, 4.0]
-        .iter()
-        .map(|&f| {
-            (
-                format!("window x{f}"),
-                HarnessConfig {
-                    window_factor: f,
-                    ..Default::default()
-                },
-            )
-        })
-        .collect();
-    let names: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
-    let cells = sweep(ctx, &entries, &algs, &variants);
-    sweep_output("fig11", "Test error / loss vs window size", &names, &cells)
+    let factors = [0.25, 0.5, 1.0, 2.0, 4.0];
+    let variants = variants_of(
+        &factors,
+        |f| format!("window x{f}"),
+        |c, f| c.window_factor = f,
+    );
+    let cells = run_matrix(ctx, &entries, &algs, &variants);
+    let title = "Test error / loss vs window size";
+    sweep_output("fig11", title, &entries, &variants, &cells)
 }
 
 /// Figure 12: batch size {16, 32, 64, 128} for the NN family.
 pub fn fig12(ctx: &ExpContext) -> ExperimentOutput {
     let entries = ctx.selected_five();
-    let variants: Vec<(String, HarnessConfig)> = [16usize, 32, 64, 128]
-        .iter()
-        .map(|&b| {
-            let mut cfg = HarnessConfig::default();
-            cfg.learner.batch_size = b;
-            (format!("batch={b}"), cfg)
-        })
-        .collect();
-    let names: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
-    let cells = sweep(ctx, &entries, &NN_ALGS, &variants);
-    sweep_output("fig12", "Test error / loss vs batch size", &names, &cells)
+    let variants = variants_of(
+        &[16usize, 32, 64, 128],
+        |b| format!("batch={b}"),
+        |c, b| c.learner.batch_size = b,
+    );
+    let cells = run_matrix(ctx, &entries, &NN_ALGS, &variants);
+    let title = "Test error / loss vs batch size";
+    sweep_output("fig12", title, &entries, &variants, &cells)
 }
 
 /// Figure 13: MLP depth — 3, 5 and 7 hidden layers with the paper's
 /// layer widths.
 pub fn fig13(ctx: &ExpContext) -> ExperimentOutput {
     let entries = ctx.selected_five();
-    let depths: [(&str, Vec<usize>); 3] = [
+    let depths = [
         ("3 layers", vec![32, 16, 8]),
         ("5 layers", vec![32, 32, 16, 16, 8]),
         ("7 layers", vec![32, 32, 32, 16, 16, 16, 8]),
     ];
-    let variants: Vec<(String, HarnessConfig)> = depths
-        .iter()
-        .map(|(name, hidden)| {
-            let mut cfg = HarnessConfig::default();
-            cfg.learner.hidden = hidden.clone();
-            (name.to_string(), cfg)
-        })
-        .collect();
-    let names: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
+    let variants = variants_of(
+        &depths,
+        |(name, _)| name.to_string(),
+        |c, (_, hidden)| c.learner.hidden = hidden,
+    );
     let algs = [Algorithm::NaiveNn, Algorithm::Icarl, Algorithm::SeaNn];
-    let cells = sweep(ctx, &entries, &algs, &variants);
-    sweep_output(
-        "fig13",
-        "Test error / loss vs number of hidden layers",
-        &names,
-        &cells,
-    )
+    let cells = run_matrix(ctx, &entries, &algs, &variants);
+    let title = "Test error / loss vs number of hidden layers";
+    sweep_output("fig13", title, &entries, &variants, &cells)
 }
 
 /// Figure 14: imputation methods on the AIR dataset — KNN with
@@ -224,67 +175,56 @@ pub fn fig14(ctx: &ExpContext) -> ExperimentOutput {
         ImputerChoice::Mean,
         ImputerChoice::Zero,
     ];
-    let variants: Vec<(String, HarnessConfig)> = imputers
-        .iter()
-        .map(|&imp| {
-            (
-                imp.name(),
-                HarnessConfig {
-                    imputer: imp,
-                    ..Default::default()
-                },
-            )
-        })
-        .collect();
-    let names: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
+    let variants = variants_of(&imputers, ImputerChoice::name, |c, imp| c.imputer = imp);
     let algs = [Algorithm::NaiveNn, Algorithm::NaiveDt, Algorithm::SeaDt];
-    let cells = sweep(ctx, &air, &algs, &variants);
-    sweep_output(
-        "fig14",
-        "Test loss vs missing-value filling method (AIR)",
-        &names,
-        &cells,
-    )
+    let cells = run_matrix(ctx, &air, &algs, &variants);
+    let title = "Test loss vs missing-value filling method (AIR)";
+    sweep_output("fig14", title, &air, &variants, &cells)
 }
 
 /// Figure 15: loss curves with and without drift (shuffled baseline) on
 /// ROOM and AIR.
 pub fn fig15(ctx: &ExpContext) -> ExperimentOutput {
+    let modes = [("drift", false), ("no drift (shuffled)", true)];
+    let variants = variants_of(
+        &modes,
+        |(name, _)| name.to_string(),
+        |c, (_, shuffled)| c.shuffle = shuffled,
+    );
     curve_experiment(
         ctx,
         "fig15",
         "Loss curves: drift vs shuffled (no drift)",
-        &[("drift", false), ("no drift (shuffled)", true)],
-        |cfg, &(_, shuffled)| cfg.shuffle = shuffled,
+        &variants,
     )
 }
 
 /// Figure 16: loss curves with outlier removal (none / ECOD / IForest)
 /// on ROOM and AIR.
 pub fn fig16(ctx: &ExpContext) -> ExperimentOutput {
-    curve_experiment(
-        ctx,
-        "fig16",
-        "Loss curves with outlier removal before test/train",
-        &[
-            ("no removal", OutlierRemoval::None),
-            ("ECOD", OutlierRemoval::Ecod),
-            ("IForest", OutlierRemoval::IForest),
-        ],
-        |cfg, &(_, removal)| cfg.outlier_removal = removal,
-    )
+    let removals = [
+        ("no removal", OutlierRemoval::None),
+        ("ECOD", OutlierRemoval::Ecod),
+        ("IForest", OutlierRemoval::IForest),
+    ];
+    let variants = variants_of(
+        &removals,
+        |(name, _)| name.to_string(),
+        |c, (_, removal)| c.outlier_removal = removal,
+    );
+    let title = "Loss curves with outlier removal before test/train";
+    curve_experiment(ctx, "fig16", title, &variants)
 }
 
 /// Shared driver for the ROOM/AIR per-window curve figures (15, 16): one
 /// curve per variant per dataset, best-family algorithm per task (DT on
 /// the classification stream, NN on the regression stream, as §6.7/6.8
 /// plot their best performers).
-fn curve_experiment<V>(
+fn curve_experiment(
     ctx: &ExpContext,
     id: &'static str,
     title: &'static str,
-    variants: &[(&'static str, V)],
-    apply: impl Fn(&mut HarnessConfig, &(&'static str, V)),
+    variants: &[(String, HarnessConfig)],
 ) -> ExperimentOutput {
     let five = ctx.selected_five();
     let targets: Vec<(&DatasetEntry, Algorithm)> = five
@@ -300,10 +240,8 @@ fn curve_experiment<V>(
     for (entry, alg) in targets {
         let dataset =
             oeb_synth::generate_cached(&entry.spec, ctx.seeds.first().copied().unwrap_or(0));
-        for v in variants {
-            let mut cfg = HarnessConfig::default();
-            apply(&mut cfg, v);
-            let Some(run) = run_stream(&dataset, alg, &cfg) else {
+        for (variant, cfg) in variants {
+            let Ok(run) = try_run_stream(&dataset, alg, cfg) else {
                 continue;
             };
             let curve: Vec<String> = run
@@ -321,14 +259,14 @@ fn curve_experiment<V>(
                 "{} [{}] {}: mean {:.3}\n  {}\n",
                 entry.selected.unwrap_or("?"),
                 alg.name(),
-                v.0,
+                variant,
                 run.mean_loss,
                 curve.join(" ")
             ));
             json_rows.push(json!({
                 "dataset": entry.selected,
                 "algorithm": alg.name(),
-                "variant": v.0,
+                "variant": variant,
                 "curve": json_series(&run.per_window_loss),
                 "mean": json_f64(run.mean_loss),
             }));
@@ -346,25 +284,22 @@ fn curve_experiment<V>(
 /// ({1e-3..10}).
 pub fn fig17(ctx: &ExpContext) -> ExperimentOutput {
     let entries = ctx.selected_five();
-    let mut variants: Vec<(String, HarnessConfig)> = Vec::new();
-    for &lambda in &[1e2, 1e3, 1e4, 1e5] {
-        let mut cfg = HarnessConfig::default();
-        cfg.learner.ewc_lambda = lambda;
-        variants.push((format!("EWC λ={lambda:.0e}"), cfg));
-    }
-    let names_ewc: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
-    let ewc_cells = sweep(ctx, &entries, &[Algorithm::Ewc], &variants);
-    let ewc = sweep_output("fig17", "", &names_ewc, &ewc_cells);
+    let variants = variants_of(
+        &[1e2, 1e3, 1e4, 1e5],
+        |l| format!("EWC λ={l:.0e}"),
+        |c, l| c.learner.ewc_lambda = l,
+    );
+    let ewc_cells = run_matrix(ctx, &entries, &[Algorithm::Ewc], &variants);
+    let ewc = sweep_output("fig17", "", &entries, &variants, &ewc_cells);
 
-    let mut variants: Vec<(String, HarnessConfig)> = Vec::new();
-    for &lambda in &[0.001, 0.01, 0.1, 1.0, 10.0] {
-        let mut cfg = HarnessConfig::default();
-        cfg.learner.lwf_lambda = lambda;
-        variants.push((format!("LwF λ={lambda}"), cfg));
-    }
-    let names_lwf: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
-    let lwf_cells = sweep(ctx, &entries, &[Algorithm::Lwf], &variants);
-    let lwf = sweep_output("fig17", "", &names_lwf, &lwf_cells);
+    let lambdas = [0.001, 0.01, 0.1, 1.0, 10.0];
+    let variants = variants_of(
+        &lambdas,
+        |l| format!("LwF λ={l}"),
+        |c, l| c.learner.lwf_lambda = l,
+    );
+    let lwf_cells = run_matrix(ctx, &entries, &[Algorithm::Lwf], &variants);
+    let lwf = sweep_output("fig17", "", &entries, &variants, &lwf_cells);
 
     ExperimentOutput {
         id: "fig17",
@@ -377,60 +312,37 @@ pub fn fig17(ctx: &ExpContext) -> ExperimentOutput {
 /// Figure 18: iCaRL exemplar-buffer size {20, 50, 100, 200, 500}.
 pub fn fig18(ctx: &ExpContext) -> ExperimentOutput {
     let entries = ctx.selected_five();
-    let variants: Vec<(String, HarnessConfig)> = [20usize, 50, 100, 200, 500]
-        .iter()
-        .map(|&b| {
-            let mut cfg = HarnessConfig::default();
-            cfg.learner.buffer_size = b;
-            (format!("buffer={b}"), cfg)
-        })
-        .collect();
-    let names: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
-    let cells = sweep(ctx, &entries, &[Algorithm::Icarl], &variants);
-    sweep_output(
-        "fig18",
-        "Test error / loss vs iCaRL exemplar buffer size",
-        &names,
-        &cells,
-    )
+    let sizes = [20usize, 50, 100, 200, 500];
+    let variants = variants_of(
+        &sizes,
+        |b| format!("buffer={b}"),
+        |c, b| c.learner.buffer_size = b,
+    );
+    let cells = run_matrix(ctx, &entries, &[Algorithm::Icarl], &variants);
+    let title = "Test error / loss vs iCaRL exemplar buffer size";
+    sweep_output("fig18", title, &entries, &variants, &cells)
 }
 
 /// Figure 19: ensemble size {5, 10, 20, 40} for GBDT and the SEA
 /// variants.
 pub fn fig19(ctx: &ExpContext) -> ExperimentOutput {
     let entries = ctx.selected_five();
-    let variants: Vec<(String, HarnessConfig)> = [5usize, 10, 20, 40]
-        .iter()
-        .map(|&e| {
-            let mut cfg = HarnessConfig::default();
-            cfg.learner.ensemble_size = e;
-            (format!("ensemble={e}"), cfg)
-        })
-        .collect();
-    let names: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
+    let variants = variants_of(
+        &[5usize, 10, 20, 40],
+        |e| format!("ensemble={e}"),
+        |c, e| c.learner.ensemble_size = e,
+    );
     let algs = [Algorithm::NaiveGbdt, Algorithm::SeaNn, Algorithm::SeaDt];
-    let cells = sweep(ctx, &entries, &algs, &variants);
-    sweep_output(
-        "fig19",
-        "Test error / loss vs ensemble size",
-        &names,
-        &cells,
-    )
+    let cells = run_matrix(ctx, &entries, &algs, &variants);
+    let title = "Test error / loss vs ensemble size";
+    sweep_output("fig19", title, &entries, &variants, &cells)
 }
 
 /// Table 10: training wall-clock per epochs setting for the NN family,
 /// plus the epoch-independent tree algorithms.
 pub fn table10(ctx: &ExpContext) -> ExperimentOutput {
     let entries = ctx.selected_five();
-    let variants: Vec<(String, HarnessConfig)> = [1usize, 5, 10, 20]
-        .iter()
-        .map(|&e| {
-            let mut cfg = HarnessConfig::default();
-            cfg.learner.epochs = e;
-            (format!("epochs={e}"), cfg)
-        })
-        .collect();
-    let nn_cells = sweep(ctx, &entries, &NN_ALGS, &variants);
+    let nn_cells = run_matrix(ctx, &entries, &NN_ALGS, &epoch_variants());
     let tree_algs = [
         Algorithm::NaiveDt,
         Algorithm::NaiveGbdt,
@@ -438,20 +350,20 @@ pub fn table10(ctx: &ExpContext) -> ExperimentOutput {
         Algorithm::SeaGbdt,
         Algorithm::Arf,
     ];
-    let default_variant = vec![("default".to_string(), HarnessConfig::default())];
-    let tree_cells = sweep(ctx, &entries, &tree_algs, &default_variant);
+    let tree_cells = run_matrix(ctx, &entries, &tree_algs, &default_variant());
 
     let mut t = TextTable::new(vec!["Dataset", "Algorithm", "Variant", "Train seconds"]);
     let mut json_rows = Vec::new();
     for c in nn_cells.iter().chain(tree_cells.iter()) {
+        let dataset = cell_short_name(&entries, c);
         t.row(vec![
-            c.dataset.clone(),
+            dataset.clone(),
             c.algorithm.name().to_string(),
             c.variant.clone(),
             format!("{:.3}", c.train_seconds),
         ]);
         json_rows.push(json!({
-            "dataset": c.dataset,
+            "dataset": dataset,
             "algorithm": c.algorithm.name(),
             "variant": c.variant,
             "train_seconds": json_f64(c.train_seconds),

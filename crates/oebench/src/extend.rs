@@ -113,7 +113,7 @@ impl StreamLearner for DriftResetLearner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_stream, HarnessConfig};
+    use crate::harness::{try_run_stream, HarnessConfig};
     use oeb_synth::{Balance, DriftPattern, LabelMechanism, Level, StreamSpec, TaskSpec};
     use oeb_tabular::Domain;
 
@@ -201,7 +201,7 @@ mod tests {
         let d = oeb_synth::generate(&spec, 0);
         // On a stationary stream the wrapper should behave like the
         // wrapped learner (no spurious resets destroying the model).
-        let baseline = run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+        let baseline = try_run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
         let mut learner =
             DriftResetLearner::new(Algorithm::NaiveDt, d.task, 4, LearnerConfig::default())
                 .unwrap();

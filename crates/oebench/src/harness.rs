@@ -15,26 +15,27 @@
 //! materializes a shared, immutable [`PreparedStream`](crate::prepare::PreparedStream)
 //! per (dataset, seed, preprocessing config), and
 //! [`evaluate_prepared`](crate::prepare::evaluate_prepared) runs one
-//! learner over it. [`try_run_stream`] is the composition of the two.
+//! learner over it. [`try_run_stream`] is the composition of the two and
+//! the one per-run entry point: the experiment grid
+//! ([`run_matrix`](crate::experiments::main_results::run_matrix)) and the
+//! checkpointed [`run_sweep`](crate::sweep::run_sweep) both call it.
 //!
-//! The harness consumes [`WindowFrame`](oeb_faults::WindowFrame)s from
-//! any [`FrameSource`](oeb_faults::FrameSource) — in particular a
-//! [`FaultInjector`](oeb_faults::FaultInjector)-wrapped stream — and
-//! degrades gracefully on hostile input per [`DegradePolicy`] instead of
+//! The prepare stage consumes [`WindowFrame`](oeb_faults::WindowFrame)s
+//! from any [`FrameSource`](oeb_faults::FrameSource) — in particular a
+//! [`FaultInjector`](oeb_faults::FaultInjector)-wrapped stream — and the
+//! harness degrades gracefully on hostile input per [`DegradePolicy`] instead of
 //! panicking: malformed windows can be skipped, imputation falls back to
 //! mean/zero filling, and a learner whose loss goes non-finite can be
 //! reset a bounded number of times.
 
 use crate::error::HarnessError;
 use crate::learners::{Algorithm, LearnerConfig};
-use crate::prepare::{evaluate_prepared, prepare_cached, prepare_from_source};
+use crate::prepare::{evaluate_prepared, prepare_cached};
 use crate::supervise::SupervisePolicy;
-use oeb_faults::{FaultPlan, FrameSource};
-use oeb_linalg::Matrix;
+use oeb_faults::FaultPlan;
 use oeb_preprocess::{Imputer, KnnImputer, MeanImputer, RegressionImputer, ZeroImputer};
-use oeb_tabular::{StreamDataset, Task};
+use oeb_tabular::StreamDataset;
 use oeb_trace::{CellCtx, Counter, SpanDef};
-use std::sync::Arc;
 
 /// Completed harness runs (one learner over one prepared stream).
 static HARNESS_RUNS: Counter = Counter::new("harness.runs");
@@ -262,27 +263,16 @@ impl RunResult {
     }
 }
 
-/// Runs one `(dataset, algorithm)` pair through the prequential protocol.
-/// Returns `None` when the algorithm does not apply (ARF on regression)
-/// or the stream cannot be evaluated; [`try_run_stream`] reports the
-/// precise reason.
-pub fn run_stream(
-    dataset: &StreamDataset,
-    algorithm: Algorithm,
-    config: &HarnessConfig,
-) -> Option<RunResult> {
-    try_run_stream(dataset, algorithm, config).ok()
-}
-
-/// Runs one `(dataset, algorithm)` pair, reporting failures as typed
-/// [`HarnessError`]s instead of panicking or silently returning `None`.
+/// Runs one `(dataset, algorithm)` pair through the prequential
+/// protocol, reporting failures as typed [`HarnessError`]s instead of
+/// panicking. This is the one cell entry point every grid calls.
 ///
 /// Composition of the two pipeline stages: the prepared stream comes
 /// from the keyed cache, so consecutive runs differing only in the
-/// learner (a sweep cell's ten algorithms, `run_seeds` callers) share
-/// one preprocessing pass. The evaluate stage runs under the budget of
-/// `config.supervise`; the (cached, shared) prepare stage runs
-/// unbudgeted — its cost belongs to the whole sweep, not to the one
+/// learner (a sweep cell's ten algorithms, the learners of one
+/// `run_matrix` stream) share one preprocessing pass. The evaluate
+/// stage runs under the budget of `config.supervise`; the (cached,
+/// shared) prepare stage runs unbudgeted — its cost belongs to the whole sweep, not to the one
 /// cell whose attempt happened to populate the cache.
 pub fn try_run_stream(
     dataset: &StreamDataset,
@@ -311,72 +301,14 @@ pub fn try_run_stream(
     result
 }
 
-/// Runs the prequential protocol over an arbitrary frame source
-/// (uncached — the source is consumed).
-///
-/// `expected_dim` fixes the feature width the learner is built for; when
-/// `None` the first frame defines it. Frames with a different width are
-/// skipped or rejected per `config.degrade`.
-pub fn try_run_frames<S: FrameSource>(
-    source: &mut S,
-    task: Task,
-    dataset_name: &str,
-    algorithm: Algorithm,
-    config: &HarnessConfig,
-    oracle_reference: Option<&Matrix>,
-    expected_dim: Option<usize>,
-) -> Result<RunResult, HarnessError> {
-    config.validate()?;
-    let prepared = prepare_from_source(
-        source,
-        task,
-        dataset_name,
-        config,
-        oracle_reference,
-        expected_dim,
-    )?;
-    evaluate_prepared(&prepared, algorithm, config)
-}
-
-/// Runs the same pair for several seeds; returns (mean, std) of the valid
-/// mean losses and the individual results. The paper repeats every
-/// experiment three times.
-///
-/// The closure returns an [`Arc`] so per-seed datasets can come straight
-/// from [`oeb_synth::generate_cached`] without cloning the table.
-pub fn run_seeds(
-    dataset_for_seed: impl Fn(u64) -> Arc<StreamDataset>,
-    algorithm: Algorithm,
-    config: &HarnessConfig,
-    seeds: &[u64],
-) -> (Option<(f64, f64)>, Vec<RunResult>) {
-    let mut results = Vec::new();
-    for &seed in seeds {
-        let mut cfg = config.clone();
-        cfg.seed = seed;
-        let dataset = dataset_for_seed(seed);
-        if let Some(r) = run_stream(&dataset, algorithm, &cfg) {
-            results.push(r);
-        }
-    }
-    let losses: Vec<f64> = results
-        .iter()
-        .filter(|r| r.is_valid())
-        .map(|r| r.mean_loss)
-        .collect();
-    let summary = if losses.is_empty() {
-        None
-    } else {
-        Some((oeb_linalg::mean(&losses), oeb_linalg::std_dev(&losses)))
-    };
-    (summary, results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepare::prepare_from_source;
     use oeb_faults::{FrameVec, WindowFrame};
+    use oeb_linalg::Matrix;
     use oeb_synth::{generate, registry_scaled};
+    use oeb_tabular::Task;
 
     fn small_dataset(kind: &str) -> StreamDataset {
         let entries = registry_scaled(0.03);
@@ -393,7 +325,7 @@ mod tests {
     #[test]
     fn naive_dt_runs_prequentially_on_classification() {
         let d = small_dataset("clf");
-        let r = run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+        let r = try_run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
         assert!(r.is_valid());
         assert!(!r.per_window_loss.is_empty());
         // Error rate bounded in [0, 1].
@@ -407,7 +339,7 @@ mod tests {
     #[test]
     fn naive_dt_beats_chance_on_classification() {
         let d = small_dataset("clf");
-        let r = run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+        let r = try_run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
         assert!(r.mean_loss < 0.5, "error rate {}", r.mean_loss);
     }
 
@@ -416,14 +348,13 @@ mod tests {
         let d = small_dataset("reg");
         let mut cfg = HarnessConfig::default();
         cfg.learner.epochs = 3;
-        let r = run_stream(&d, Algorithm::NaiveNn, &cfg).unwrap();
+        let r = try_run_stream(&d, Algorithm::NaiveNn, &cfg).unwrap();
         assert!(r.is_valid(), "loss {}", r.mean_loss);
     }
 
     #[test]
-    fn arf_returns_none_on_regression() {
+    fn arf_is_not_applicable_on_regression() {
         let d = small_dataset("reg");
-        assert!(run_stream(&d, Algorithm::Arf, &HarnessConfig::default()).is_none());
         let err = try_run_stream(&d, Algorithm::Arf, &HarnessConfig::default()).unwrap_err();
         assert!(matches!(err, HarnessError::NotApplicable { .. }));
     }
@@ -431,8 +362,8 @@ mod tests {
     #[test]
     fn shuffle_changes_the_window_losses() {
         let d = small_dataset("clf");
-        let plain = run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
-        let shuffled = run_stream(
+        let plain = try_run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+        let shuffled = try_run_stream(
             &d,
             Algorithm::NaiveDt,
             &HarnessConfig {
@@ -453,7 +384,7 @@ mod tests {
                 ..Default::default()
             };
             cfg.learner.epochs = 2;
-            let r = run_stream(&d, Algorithm::NaiveDt, &cfg).unwrap();
+            let r = try_run_stream(&d, Algorithm::NaiveDt, &cfg).unwrap();
             assert!(r.is_valid());
         }
     }
@@ -461,8 +392,8 @@ mod tests {
     #[test]
     fn window_factor_changes_window_count() {
         let d = small_dataset("clf");
-        let base = run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
-        let halved = run_stream(
+        let base = try_run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+        let halved = try_run_stream(
             &d,
             Algorithm::NaiveDt,
             &HarnessConfig {
@@ -475,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn single_window_stream_returns_none() {
+    fn single_window_stream_is_insufficient() {
         // Fewer than two windows means there is nothing to test on.
         let entries = registry_scaled(0.03);
         let entry = entries
@@ -485,7 +416,6 @@ mod tests {
         let mut spec = entry.spec.clone();
         spec.default_window = spec.n_rows; // one giant window
         let d = generate(&spec, 0);
-        assert!(run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).is_none());
         let err = try_run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap_err();
         assert!(matches!(
             err,
@@ -503,8 +433,8 @@ mod tests {
         let d = generate(&entry.spec, 0);
         let mut cfg = HarnessConfig::default();
         cfg.learner.epochs = 1;
-        let normal = run_stream(&d, Algorithm::NaiveDt, &cfg).unwrap();
-        let oracle = run_stream(
+        let normal = try_run_stream(&d, Algorithm::NaiveDt, &cfg).unwrap();
+        let oracle = try_run_stream(
             &d,
             Algorithm::NaiveDt,
             &HarnessConfig {
@@ -530,7 +460,7 @@ mod tests {
             ..Default::default()
         };
         cfg.learner.epochs = 1;
-        let r = run_stream(&d, Algorithm::NaiveNn, &cfg).unwrap();
+        let r = try_run_stream(&d, Algorithm::NaiveNn, &cfg).unwrap();
         assert!(!r.per_window_loss.is_empty());
     }
 
@@ -540,26 +470,6 @@ mod tests {
         assert_eq!(ImputerChoice::Mean.name(), "mean");
         assert_eq!(ImputerChoice::Zero.name(), "zero");
         assert_eq!(ImputerChoice::Regression.name(), "regression");
-    }
-
-    #[test]
-    fn run_seeds_aggregates() {
-        let (summary, results) = run_seeds(
-            |seed| {
-                let entries = registry_scaled(0.03);
-                let entry = entries
-                    .iter()
-                    .find(|e| e.spec.name == "Electricity Prices")
-                    .unwrap();
-                oeb_synth::generate_cached(&entry.spec, seed)
-            },
-            Algorithm::NaiveDt,
-            &HarnessConfig::default(),
-            &[0, 1, 2],
-        );
-        assert_eq!(results.len(), 3);
-        let (mean, std) = summary.unwrap();
-        assert!(mean.is_finite() && std.is_finite());
     }
 
     #[test]
@@ -597,8 +507,8 @@ mod tests {
     #[test]
     fn clean_fault_plan_reproduces_the_plain_run() {
         let d = small_dataset("clf");
-        let plain = run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
-        let wrapped = run_stream(
+        let plain = try_run_stream(&d, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+        let wrapped = try_run_stream(
             &d,
             Algorithm::NaiveDt,
             &HarnessConfig {
@@ -696,8 +606,8 @@ mod tests {
         let task = Task::Classification { n_classes: 2 };
         let cfg = HarnessConfig::default();
         let mut src = FrameVec::new(frames.clone());
-        let r =
-            try_run_frames(&mut src, task, "toy", Algorithm::NaiveDt, &cfg, None, None).unwrap();
+        let prepared = prepare_from_source(&mut src, task, "toy", &cfg, None, None).unwrap();
+        let r = evaluate_prepared(&prepared, Algorithm::NaiveDt, &cfg).unwrap();
         assert_eq!(r.per_window_loss.len(), 1); // window 1 skipped
         assert_eq!(r.degradations.len(), 1);
 
@@ -706,16 +616,7 @@ mod tests {
             ..Default::default()
         };
         let mut src = FrameVec::new(frames);
-        let err = try_run_frames(
-            &mut src,
-            task,
-            "toy",
-            Algorithm::NaiveDt,
-            &strict,
-            None,
-            None,
-        )
-        .unwrap_err();
+        let err = prepare_from_source(&mut src, task, "toy", &strict, None, None).unwrap_err();
         assert!(matches!(err, HarnessError::InvalidConfig(_)));
     }
 }

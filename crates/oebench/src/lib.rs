@@ -36,8 +36,7 @@ pub use error::HarnessError;
 pub use executor::{parallel_map, resolve_threads, set_default_threads};
 pub use extend::DriftResetLearner;
 pub use harness::{
-    run_seeds, run_stream, try_run_frames, try_run_stream, DegradePolicy, HarnessConfig,
-    ImputerChoice, OutlierRemoval, RunResult,
+    try_run_stream, DegradePolicy, HarnessConfig, ImputerChoice, OutlierRemoval, RunResult,
 };
 pub use learners::{Algorithm, LearnerConfig, StreamLearner};
 pub use plot::{LinePlot, Series};

@@ -12,8 +12,9 @@
 //!
 //! [`prepare_cached`] adds a bounded, process-wide cache keyed on the
 //! dataset's content fingerprint plus the preprocessing-relevant half of
-//! the [`HarnessConfig`], so `run_sweep`, `run_seeds` and the
-//! `experiments/*` drivers fetch rather than regenerate.
+//! the [`HarnessConfig`], so `run_sweep` and the experiment grid
+//! (`run_matrix`, which runs the learners of one prepared stream back
+//! to back) fetch rather than regenerate.
 //!
 //! One deliberate divergence from the old monolithic loop: prepare-stage
 //! errors (e.g. a strict-policy schema mismatch in window 5) now surface
@@ -664,7 +665,7 @@ pub(crate) const SHUFFLE_SEED: u64 = 0x73687566;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oeb_faults::SharedFrames;
+    use oeb_faults::FrameVec;
     use oeb_synth::{generate, registry_scaled};
 
     fn small_dataset() -> StreamDataset {
@@ -747,7 +748,7 @@ mod tests {
     #[test]
     fn shared_frame_replay_prepares_identically() {
         // Capturing the raw frame stream once and preparing from the
-        // shared replay produces the same artifact as preparing from the
+        // replay produces the same artifact as preparing from the
         // dataset directly — the FrameSource seam is lossless.
         let d = small_dataset();
         let cfg = HarnessConfig::default();
@@ -756,8 +757,8 @@ mod tests {
         let feature_cols = d.feature_cols();
         let mut frames = DatasetFrames::new(&d, &feature_cols, cfg.window_factor);
         let dim = frames.width();
-        let captured = SharedFrames::capture(&mut frames);
-        let mut replay = SharedFrames::new(captured);
+        let captured: Vec<WindowFrame> = std::iter::from_fn(|| frames.next_frame()).collect();
+        let mut replay = FrameVec::new(captured);
         let replayed =
             prepare_from_source(&mut replay, d.task, &d.name, &cfg, None, Some(dim)).unwrap();
 

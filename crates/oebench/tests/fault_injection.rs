@@ -6,10 +6,10 @@
 //! report an uninterrupted sweep produces.
 
 use oeb_core::{
-    run_sweep, try_run_frames, Algorithm, DegradePolicy, HarnessConfig, HarnessError, RunOutcome,
-    SweepReport,
+    evaluate_prepared, prepare_from_source, run_sweep, Algorithm, DegradePolicy, HarnessConfig,
+    HarnessError, RunOutcome, RunResult, SweepReport,
 };
-use oeb_faults::{FaultInjector, FaultPlan, FrameVec, WindowFrame};
+use oeb_faults::{FaultInjector, FaultPlan, FrameSource, FrameVec, WindowFrame};
 use oeb_linalg::Matrix;
 use oeb_synth::{generate, Balance, DriftPattern, LabelMechanism, Level, StreamSpec, TaskSpec};
 use oeb_tabular::{Domain, Task};
@@ -108,6 +108,17 @@ fn resilient_config() -> HarnessConfig {
     cfg
 }
 
+/// Prepares a three-feature frame stream and evaluates Naive(DT) on it.
+fn run_frames<S: FrameSource>(
+    source: &mut S,
+    task: Task,
+    name: &str,
+    cfg: &HarnessConfig,
+) -> Result<RunResult, HarnessError> {
+    let prepared = prepare_from_source(source, task, name, cfg, None, Some(3))?;
+    evaluate_prepared(&prepared, Algorithm::NaiveDt, cfg)
+}
+
 fn tiny_spec(classification: bool, seed: u64) -> StreamSpec {
     StreamSpec {
         name: if classification {
@@ -169,15 +180,7 @@ proptest! {
     fn chaotic_streams_never_panic(plan in arb_plan()) {
         let frames = synthetic_frames(600, 4, 3);
         let mut source = FaultInjector::new(FrameVec::new(frames), plan);
-        let result = try_run_frames(
-            &mut source,
-            Task::Classification { n_classes: 2 },
-            "fuzz",
-            Algorithm::NaiveDt,
-            &resilient_config(),
-            None,
-            Some(3),
-        );
+        let result = run_frames(&mut source, Task::Classification { n_classes: 2 }, "fuzz", &resilient_config());
         match result {
             Ok(r) => {
                 prop_assert!(r.per_window_loss.len() <= 2 * 600, "more losses than windows");
@@ -202,15 +205,7 @@ proptest! {
         let plan = FaultPlan::chaos(seed);
         let run = |plan: FaultPlan| {
             let mut source = FaultInjector::new(FrameVec::new(synthetic_frames(120, 5, 3)), plan);
-            try_run_frames(
-                &mut source,
-                Task::Classification { n_classes: 2 },
-                "fuzz",
-                Algorithm::NaiveDt,
-                &resilient_config(),
-                None,
-                Some(3),
-            )
+            run_frames(&mut source, Task::Classification { n_classes: 2 }, "fuzz", &resilient_config())
         };
         match (run(plan.clone()), run(plan)) {
             (Ok(a), Ok(b)) => {
@@ -237,15 +232,7 @@ proptest! {
             ..Default::default()
         };
         cfg.learner.epochs = 1;
-        let result = try_run_frames(
-            &mut source,
-            Task::Classification { n_classes: 2 },
-            "fuzz",
-            Algorithm::NaiveDt,
-            &cfg,
-            None,
-            Some(3),
-        );
+        let result = run_frames(&mut source, Task::Classification { n_classes: 2 }, "fuzz", &cfg);
         if let Err(e) = result {
             prop_assert!(
                 matches!(e, HarnessError::SchemaMismatch { .. }),
@@ -269,15 +256,7 @@ proptest! {
         }
         let run = |cfg: &HarnessConfig| {
             let mut source = FrameVec::new(frames.clone());
-            try_run_frames(
-                &mut source,
-                Task::Regression,
-                "reset-fuzz",
-                Algorithm::NaiveDt,
-                cfg,
-                None,
-                Some(3),
-            )
+            run_frames(&mut source, Task::Regression, "reset-fuzz", cfg)
         };
 
         let resilient = run(&resilient_config()).unwrap();

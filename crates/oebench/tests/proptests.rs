@@ -3,8 +3,8 @@
 //! arbitrary configurations.
 
 use oeb_core::{
-    assign_levels, fmt_mean_std, recommend, run_stream, Algorithm, HarnessConfig, ImputerChoice,
-    LearnerConfig, Scenario,
+    assign_levels, fmt_mean_std, recommend, try_run_stream, Algorithm, HarnessConfig,
+    ImputerChoice, LearnerConfig, Scenario,
 };
 use oeb_synth::{generate, Balance, DriftPattern, LabelMechanism, Level, StreamSpec, TaskSpec};
 use oeb_tabular::Domain;
@@ -58,7 +58,7 @@ proptest! {
             learner: LearnerConfig { epochs: 1, ..Default::default() },
             ..Default::default()
         };
-        let r = run_stream(&d, Algorithm::NaiveDt, &cfg).expect("DT applies");
+        let r = try_run_stream(&d, Algorithm::NaiveDt, &cfg).expect("DT applies");
         for l in &r.per_window_loss {
             prop_assert!((0.0..=1.0).contains(l), "error rate {l} out of range");
         }
@@ -79,7 +79,7 @@ proptest! {
             let cfg = HarnessConfig { imputer, ..Default::default() };
             let mut cfg = cfg;
             cfg.learner.epochs = 1;
-            let r = run_stream(&d, Algorithm::NaiveDt, &cfg).expect("DT applies");
+            let r = try_run_stream(&d, Algorithm::NaiveDt, &cfg).expect("DT applies");
             counts.push(r.per_window_loss.len());
         }
         prop_assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");

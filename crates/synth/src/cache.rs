@@ -3,10 +3,10 @@
 //! Generation is deterministic per `(spec, seed)` — the generator seeds
 //! its RNG from exactly those two values — so the result can be shared
 //! behind an [`Arc`] by every consumer that asks for the same pair: the
-//! sweep executor fanning one dataset across ten learners, `run_seeds`
-//! repeating it per seed, and the `experiments/*` drivers that used to
-//! call `generate` ad hoc. The cache is bounded (FIFO) so a full-registry
-//! sweep cannot pin all 55 datasets in memory at once.
+//! sweep executor fanning one dataset across ten learners, the
+//! experiment grid revisiting it for every learner and variant, and the
+//! case studies of `experiments/*`. The cache is bounded (FIFO) so a
+//! full-registry sweep cannot pin all 55 datasets in memory at once.
 
 use crate::generate::generate;
 use crate::spec::StreamSpec;

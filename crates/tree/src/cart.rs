@@ -208,13 +208,8 @@ impl DecisionTree {
     /// The historical per-node-sorting fit, retained as the bitwise
     /// reference for the presorted path (equivalence tests compare the
     /// two tree structures exactly).
-    #[doc(hidden)]
-    pub fn fit_reference(
-        xs: &Matrix,
-        ys: &[f64],
-        task: TreeTask,
-        config: &TreeConfig,
-    ) -> DecisionTree {
+    #[cfg(test)]
+    fn fit_reference(xs: &Matrix, ys: &[f64], task: TreeTask, config: &TreeConfig) -> DecisionTree {
         assert_eq!(xs.rows(), ys.len(), "feature/target length mismatch");
         assert!(xs.rows() > 0, "cannot fit a tree on no data");
         let idx: Vec<usize> = (0..xs.rows()).collect();
@@ -354,6 +349,7 @@ impl SplitAgg {
         }
     }
 
+    #[cfg(test)]
     fn plus(&self, other: &SplitAgg) -> SplitAgg {
         let mut out = self.clone();
         out.count += other.count;
@@ -365,6 +361,7 @@ impl SplitAgg {
         out
     }
 
+    #[cfg(test)]
     fn minus(&self, other: &SplitAgg) -> SplitAgg {
         let mut out = self.clone();
         out.count -= other.count;
@@ -431,7 +428,7 @@ impl SplitAgg {
 /// filtering the root orderings by membership (no per-node sort), and
 /// the candidate sweep runs in reused aggregate registers (no per-
 /// candidate clones). Chain for chain this performs the same float
-/// operations in the same order as [`build_reference`], so the fitted
+/// operations in the same order as `build_reference`, so the fitted
 /// tree is bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn build(
@@ -599,6 +596,7 @@ fn build(
 /// The historical node builder: sorts each node's observations afresh
 /// per feature and clones sweep aggregates per candidate. Retained as
 /// the bitwise reference for [`build`].
+#[cfg(test)]
 fn build_reference(
     xs: &Matrix,
     ys: &[f64],
@@ -648,7 +646,6 @@ fn build_reference(
             continue;
         }
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        // oeb-lint: allow(panic-in-library) -- guarded by the len >= 2 check above
         if sorted[0].0 == sorted[sorted.len() - 1].0 {
             continue;
         }
@@ -747,6 +744,7 @@ fn build_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Structural bit-equality via the Debug representation: node
     /// shapes, feature ids, thresholds and leaf values all surface in
@@ -983,5 +981,72 @@ mod tests {
     fn empty_input_panics() {
         let xs = Matrix::zeros(0, 1);
         let _ = DecisionTree::fit(&xs, &[], TreeTask::Regression, &TreeConfig::default());
+    }
+
+    /// Labelled rows: the strategy of `tests/proptests.rs`, repeated
+    /// here because integration tests cannot call the `#[cfg(test)]`
+    /// reference fit.
+    fn labelled_data() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>, usize)> {
+        (8usize..60, 1usize..4, 2usize..4).prop_flat_map(|(n, d, classes)| {
+            prop::collection::vec(prop::collection::vec(-50.0..50.0f64, d), n).prop_map(
+                move |rows| {
+                    let ys: Vec<f64> = rows
+                        .iter()
+                        .map(|r| {
+                            let s: f64 = r.iter().sum();
+                            ((s.abs() as usize) % classes) as f64
+                        })
+                        .collect();
+                    (rows, ys, classes)
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The contract of the presorted CART fit: on arbitrary
+        /// data (ties, NaN holes, subsampled features), the presorted fit
+        /// must reproduce the per-node-sorting reference tree exactly —
+        /// same structure, same thresholds bit for bit.
+        #[test]
+        fn presorted_cart_fit_matches_reference(
+            (rows, ys, classes) in labelled_data(),
+            nan_period in 0usize..7,
+            max_features in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
+            seed in 0u64..50,
+        ) {
+            let rows: Vec<Vec<f64>> = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, mut r)| {
+                    if nan_period > 1 && i % nan_period == 0 {
+                        r[0] = f64::NAN;
+                    }
+                    // Quantise to force threshold ties.
+                    for v in &mut r {
+                        *v = (*v * 0.5).round();
+                    }
+                    r
+                })
+                .collect();
+            let xs = Matrix::from_rows(&rows);
+            let config = TreeConfig {
+                max_depth: 6,
+                max_features,
+                seed,
+                ..Default::default()
+            };
+            for task in [TreeTask::Classification { n_classes: classes }, TreeTask::Regression] {
+                let fast = DecisionTree::fit(&xs, &ys, task, &config);
+                let reference = DecisionTree::fit_reference(&xs, &ys, task, &config);
+                prop_assert_eq!(
+                    format!("{:?}", fast),
+                    format!("{:?}", reference),
+                    "presorted tree diverged for {:?}", task
+                );
+            }
+        }
     }
 }

@@ -150,47 +150,4 @@ proptest! {
         }
         prop_assert_eq!(arf.n_trees(), 3);
     }
-
-    /// Tentpole contract of the presorted CART builder: on arbitrary
-    /// data (ties, NaN holes, subsampled features), the presorted fit
-    /// must reproduce the per-node-sorting reference tree exactly —
-    /// same structure, same thresholds bit for bit.
-    #[test]
-    fn presorted_cart_fit_matches_reference(
-        (rows, ys, classes) in labelled_data(),
-        nan_period in 0usize..7,
-        max_features in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
-        seed in 0u64..50,
-    ) {
-        let rows: Vec<Vec<f64>> = rows
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut r)| {
-                if nan_period > 1 && i % nan_period == 0 {
-                    r[0] = f64::NAN;
-                }
-                // Quantise to force threshold ties.
-                for v in &mut r {
-                    *v = (*v * 0.5).round();
-                }
-                r
-            })
-            .collect();
-        let xs = Matrix::from_rows(&rows);
-        let config = TreeConfig {
-            max_depth: 6,
-            max_features,
-            seed,
-            ..Default::default()
-        };
-        for task in [TreeTask::Classification { n_classes: classes }, TreeTask::Regression] {
-            let fast = DecisionTree::fit(&xs, &ys, task, &config);
-            let reference = DecisionTree::fit_reference(&xs, &ys, task, &config);
-            prop_assert_eq!(
-                format!("{:?}", fast),
-                format!("{:?}", reference),
-                "presorted tree diverged for {:?}", task
-            );
-        }
-    }
 }

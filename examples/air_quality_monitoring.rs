@@ -55,14 +55,14 @@ fn main() {
             imputer,
             ..Default::default()
         };
-        let result = run_stream(&dataset, Algorithm::NaiveNn, &cfg).expect("NN applies");
+        let result = try_run_stream(&dataset, Algorithm::NaiveNn, &cfg).expect("NN applies");
         println!("  {:<12} {:.3}", imputer.name(), result.mean_loss);
     }
 
     // 3. Drift impact: the same stream shuffled loses its temporal
     //    structure, so the learner faces no drift.
-    let drift = run_stream(&dataset, Algorithm::NaiveNn, &HarnessConfig::default()).unwrap();
-    let no_drift = run_stream(
+    let drift = try_run_stream(&dataset, Algorithm::NaiveNn, &HarnessConfig::default()).unwrap();
+    let no_drift = try_run_stream(
         &dataset,
         Algorithm::NaiveNn,
         &HarnessConfig {

@@ -83,7 +83,7 @@ fn main() {
     println!("\nrecommended algorithms: {}", names.join(", "));
 
     // Run the top recommendation prequentially.
-    let result = run_stream(&dataset, recs[0], &HarnessConfig::default())
+    let result = try_run_stream(&dataset, recs[0], &HarnessConfig::default())
         .expect("recommended algorithm applies to the task");
     println!(
         "{} mean MSE over {} windows: {:.3}",

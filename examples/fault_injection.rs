@@ -22,7 +22,7 @@ fn main() {
         degrade: DegradePolicy::resilient(),
         ..Default::default()
     };
-    let clean = run_stream(&dataset, Algorithm::NaiveDt, &config).expect("clean run completes");
+    let clean = try_run_stream(&dataset, Algorithm::NaiveDt, &config).expect("clean run completes");
 
     config.fault_plan = Some(FaultPlan::chaos(42));
     let faulty = try_run_stream(&dataset, Algorithm::NaiveDt, &config)

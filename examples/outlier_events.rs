@@ -51,8 +51,8 @@ fn main() {
 
     // The corrupt cell: NN vs DT (§5.3's vulnerability finding).
     println!("\ntraining through the corrupt 999,990 cell:");
-    let nn = run_stream(&dataset, Algorithm::NaiveNn, &HarnessConfig::default()).unwrap();
-    let dt = run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+    let nn = try_run_stream(&dataset, Algorithm::NaiveNn, &HarnessConfig::default()).unwrap();
+    let dt = try_run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
     let tail = |r: &RunResult| -> String {
         r.per_window_loss
             .iter()
@@ -95,7 +95,7 @@ fn main() {
             outlier_removal: removal,
             ..Default::default()
         };
-        let result = run_stream(&dataset, Algorithm::NaiveDt, &cfg).unwrap();
+        let result = try_run_stream(&dataset, Algorithm::NaiveDt, &cfg).unwrap();
         println!("  {removal:<9?} {:.3}", result.mean_loss);
     }
 }

@@ -25,7 +25,7 @@ fn main() {
     // The prequential protocol: each window is tested before it is
     // trained on; the reported loss is the mean over windows.
     for algorithm in [Algorithm::NaiveDt, Algorithm::NaiveNn] {
-        let result = run_stream(&dataset, algorithm, &HarnessConfig::default())
+        let result = try_run_stream(&dataset, algorithm, &HarnessConfig::default())
             .expect("classification supports both algorithms");
         println!(
             "\n{:<10} mean error {:.3}  ({:.0} items/s, {:.1} KB model)",

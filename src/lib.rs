@@ -31,7 +31,7 @@
 //! let entry = oebench::synth::by_name("Electricity Prices").unwrap();
 //! let spec = entry.spec.scaled(0.02); // small for the doctest
 //! let dataset = oebench::synth::generate(&spec, 0);
-//! let result = run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+//! let result = try_run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
 //! assert!(result.mean_loss.is_finite());
 //! ```
 
@@ -51,10 +51,9 @@ pub use oeb_tree as tree;
 /// The most common imports for working with the benchmark.
 pub mod prelude {
     pub use oeb_core::{
-        extract_stats, recommend, run_seeds, run_stream, run_sweep, select_representatives,
-        try_run_stream, Algorithm, DegradePolicy, HarnessConfig, HarnessError, ImputerChoice,
-        LearnerConfig, OeStats, OutlierRemoval, RunOutcome, RunResult, Scenario, StatsConfig,
-        StreamLearner, SweepReport,
+        extract_stats, recommend, run_sweep, select_representatives, try_run_stream, Algorithm,
+        DegradePolicy, HarnessConfig, HarnessError, ImputerChoice, LearnerConfig, OeStats,
+        OutlierRemoval, RunOutcome, RunResult, Scenario, StatsConfig, StreamLearner, SweepReport,
     };
     pub use oeb_faults::{FaultInjector, FaultKind, FaultLog, FaultPlan};
     pub use oeb_linalg::Matrix;

@@ -24,7 +24,7 @@ fn counted_run(dataset: &StreamDataset, algorithm: Algorithm) -> (RunResult, u64
         )
     };
     let before = work();
-    let result = run_stream(dataset, algorithm, &HarnessConfig::default()).unwrap();
+    let result = try_run_stream(dataset, algorithm, &HarnessConfig::default()).unwrap();
     let after = work();
     (result, after.0 - before.0, after.1 - before.1)
 }

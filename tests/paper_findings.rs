@@ -20,13 +20,13 @@ fn outlier_events_hit_nn_harder_than_dt() {
         .unwrap();
     let dataset = oebench::synth::generate(&entry.spec, 0);
 
-    let dt = run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+    let dt = try_run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
     assert!(
         dt.mean_loss.is_finite(),
         "DT should survive the corrupt cell"
     );
 
-    let nn = run_stream(&dataset, Algorithm::NaiveNn, &HarnessConfig::default()).unwrap();
+    let nn = try_run_stream(&dataset, Algorithm::NaiveNn, &HarnessConfig::default()).unwrap();
     let spike_ratio = |r: &RunResult| -> f64 {
         let finite: Vec<f64> = r
             .per_window_loss
@@ -65,7 +65,7 @@ fn more_epochs_improve_effectiveness() {
     let loss_at = |epochs: usize| {
         let mut cfg = HarnessConfig::default();
         cfg.learner.epochs = epochs;
-        run_stream(&dataset, Algorithm::NaiveNn, &cfg)
+        try_run_stream(&dataset, Algorithm::NaiveNn, &cfg)
             .unwrap()
             .mean_loss
     };
@@ -85,8 +85,8 @@ fn shuffling_removes_drift_spikes() {
         .unwrap();
     let dataset = oebench::synth::generate(&entry.spec, 0);
 
-    let drift = run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
-    let shuffled = run_stream(
+    let drift = try_run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+    let shuffled = try_run_stream(
         &dataset,
         Algorithm::NaiveDt,
         &HarnessConfig {

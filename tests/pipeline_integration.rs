@@ -54,7 +54,7 @@ fn full_pipeline_stats_selection_evaluation() {
     // Stage 4: evaluate a learner on each representative, prequentially.
     for &rep in &selection.representatives {
         let dataset = oebench::synth::generate(&entries[rep].spec, 0);
-        let result = run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default())
+        let result = try_run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default())
             .expect("DT applies to both tasks");
         assert!(
             result.mean_loss.is_finite(),
@@ -156,8 +156,8 @@ fn every_algorithm_completes_on_both_task_types() {
     for entry in [clf, regr] {
         let dataset = oebench::synth::generate(&entry.spec, 0);
         for alg in Algorithm::all() {
-            match run_stream(&dataset, alg, &cfg) {
-                Some(result) => {
+            match try_run_stream(&dataset, alg, &cfg) {
+                Ok(result) => {
                     assert!(
                         !result.per_window_loss.is_empty(),
                         "{} produced no windows on {}",
@@ -166,8 +166,9 @@ fn every_algorithm_completes_on_both_task_types() {
                     );
                     assert!(result.memory_bytes > 0);
                 }
-                None => {
+                Err(err) => {
                     // Only ARF on regression is allowed to be N/A.
+                    assert!(matches!(err, HarnessError::NotApplicable { .. }), "{err}");
                     assert_eq!(alg, Algorithm::Arf);
                     assert!(!dataset.task.is_classification());
                 }
@@ -205,8 +206,8 @@ fn seeded_runs_are_reproducible() {
         .find(|e| e.spec.name == "Electricity Prices")
         .unwrap();
     let dataset = oebench::synth::generate(&entry.spec, 5);
-    let a = run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
-    let b = run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+    let a = try_run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
+    let b = try_run_stream(&dataset, Algorithm::NaiveDt, &HarnessConfig::default()).unwrap();
     assert_eq!(a.per_window_loss, b.per_window_loss);
     assert_eq!(a.mean_loss, b.mean_loss);
 }
