@@ -112,6 +112,25 @@ diff "$smoke_dir/fig14_t1/fig14.txt" "$smoke_dir/fig14_t4/fig14.txt" \
 grep -Eq 'prepare\.cache\.hit +[1-9]' "$smoke_dir/fig14_t4.err" \
     || { echo "ci: fig14 learners did not share prepared streams" >&2; exit 1; }
 
+# Gate: every paper artifact is pinned. `repro all --scale 0.05 --seeds 1`
+# must reproduce the digests in tests/golden/repro-s0.05.sha256: its 24
+# `.txt` and 8 `.svg` artifacts, byte-identical at any thread count.
+# table5.txt and table10.txt hold wall-clock numbers and are left out.
+# A change that moves a result bit regenerates the manifest and says why
+# in CHANGES.md:
+#   (cd <out> && ls *.txt *.svg | grep -vxe table5.txt -e table10.txt \
+#       | LC_ALL=C sort | xargs sha256sum) > tests/golden/repro-s0.05.sha256
+manifest="$PWD/tests/golden/repro-s0.05.sha256"
+cargo run --release -p oeb-bench --bin repro -- all --scale 0.05 --seeds 1 \
+    --threads 2 --out "$smoke_dir/repro_all" > /dev/null 2> "$smoke_dir/repro_all.err" \
+    || { cat "$smoke_dir/repro_all.err"; exit 1; }
+diff <(cd "$smoke_dir/repro_all" && ls ./*.txt ./*.svg | sed 's|^\./||' \
+        | grep -vxe table5.txt -e table10.txt | LC_ALL=C sort) \
+     <(awk '{print $2}' "$manifest") \
+    || { echo "ci: repro artifact list differs from $manifest" >&2; exit 1; }
+(cd "$smoke_dir/repro_all" && sha256sum --quiet -c "$manifest") \
+    || { echo "ci: repro artifacts differ from $manifest" >&2; exit 1; }
+
 # Smoke: traced-vs-untraced statistics. The stats report must be
 # byte-identical with tracing on and off; the traced run's spans must
 # validate, its counters must pass the counter vocabulary gate, and the

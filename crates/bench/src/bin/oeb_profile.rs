@@ -17,6 +17,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use oeb_bench::profile::{analyze, check_metrics, parse_trace, profile_json, render_profile};
+use oeb_core::console::print;
 
 const USAGE: &str = "usage: oeb-profile <trace.jsonl> [--out PROFILE.json] [--top K] [--threads N] [--check-metrics metrics.txt]";
 
@@ -77,19 +78,21 @@ fn run(opts: &Options) -> Result<(), String> {
     let trace = parse_trace(&text)?;
 
     let profile = analyze(&trace, opts.threads);
-    print!("{}", render_profile(&profile, opts.top));
+    print(&render_profile(&profile, opts.top));
     if let Some(path) = &opts.check_metrics {
         let metrics = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let checked = check_metrics(&profile, &metrics)?;
-        println!("\ncheck-metrics: {checked} span totals match the snapshot");
+        print(&format!(
+            "\ncheck-metrics: {checked} span totals match the snapshot\n"
+        ));
     }
     if let Some(path) = &opts.out {
         let json = serde_json::to_string_pretty(&profile_json(&profile, opts.top))
             .map_err(|e| format!("cannot serialise profile: {e}"))?;
         std::fs::write(path, json + "\n")
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("profile written to {}", path.display());
+        print(&format!("profile written to {}\n", path.display()));
     }
     Ok(())
 }

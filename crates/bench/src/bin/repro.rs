@@ -17,7 +17,10 @@ fn main() {
     match oeb_bench::run_repro(&opts) {
         Ok(outputs) => {
             for out in &outputs {
-                println!("=== {} — {} ===\n{}", out.id, out.title, out.text);
+                oeb_core::console::print(&format!(
+                    "=== {} — {} ===\n{}\n",
+                    out.id, out.title, out.text
+                ));
             }
             eprintln!(
                 "[repro] wrote {} artifacts to {}/",

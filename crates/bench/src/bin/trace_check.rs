@@ -28,6 +28,7 @@ use std::process::exit;
 
 use oeb_bench::counter_vocab::KNOWN_COUNTERS;
 use oeb_bench::profile::parse_trace;
+use oeb_core::console::print;
 
 /// Checks every row of the `counters` section of a rendered metrics
 /// table against [`KNOWN_COUNTERS`].
@@ -62,7 +63,7 @@ fn check_counters(path: &str) {
         eprintln!("trace_check: {path}: no counters section (was --metrics on?)");
         exit(1);
     }
-    println!("trace_check: {path}: {seen} counters OK");
+    print(&format!("trace_check: {path}: {seen} counters OK\n"));
 }
 
 fn main() {
@@ -118,7 +119,7 @@ fn main() {
         eprintln!("trace_check: {path}: trace truncated: {dropped} events dropped");
         exit(3);
     }
-    println!("trace_check: {path}: {n} spans OK, footer OK");
+    print(&format!("trace_check: {path}: {n} spans OK, footer OK\n"));
     if let Some(metrics_path) = counters {
         check_counters(metrics_path);
     }

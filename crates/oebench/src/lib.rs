@@ -13,6 +13,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod chaos;
+pub mod console;
 pub mod error;
 pub mod executor;
 pub mod experiments;

@@ -121,11 +121,6 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
-    /// True for [`RunOutcome::Completed`].
-    pub fn is_completed(&self) -> bool {
-        matches!(self, RunOutcome::Completed(_))
-    }
-
     /// One-line human-readable summary (for sweep listings).
     pub fn describe(&self) -> String {
         match self {

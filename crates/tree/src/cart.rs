@@ -93,6 +93,9 @@ pub struct FeaturePresort {
     /// Per feature: rows with finite values, ascending by value, ties
     /// in ascending row order (stable sort of the ascending range).
     finite: Vec<Vec<u32>>,
+    /// Per feature: the values of `finite`'s rows, in the same order,
+    /// so the node gather reads them contiguously.
+    values: Vec<Vec<f64>>,
     /// Per feature: rows with non-finite values, ascending.
     nonfinite: Vec<Vec<u32>>,
 }
@@ -102,6 +105,7 @@ impl FeaturePresort {
     pub fn new(xs: &Matrix) -> FeaturePresort {
         let (n, d) = (xs.rows(), xs.cols());
         let mut finite = Vec::with_capacity(d);
+        let mut values = Vec::with_capacity(d);
         let mut nonfinite = Vec::with_capacity(d);
         for f in 0..d {
             let mut fin: Vec<u32> = Vec::with_capacity(n);
@@ -114,39 +118,42 @@ impl FeaturePresort {
                 }
             }
             fin.sort_by(|&a, &b| xs[(a as usize, f)].total_cmp(&xs[(b as usize, f)]));
+            values.push(fin.iter().map(|&i| xs[(i as usize, f)]).collect());
             finite.push(fin);
             nonfinite.push(non);
         }
-        FeaturePresort { finite, nonfinite }
+        FeaturePresort {
+            finite,
+            values,
+            nonfinite,
+        }
     }
 }
 
-/// Reusable per-fit buffers: node membership marks, the assembled
+/// Reusable per-fit buffers: node membership flags, the gathered
 /// `(value, target)` sequence, the feature subset, and the sweep's
-/// aggregate registers — so the per-node/per-candidate work allocates
-/// nothing.
-struct BuildScratch {
+/// aggregates — so the per-node/per-candidate work allocates nothing.
+struct BuildScratch<A> {
     in_node: Vec<bool>,
+    /// `n` fixed slots; a node's sequence fills a prefix of them.
     sorted: Vec<(f64, f64)>,
     features: Vec<usize>,
-    nan: SplitAgg,
-    total: SplitAgg,
-    left: SplitAgg,
-    right: SplitAgg,
-    with_nan: SplitAgg,
+    nan: A,
+    total: A,
+    left: A,
+    right: A,
 }
 
-impl BuildScratch {
-    fn new(n: usize, d: usize, task: TreeTask) -> BuildScratch {
+impl<A: SplitStat + Clone> BuildScratch<A> {
+    fn new(n: usize, d: usize, zero: A) -> BuildScratch<A> {
         BuildScratch {
             in_node: vec![false; n],
-            sorted: Vec::with_capacity(n),
+            sorted: vec![(0.0, 0.0); n],
             features: Vec::with_capacity(d),
-            nan: SplitAgg::new(task),
-            total: SplitAgg::new(task),
-            left: SplitAgg::new(task),
-            right: SplitAgg::new(task),
-            with_nan: SplitAgg::new(task),
+            nan: zero.clone(),
+            total: zero.clone(),
+            left: zero.clone(),
+            right: zero,
         }
     }
 }
@@ -184,20 +191,14 @@ impl DecisionTree {
     ) -> DecisionTree {
         assert_eq!(xs.rows(), ys.len(), "feature/target length mismatch");
         assert!(xs.rows() > 0, "cannot fit a tree on no data");
-        let idx: Vec<usize> = (0..xs.rows()).collect();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut scratch = BuildScratch::new(xs.rows(), xs.cols(), task);
-        let root = build(
-            xs,
-            ys,
-            &idx,
-            task,
-            config,
-            0,
-            &mut rng,
-            presort,
-            &mut scratch,
-        );
+        // The split aggregate is chosen once per fit, so the sweep never
+        // tests the task per candidate.
+        let root = match task {
+            TreeTask::Regression => grow(xs, ys, task, config, presort, Sse::default()),
+            TreeTask::Classification { n_classes } => {
+                grow(xs, ys, task, config, presort, Gini::zeros(n_classes))
+            }
+        };
         DecisionTree {
             root,
             task,
@@ -312,126 +313,188 @@ fn impurity(ys: &[f64], idx: &[usize], task: TreeTask) -> f64 {
     }
 }
 
-/// Incremental impurity aggregate for the split sweep: class counts for
-/// Gini, (sum, sum of squares) for variance.
-#[derive(Debug, Clone)]
-struct SplitAgg {
+/// The split aggregate of the candidate sweep: [`Sse`] for regression,
+/// [`Gini`] for classification. Each performs the float operations of
+/// the historical `SplitAgg` (kept under `#[cfg(test)]` for
+/// `build_reference`) in its order, so the sweep's scores are
+/// bit-identical.
+trait SplitStat {
+    /// Zeroes the aggregate in place.
+    fn reset(&mut self);
+    /// Adds one target.
+    fn add(&mut self, y: f64);
+    /// Number of targets added.
+    fn count(&self) -> f64;
+    /// `self = a - b` in place: `SplitAgg::minus`.
+    fn assign_diff(&mut self, a: &Self, b: &Self);
+    /// Size-weighted impurity: the sum of squared errors or `gini * n`.
+    fn impurity(&self) -> f64;
+    /// The impurity of `self + other` (`SplitAgg::plus`, then
+    /// `impurity`), without storing the sum.
+    fn impurity_plus(&self, other: &Self) -> f64;
+}
+
+/// Regression aggregate: count, sum and sum of squares, in registers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sse {
     count: f64,
-    /// Class counts (classification) — empty for regression.
-    classes: Vec<f64>,
     sum: f64,
     sq_sum: f64,
 }
 
-impl SplitAgg {
-    fn new(task: TreeTask) -> SplitAgg {
-        let classes = match task {
-            TreeTask::Classification { n_classes } => vec![0.0; n_classes],
-            TreeTask::Regression => Vec::new(),
-        };
-        SplitAgg {
-            count: 0.0,
-            classes,
-            sum: 0.0,
-            sq_sum: 0.0,
+impl Sse {
+    #[inline]
+    fn sse(count: f64, sum: f64, sq_sum: f64) -> f64 {
+        if count <= 0.0 {
+            return 0.0;
         }
+        (sq_sum - sum * sum / count).max(0.0)
+    }
+}
+
+impl SplitStat for Sse {
+    #[inline]
+    fn reset(&mut self) {
+        *self = Sse::default();
     }
 
     #[inline]
     fn add(&mut self, y: f64) {
         self.count += 1.0;
-        if self.classes.is_empty() {
-            self.sum += y;
-            self.sq_sum += y * y;
-        } else {
-            let c = (y as usize).min(self.classes.len() - 1);
-            self.classes[c] += 1.0;
-        }
+        self.sum += y;
+        self.sq_sum += y * y;
     }
 
-    #[cfg(test)]
-    fn plus(&self, other: &SplitAgg) -> SplitAgg {
-        let mut out = self.clone();
-        out.count += other.count;
-        out.sum += other.sum;
-        out.sq_sum += other.sq_sum;
-        for (a, b) in out.classes.iter_mut().zip(&other.classes) {
-            *a += b;
-        }
-        out
+    #[inline]
+    fn count(&self) -> f64 {
+        self.count
     }
 
-    #[cfg(test)]
-    fn minus(&self, other: &SplitAgg) -> SplitAgg {
-        let mut out = self.clone();
-        out.count -= other.count;
-        out.sum -= other.sum;
-        out.sq_sum -= other.sq_sum;
-        for (a, b) in out.classes.iter_mut().zip(&other.classes) {
-            *a -= b;
-        }
-        out
-    }
-
-    /// Zeroes the aggregate in place, keeping the class-count
-    /// allocation.
-    fn reset(&mut self) {
-        self.count = 0.0;
-        self.sum = 0.0;
-        self.sq_sum = 0.0;
-        self.classes.fill(0.0);
-    }
-
-    /// `self = a + b` without allocating — the exact operations of
-    /// [`SplitAgg::plus`] into a reused register.
-    fn assign_sum(&mut self, a: &SplitAgg, b: &SplitAgg) {
-        self.count = a.count + b.count;
-        self.sum = a.sum + b.sum;
-        self.sq_sum = a.sq_sum + b.sq_sum;
-        self.classes.clear();
-        self.classes
-            .extend(a.classes.iter().zip(&b.classes).map(|(x, y)| x + y));
-    }
-
-    /// `self = a - b` without allocating — the exact operations of
-    /// [`SplitAgg::minus`] into a reused register.
-    fn assign_diff(&mut self, a: &SplitAgg, b: &SplitAgg) {
+    #[inline]
+    fn assign_diff(&mut self, a: &Sse, b: &Sse) {
         self.count = a.count - b.count;
         self.sum = a.sum - b.sum;
         self.sq_sum = a.sq_sum - b.sq_sum;
-        self.classes.clear();
-        self.classes
-            .extend(a.classes.iter().zip(&b.classes).map(|(x, y)| x - y));
     }
 
-    /// Size-weighted impurity: `gini * n` or the sum of squared errors.
+    #[inline]
     fn impurity(&self) -> f64 {
-        if self.count <= 0.0 {
-            return 0.0;
-        }
-        if self.classes.is_empty() {
-            (self.sq_sum - self.sum * self.sum / self.count).max(0.0)
-        } else {
-            let gini = 1.0
-                - self
-                    .classes
-                    .iter()
-                    .map(|c| (c / self.count) * (c / self.count))
-                    .sum::<f64>();
-            gini * self.count
+        Sse::sse(self.count, self.sum, self.sq_sum)
+    }
+
+    #[inline]
+    fn impurity_plus(&self, other: &Sse) -> f64 {
+        Sse::sse(
+            self.count + other.count,
+            self.sum + other.sum,
+            self.sq_sum + other.sq_sum,
+        )
+    }
+}
+
+/// Classification aggregate: class counts, updated in place.
+#[derive(Debug, Clone)]
+struct Gini {
+    count: f64,
+    classes: Vec<f64>,
+}
+
+impl Gini {
+    fn zeros(n_classes: usize) -> Gini {
+        Gini {
+            count: 0.0,
+            classes: vec![0.0; n_classes],
         }
     }
 }
 
-/// Builds one node from the shared presort and scratch buffers: the
-/// node's per-feature `(value, target)` sequences come from stably
-/// filtering the root orderings by membership (no per-node sort), and
-/// the candidate sweep runs in reused aggregate registers (no per-
-/// candidate clones). Chain for chain this performs the same float
-/// operations in the same order as `build_reference`, so the fitted
+impl SplitStat for Gini {
+    fn reset(&mut self) {
+        self.count = 0.0;
+        self.classes.fill(0.0);
+    }
+
+    #[inline]
+    fn add(&mut self, y: f64) {
+        self.count += 1.0;
+        let c = (y as usize).min(self.classes.len() - 1);
+        self.classes[c] += 1.0;
+    }
+
+    #[inline]
+    fn count(&self) -> f64 {
+        self.count
+    }
+
+    fn assign_diff(&mut self, a: &Gini, b: &Gini) {
+        self.count = a.count - b.count;
+        for ((out, x), y) in self.classes.iter_mut().zip(&a.classes).zip(&b.classes) {
+            *out = x - y;
+        }
+    }
+
+    fn impurity(&self) -> f64 {
+        let n = self.count;
+        if n <= 0.0 {
+            return 0.0;
+        }
+        let gini = 1.0 - self.classes.iter().map(|c| (c / n) * (c / n)).sum::<f64>();
+        gini * n
+    }
+
+    fn impurity_plus(&self, other: &Gini) -> f64 {
+        let n = self.count + other.count;
+        if n <= 0.0 {
+            return 0.0;
+        }
+        let gini = 1.0
+            - self
+                .classes
+                .iter()
+                .zip(&other.classes)
+                .map(|(a, b)| {
+                    let c = a + b;
+                    (c / n) * (c / n)
+                })
+                .sum::<f64>();
+        gini * n
+    }
+}
+
+/// Grows a tree from the root, sweeping with the split aggregate of
+/// which `zero` is an empty instance.
+fn grow<A: SplitStat + Clone>(
+    xs: &Matrix,
+    ys: &[f64],
+    task: TreeTask,
+    config: &TreeConfig,
+    presort: &FeaturePresort,
+    zero: A,
+) -> Node {
+    let idx: Vec<usize> = (0..xs.rows()).collect();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut scratch = BuildScratch::new(xs.rows(), xs.cols(), zero);
+    build(
+        xs,
+        ys,
+        &idx,
+        task,
+        config,
+        0,
+        &mut rng,
+        presort,
+        &mut scratch,
+    )
+}
+
+/// Builds one node from the shared presort and scratch buffers: each
+/// feature's `(value, target)` sequence is gathered from the root
+/// ordering without a branch per row (no per-node sort), and one sweep
+/// scores its candidates. Chain for chain this performs the float
+/// operations of `build_reference` in the same order, so the fitted
 /// tree is bit-identical.
 #[allow(clippy::too_many_arguments)]
-fn build(
+fn build<A: SplitStat>(
     xs: &Matrix,
     ys: &[f64],
     idx: &[usize],
@@ -440,7 +503,7 @@ fn build(
     depth: usize,
     rng: &mut StdRng,
     presort: &FeaturePresort,
-    scratch: &mut BuildScratch,
+    scratch: &mut BuildScratch<A>,
 ) -> Node {
     let parent_impurity = impurity(ys, idx, task);
     if depth >= config.max_depth
@@ -462,87 +525,53 @@ fn build(
         scratch.features.truncate(k.clamp(1, d));
     }
 
+    let BuildScratch {
+        in_node,
+        sorted,
+        features,
+        nan,
+        total,
+        left,
+        right,
+    } = scratch;
     for &i in idx {
-        scratch.in_node[i] = true;
+        in_node[i] = true;
     }
+    // Both slices have the length of `ys`, so one bound check on a row
+    // index covers `ys[i]` and `member[i]`.
+    let n = ys.len();
+    let member = &in_node[..n];
+    let slots = &mut sorted[..n];
     let mut best: Option<(usize, f64, f64, bool)> = None; // (feat, thr, score, nan_left)
-    for fi in 0..scratch.features.len() {
-        let f = scratch.features[fi];
-        scratch.sorted.clear();
-        scratch.nan.reset();
+    for &f in features.iter() {
+        nan.reset();
         for &i in &presort.nonfinite[f] {
-            if scratch.in_node[i as usize] {
-                scratch.nan.add(ys[i as usize]);
+            if member[i as usize] {
+                nan.add(ys[i as usize]);
             }
         }
-        // Node rows are always ascending, so this stable filter yields
-        // the node's values ascending with ties in row order — the
-        // sequence the reference obtains by sorting the node afresh.
-        for &i in &presort.finite[f] {
+        // Every presorted row is written to the next free slot, which
+        // advances only for node members: the kept prefix is exactly the
+        // stable filter of the root ordering, without an unpredictable
+        // branch per row.
+        let mut len = 0usize;
+        for (&i, &v) in presort.finite[f].iter().zip(&presort.values[f]) {
             let i = i as usize;
-            if scratch.in_node[i] {
-                scratch.sorted.push((xs[(i, f)], ys[i]));
-            }
+            slots[len] = (v, ys[i]);
+            len += usize::from(member[i]);
         }
-        let n_obs = scratch.sorted.len();
-        if n_obs < 2 {
+        let Some((thr, score, nan_left)) = sweep(&slots[..len], nan, total, left, right, config)
+        else {
             continue;
-        }
-        // oeb-lint: allow(panic-in-library) -- guarded by the len >= 2 check above
-        if scratch.sorted[0].0 == scratch.sorted[n_obs - 1].0 {
-            continue;
-        }
-        scratch.total.reset();
-        for &(_, y) in &scratch.sorted {
-            scratch.total.add(y);
-        }
-
-        let n_cand = config.max_thresholds.min(n_obs - 1);
-        scratch.left.reset();
-        let mut cursor = 0usize;
-        let has_nan = scratch.nan.count > 0.0;
-        for t in 0..n_cand {
-            let pos = ((t + 1) * (n_obs - 1) / (n_cand + 1).max(1)).min(n_obs - 2);
-            let thr = (scratch.sorted[pos].0 + scratch.sorted[pos + 1].0) / 2.0;
-            // Advance the sweep to include every value <= thr.
-            while cursor < n_obs && scratch.sorted[cursor].0 <= thr {
-                let y = scratch.sorted[cursor].1;
-                scratch.left.add(y);
-                cursor += 1;
-            }
-            if cursor == 0 || cursor == n_obs {
-                continue;
-            }
-            scratch.right.assign_diff(&scratch.total, &scratch.left);
-            // Try the missing values on each side (once when there are
-            // none — the reference also adds the zeroed aggregate then).
-            for nan_left in if has_nan {
-                &[true, false][..]
-            } else {
-                &[true][..]
-            } {
-                let (l, r) = if *nan_left {
-                    scratch.with_nan.assign_sum(&scratch.left, &scratch.nan);
-                    (&scratch.with_nan, &scratch.right)
-                } else {
-                    scratch.with_nan.assign_sum(&scratch.right, &scratch.nan);
-                    (&scratch.left, &scratch.with_nan)
-                };
-                if (l.count as usize) < config.min_samples_leaf
-                    || (r.count as usize) < config.min_samples_leaf
-                {
-                    continue;
-                }
-                let score = l.impurity() + r.impurity();
-                match best {
-                    Some((_, _, b, _)) if b <= score => {}
-                    _ => best = Some((f, thr, score, *nan_left)),
-                }
-            }
+        };
+        // Strict `<` keeps the first minimum, as the reference's
+        // per-candidate `b <= score` does.
+        if best.is_none_or(|(_, _, b, _)| score < b) {
+            best = Some((f, thr, score, nan_left));
         }
     }
     for &i in idx {
-        scratch.in_node[i] = false;
+        in_node[i] = false;
     }
 
     let Some((feature, threshold, score, nan_left)) = best else {
@@ -590,6 +619,170 @@ fn build(
             presort,
             scratch,
         )),
+    }
+}
+
+/// The candidate sweep of one feature over a node's sorted `(value,
+/// target)` sequence, with the node's non-finite rows aggregated in
+/// `nan`. Returns the first minimum-score candidate as `(threshold,
+/// score, nan_left)`. Scores are never NaN (`impurity` clamps with
+/// `f64::max`), so a strict `<` keeps the first minimum as the
+/// reference's `b <= score` does.
+fn sweep<A: SplitStat>(
+    sorted: &[(f64, f64)],
+    nan: &A,
+    total: &mut A,
+    left: &mut A,
+    right: &mut A,
+    config: &TreeConfig,
+) -> Option<(f64, f64, bool)> {
+    let n_obs = sorted.len();
+    if n_obs < 2 {
+        return None;
+    }
+    // oeb-lint: allow(panic-in-library) -- guarded by the len >= 2 check above
+    if sorted[0].0 == sorted[n_obs - 1].0 {
+        return None;
+    }
+    total.reset();
+    for &(_, y) in sorted {
+        total.add(y);
+    }
+    left.reset();
+    // Counts are exact integers in the aggregates, so the leaf-size test
+    // runs on integers: the left side holds `cursor` finite rows.
+    let n_nan = nan.count() as usize;
+    let min_leaf = config.min_samples_leaf;
+    let n_cand = config.max_thresholds.min(n_obs - 1);
+    // Candidate `t` splits after position `(t + 1) * (n_obs - 1) /
+    // (n_cand + 1)`: step its quotient and carry its remainder instead
+    // of dividing per candidate.
+    let den = n_cand + 1;
+    let (step, step_rem) = ((n_obs - 1) / den, (n_obs - 1) % den);
+    let (mut pos, mut rem) = (0usize, 0usize);
+    let mut cursor = 0usize;
+    // The cursor of the last candidate scored. A candidate that leaves
+    // it in place repeats that split, and its equal score cannot
+    // displace the first one.
+    let mut scored = 0usize;
+    let mut best: Option<(f64, f64, bool)> = None;
+    for _ in 0..n_cand {
+        pos += step;
+        rem += step_rem;
+        if rem >= den {
+            rem -= den;
+            pos += 1;
+        }
+        let p = pos.min(n_obs - 2);
+        let thr = (sorted[p].0 + sorted[p + 1].0) / 2.0;
+        // Advance the sweep to include every value <= thr.
+        while cursor < n_obs && sorted[cursor].0 <= thr {
+            left.add(sorted[cursor].1);
+            cursor += 1;
+        }
+        // `scored` starts at 0, so this also skips an empty left side.
+        if cursor == scored || cursor == n_obs {
+            continue;
+        }
+        scored = cursor;
+        right.assign_diff(total, left);
+        let n_right = n_obs - cursor;
+        // Missing values on the left — tried also when there are none,
+        // as the reference adds the zeroed aggregate then too.
+        if cursor + n_nan >= min_leaf && n_right >= min_leaf {
+            let score = left.impurity_plus(nan) + right.impurity();
+            if best.is_none_or(|(_, b, _)| score < b) {
+                best = Some((thr, score, true));
+            }
+        }
+        // Missing values on the right.
+        if n_nan > 0 && cursor >= min_leaf && n_right + n_nan >= min_leaf {
+            let score = left.impurity() + right.impurity_plus(nan);
+            if best.is_none_or(|(_, b, _)| score < b) {
+                best = Some((thr, score, false));
+            }
+        }
+    }
+    best
+}
+
+/// Incremental impurity aggregate of the reference sweep: class counts
+/// for Gini, (sum, sum of squares) for variance. [`Sse`] and [`Gini`]
+/// perform its operations in its order.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+struct SplitAgg {
+    count: f64,
+    /// Class counts (classification) — empty for regression.
+    classes: Vec<f64>,
+    sum: f64,
+    sq_sum: f64,
+}
+
+#[cfg(test)]
+impl SplitAgg {
+    fn new(task: TreeTask) -> SplitAgg {
+        let classes = match task {
+            TreeTask::Classification { n_classes } => vec![0.0; n_classes],
+            TreeTask::Regression => Vec::new(),
+        };
+        SplitAgg {
+            count: 0.0,
+            classes,
+            sum: 0.0,
+            sq_sum: 0.0,
+        }
+    }
+
+    fn add(&mut self, y: f64) {
+        self.count += 1.0;
+        if self.classes.is_empty() {
+            self.sum += y;
+            self.sq_sum += y * y;
+        } else {
+            let c = (y as usize).min(self.classes.len() - 1);
+            self.classes[c] += 1.0;
+        }
+    }
+
+    fn plus(&self, other: &SplitAgg) -> SplitAgg {
+        let mut out = self.clone();
+        out.count += other.count;
+        out.sum += other.sum;
+        out.sq_sum += other.sq_sum;
+        for (a, b) in out.classes.iter_mut().zip(&other.classes) {
+            *a += b;
+        }
+        out
+    }
+
+    fn minus(&self, other: &SplitAgg) -> SplitAgg {
+        let mut out = self.clone();
+        out.count -= other.count;
+        out.sum -= other.sum;
+        out.sq_sum -= other.sq_sum;
+        for (a, b) in out.classes.iter_mut().zip(&other.classes) {
+            *a -= b;
+        }
+        out
+    }
+
+    /// Size-weighted impurity: `gini * n` or the sum of squared errors.
+    fn impurity(&self) -> f64 {
+        if self.count <= 0.0 {
+            return 0.0;
+        }
+        if self.classes.is_empty() {
+            (self.sq_sum - self.sum * self.sum / self.count).max(0.0)
+        } else {
+            let gini = 1.0
+                - self
+                    .classes
+                    .iter()
+                    .map(|c| (c / self.count) * (c / self.count))
+                    .sum::<f64>();
+            gini * self.count
+        }
     }
 }
 
@@ -1045,6 +1238,155 @@ mod tests {
                     format!("{:?}", fast),
                     format!("{:?}", reference),
                     "presorted tree diverged for {:?}", task
+                );
+            }
+        }
+    }
+
+    /// One oracle case from `seed`: feature columns of three kinds —
+    /// continuous, heavily tied integers, and binary — with `+0.0` and
+    /// `-0.0` mixed in and NaN / `±inf` holes whose rate follows a
+    /// latent score, so that routing the holes either way can win.
+    /// Returns the features, GBDT-style regression targets `onehot - p`
+    /// (inexact, full 53-bit mantissas) and class labels.
+    fn oracle_case(
+        seed: u64,
+        rows: usize,
+        cols: usize,
+        n_classes: usize,
+    ) -> (Matrix, Vec<f64>, Vec<f64>) {
+        let mut s = seed ^ 0x9e37_79b9_7f4a_7c15;
+        let mut unit = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let latent: Vec<f64> = (0..rows).map(|_| unit()).collect();
+        let holes = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut data = vec![vec![0.0; cols]; rows];
+        for c in 0..cols {
+            let hole_rate = [0.0, 0.15, 0.4][(unit() * 3.0) as usize];
+            for (r, &z) in latent.iter().enumerate() {
+                let v = match (c + seed as usize) % 3 {
+                    0 => z * 8.0 - 4.0 + (unit() - 0.5),
+                    1 => ((z + 0.5 * unit()) * 4.0).floor() - 2.0,
+                    _ => f64::from(u8::from(z + 0.3 * unit() > 0.6)),
+                };
+                let v = if v == 0.0 && unit() < 0.5 { -0.0 } else { v };
+                data[r][c] = if unit() < hole_rate * (0.25 + z) {
+                    holes[(unit() * 3.0) as usize]
+                } else {
+                    v
+                };
+            }
+        }
+        let labels: Vec<f64> = latent
+            .iter()
+            .map(|&z| ((z * n_classes as f64) as usize).min(n_classes - 1) as f64)
+            .collect();
+        let gradients: Vec<f64> = labels
+            .iter()
+            .map(|&y| {
+                let scores: Vec<f64> = (0..n_classes).map(|_| unit() * 4.0 - 2.0).collect();
+                let p = oeb_nn::softmax(&scores);
+                f64::from(u8::from(y == 0.0)) - p[0]
+            })
+            .collect();
+        (Matrix::from_rows(&data), gradients, labels)
+    }
+
+    /// Counts, by `nan_left`, the splits whose node holds non-finite
+    /// values of the split feature, walking `idx` down the tree.
+    fn hole_routes(node: &Node, xs: &Matrix, idx: &[usize], counts: &mut [usize; 2]) {
+        if let Node::Split {
+            feature,
+            threshold,
+            nan_left,
+            left,
+            right,
+        } = node
+        {
+            if idx.iter().any(|&i| !xs[(i, *feature)].is_finite()) {
+                counts[usize::from(*nan_left)] += 1;
+            }
+            let (l, r): (Vec<usize>, Vec<usize>) = idx.iter().partition(|&&i| {
+                let v = xs[(i, *feature)];
+                if v.is_finite() {
+                    v <= *threshold
+                } else {
+                    *nan_left
+                }
+            });
+            hole_routes(left, xs, &l, counts);
+            hole_routes(right, xs, &r, counts);
+        }
+    }
+
+    #[test]
+    fn oracle_cases_route_holes_both_ways() {
+        // The oracle's data must reach both `nan_left` outcomes, or the
+        // routing half of the sweep would go unchecked.
+        let mut counts = [0usize; 2];
+        for seed in 0..24u64 {
+            let (xs, ys_reg, ys_class) = oracle_case(seed, 90, 3, 3);
+            let config = TreeConfig {
+                max_depth: 6,
+                ..Default::default()
+            };
+            for (task, ys) in [
+                (TreeTask::Regression, &ys_reg),
+                (TreeTask::Classification { n_classes: 3 }, &ys_class),
+            ] {
+                let tree = DecisionTree::fit_reference(&xs, ys, task, &config);
+                let idx: Vec<usize> = (0..xs.rows()).collect();
+                hole_routes(&tree.root, &xs, &idx, &mut counts);
+            }
+        }
+        assert!(
+            counts[0] > 0 && counts[1] > 0,
+            "holes routed right {} and left {} times",
+            counts[0],
+            counts[1]
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fast fit against the reference where accumulation order
+        /// shows: inexact GBDT-style targets (every sum rounds), NaN and
+        /// `±inf` holes, `±0.0` and heavy ties, few candidates (the
+        /// cursor jumps many rows per candidate) and small leaves, for
+        /// both tasks.
+        #[test]
+        fn cart_fit_matches_reference_on_inexact_targets(
+            seed in any::<u64>(),
+            rows in 8usize..150,
+            cols in 1usize..5,
+            n_classes in 2usize..5,
+            max_thresholds in prop_oneof![Just(1usize), Just(3usize), Just(32usize)],
+            min_samples_leaf in prop_oneof![Just(1usize), Just(4usize)],
+            max_features in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
+        ) {
+            let (xs, ys_reg, ys_class) = oracle_case(seed, rows, cols, n_classes);
+            let config = TreeConfig {
+                max_depth: 6,
+                min_samples_leaf,
+                max_thresholds,
+                max_features,
+                seed,
+            };
+            for (task, ys) in [
+                (TreeTask::Regression, &ys_reg),
+                (TreeTask::Classification { n_classes }, &ys_class),
+            ] {
+                let fast = DecisionTree::fit(&xs, ys, task, &config);
+                let reference = DecisionTree::fit_reference(&xs, ys, task, &config);
+                prop_assert_eq!(
+                    format!("{:?}", fast),
+                    format!("{:?}", reference),
+                    "tree diverged for {:?}", task
                 );
             }
         }

@@ -16,7 +16,7 @@ fn main() {
         }
     };
     match oebench::cli::execute(&opts) {
-        Ok(output) => print!("{output}"),
+        Ok(output) => oebench::core::console::print(&output),
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(e.code);
