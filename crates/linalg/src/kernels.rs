@@ -543,15 +543,19 @@ fn guarded_tile(
 // The three kernels below batch those loops with register tiles while
 // keeping each output element's accumulation strictly k-sequential in
 // the historical order, so they are bit-identical to the per-sample
-// references (the `*_reference_into` functions, compared bit for bit
-// by this module's tests). Multiplication operand order is also
-// preserved (weights × activations, delta × input) so NaN-payload
-// propagation cannot differ either.
-
-/// Rows of X per register tile in [`matmul_xwt_bias_into`].
-const XW_MR: usize = 4;
-/// Rows of W per register tile in [`matmul_xwt_bias_into`].
-const XW_NR: usize = 4;
+// references (the `*_reference_into` / `*_reference` functions,
+// compared bit for bit by this module's tests on every tile shape).
+// Multiplication operand order is also preserved (weights ×
+// activations, delta × weight, delta × input) so NaN-payload
+// propagation cannot differ either. The gradient kernel has a
+// squared-term twin for EWC's Fisher diagonal (`g = d * x; f += g * g`).
+//
+// Each kernel has one tile body, generic over its shape: `R` rows (1..=4)
+// by `C` columns (1..=8), both compile-time constants picked per tile by
+// `fixed_shape_tile!`. A full 4x8 tile and every edge tile therefore
+// keep their accumulators in registers and unroll completely. The tile
+// walk runs either as portable code or compiled with AVX2; the choice is
+// made once per call.
 
 fn assert_xwt_shapes(x: &Matrix, w: &Matrix, bias: &[f64], out: &Matrix) {
     assert_eq!(
@@ -571,6 +575,34 @@ fn assert_xwt_shapes(x: &Matrix, w: &Matrix, bias: &[f64], out: &Matrix) {
     );
 }
 
+/// Calls `$tile::<R, C, ..>(args)` for the runtime shape (`mr` in
+/// `1..=MR`, `nr` in `1..=NR`) of one training-GEMM tile, so edge tiles
+/// run the same fixed-shape body as full ones: every accumulator lives in
+/// a register and every loop over the tile unrolls at compile time.
+/// `[$extra]` appends further generic arguments after the shape.
+macro_rules! fixed_shape_tile {
+    ($tile:ident [$($extra:tt)*], $mr:expr, $nr:expr, $args:tt) => {
+        match $mr {
+            4 => fixed_shape_tile!(@cols $tile [$($extra)*], 4, $nr, $args),
+            3 => fixed_shape_tile!(@cols $tile [$($extra)*], 3, $nr, $args),
+            2 => fixed_shape_tile!(@cols $tile [$($extra)*], 2, $nr, $args),
+            _ => fixed_shape_tile!(@cols $tile [$($extra)*], 1, $nr, $args),
+        }
+    };
+    (@cols $tile:ident [$($extra:tt)*], $r:literal, $nr:expr, ($($arg:expr),*)) => {
+        match $nr {
+            8 => $tile::<$r, 8 $($extra)*>($($arg),*),
+            7 => $tile::<$r, 7 $($extra)*>($($arg),*),
+            6 => $tile::<$r, 6 $($extra)*>($($arg),*),
+            5 => $tile::<$r, 5 $($extra)*>($($arg),*),
+            4 => $tile::<$r, 4 $($extra)*>($($arg),*),
+            3 => $tile::<$r, 3 $($extra)*>($($arg),*),
+            2 => $tile::<$r, 2 $($extra)*>($($arg),*),
+            _ => $tile::<$r, 1 $($extra)*>($($arg),*),
+        }
+    };
+}
+
 /// Batched dense-layer forward `out = X·Wᵀ + bias` (both `X` and `W`
 /// row-major, `W` is `n_out x n_in`): every output element is the chain
 /// `bias[o] + Σ_k w[o][k]·x[r][k]` accumulated k-ascending from the
@@ -578,50 +610,26 @@ fn assert_xwt_shapes(x: &Matrix, w: &Matrix, bias: &[f64], out: &Matrix) {
 /// `dot_from(bias[o], w.row(o), x.row(r))` loop for **all** inputs
 /// (non-finite included: no term is ever skipped).
 ///
+/// `wt` is reusable scratch: the tiled path packs `Wᵀ` into it once per
+/// call (no allocation once it has grown to the layer's size).
+///
 /// # Panics
 /// Panics on dimension mismatch.
-pub fn matmul_xwt_bias_into(x: &Matrix, w: &Matrix, bias: &[f64], out: &mut Matrix) {
+pub fn matmul_xwt_bias_into(
+    x: &Matrix,
+    w: &Matrix,
+    bias: &[f64],
+    wt: &mut Vec<f64>,
+    out: &mut Matrix,
+) {
     assert_xwt_shapes(x, w, bias, out);
-    let (m, kdim, n) = (x.rows(), x.cols(), w.rows());
-    if m * kdim * n < TRAIN_MIN_MULADDS {
+    if x.rows() * x.cols() * w.rows() < TRAIN_MIN_MULADDS {
         DISPATCH_SCALAR.incr();
         matmul_xwt_bias_reference_into(x, w, bias, out);
         return;
     }
     DISPATCH_BLOCKED.incr();
-    let wide = wide_tile_available();
-    let mut ib = 0;
-    while ib < m {
-        let mr = XW_MR.min(m - ib);
-        let mut ob = 0;
-        while ob < n {
-            let nr = XW_NR.min(n - ob);
-            if mr == XW_MR && nr == XW_NR {
-                #[cfg(target_arch = "x86_64")]
-                if wide {
-                    // SAFETY: only reached when run-time AVX2 detection
-                    // succeeded (`wide_tile_available`).
-                    unsafe { xwt_tile_avx2(x, w, bias, ib, ob, kdim, out) };
-                    ob += nr;
-                    continue;
-                }
-                let _ = wide;
-                xwt_tile(x, w, bias, ib, ob, kdim, out);
-            } else {
-                // Edge tiles fall back to the per-element reference
-                // chain, which is the same chain the full tile runs.
-                for ii in 0..mr {
-                    let xrow = x.row(ib + ii);
-                    let orow = out.row_mut(ib + ii);
-                    for jj in 0..nr {
-                        orow[ob + jj] = dot_from(bias[ob + jj], w.row(ob + jj), xrow);
-                    }
-                }
-            }
-            ob += nr;
-        }
-        ib += mr;
-    }
+    xwt_tiled(x, w, bias, wt, out, wide_tile_available());
 }
 
 /// The per-sample forward reference: one [`dot_from`] chain per output
@@ -638,58 +646,93 @@ fn matmul_xwt_bias_reference_into(x: &Matrix, w: &Matrix, bias: &[f64], out: &mu
     }
 }
 
-/// One full `XW_MR x XW_NR` tile of [`matmul_xwt_bias_into`]: sixteen
-/// independent bias-seeded accumulator chains walked k-ascending. The
-/// independent chains hide the add latency that serializes the
-/// single-accumulator [`dot_from`] reference; each individual chain
-/// performs the identical operation sequence.
-#[inline(always)]
-fn xwt_tile(
+/// The tiled forward without the size dispatch: packs `Wᵀ` into `wt`
+/// (`n_in x n_out`, row-major), then walks `MR x NR` tiles of the output.
+fn xwt_tiled(
     x: &Matrix,
     w: &Matrix,
     bias: &[f64],
-    ib: usize,
-    ob: usize,
-    kdim: usize,
+    wt: &mut Vec<f64>,
     out: &mut Matrix,
+    wide: bool,
 ) {
-    let [x0, x1, x2, x3] = [x.row(ib), x.row(ib + 1), x.row(ib + 2), x.row(ib + 3)];
-    let [w0, w1, w2, w3] = [w.row(ob), w.row(ob + 1), w.row(ob + 2), w.row(ob + 3)];
-    let mut acc = [[0.0f64; XW_NR]; XW_MR];
-    for row in acc.iter_mut() {
-        row.copy_from_slice(&bias[ob..ob + XW_NR]);
-    }
-    for k in 0..kdim {
-        let xs = [x0[k], x1[k], x2[k], x3[k]];
-        let ws = [w0[k], w1[k], w2[k], w3[k]];
-        for (arow, &xv) in acc.iter_mut().zip(&xs) {
-            for (a, &wv) in arow.iter_mut().zip(&ws) {
-                // w * x operand order, as in dot_from(bias, w_row, x_row).
-                *a += wv * xv;
-            }
+    let (n, kdim) = (w.rows(), w.cols());
+    wt.clear();
+    wt.resize(kdim * n, 0.0);
+    for (o, wrow) in w.as_slice().chunks_exact(kdim.max(1)).enumerate() {
+        for (dst, &wv) in wt[o..].iter_mut().step_by(n).zip(wrow) {
+            *dst = wv;
         }
     }
-    for (ii, arow) in acc.iter().enumerate() {
-        out.row_mut(ib + ii)[ob..ob + XW_NR].copy_from_slice(arow);
+    #[cfg(target_arch = "x86_64")]
+    if wide {
+        // SAFETY: `wide` is `wide_tile_available()` (or a test's request
+        // after that check), so the CPU supports AVX2.
+        unsafe { xwt_tiles_avx2(x, wt, bias, out) };
+        return;
+    }
+    let _ = wide;
+    xwt_tiles(x, wt, bias, out);
+}
+
+/// Every tile of [`matmul_xwt_bias_into`] over the packed `wt`.
+#[inline(always)]
+fn xwt_tiles(x: &Matrix, wt: &[f64], bias: &[f64], out: &mut Matrix) {
+    let (m, n) = (x.rows(), bias.len());
+    for ib in (0..m).step_by(MR) {
+        let mr = MR.min(m - ib);
+        for ob in (0..n).step_by(NR) {
+            let nr = NR.min(n - ob);
+            fixed_shape_tile!(xwt_tile [], mr, nr, (x, wt, bias, ib, ob, out));
+        }
     }
 }
 
-/// [`xwt_tile`] compiled with AVX2 enabled (256-bit moves and
+/// [`xwt_tiles`] compiled with AVX2 enabled (256-bit moves and
 /// arithmetic). No FMA: `target_feature` does not license contraction,
 /// every multiply and add stays a distinct IEEE operation, so the wider
 /// codegen cannot change a single output bit.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn xwt_tile_avx2(
+fn xwt_tiles_avx2(x: &Matrix, wt: &[f64], bias: &[f64], out: &mut Matrix) {
+    xwt_tiles(x, wt, bias, out);
+}
+
+/// One `R x C` tile of [`matmul_xwt_bias_into`]: the outputs `ob..ob+C`
+/// of rows `ib..ib+R`, `R * C` independent chains seeded at the bias and
+/// walked k-ascending. Per k the tile broadcasts `R` input values against
+/// the `C` packed weights `wt[k][ob..ob+C]`, which sit next to each
+/// other; each chain performs the reference's operation sequence, with
+/// the reference's `w * x` operand order.
+#[inline(always)]
+fn xwt_tile<const R: usize, const C: usize>(
     x: &Matrix,
-    w: &Matrix,
+    wt: &[f64],
     bias: &[f64],
     ib: usize,
     ob: usize,
-    kdim: usize,
     out: &mut Matrix,
 ) {
-    xwt_tile(x, w, bias, ib, ob, kdim, out);
+    let (kdim, n) = (x.cols(), bias.len());
+    let xrows: [&[f64]; R] = std::array::from_fn(|ii| &x.row(ib + ii)[..kdim]);
+    let wt = &wt[..kdim * n];
+    let seed = &bias[ob..ob + C];
+    let mut acc = [[0.0f64; C]; R];
+    for row in acc.iter_mut() {
+        row.copy_from_slice(seed);
+    }
+    for k in 0..kdim {
+        let ws = &wt[k * n + ob..k * n + ob + C];
+        for (arow, xrow) in acc.iter_mut().zip(&xrows) {
+            let xv = xrow[k];
+            for (a, &wv) in arow.iter_mut().zip(ws) {
+                *a += wv * xv;
+            }
+        }
+    }
+    for (ii, arow) in acc.iter().enumerate() {
+        out.row_mut(ib + ii)[ob..ob + C].copy_from_slice(arow);
+    }
 }
 
 /// `out = A·B` with **no** exact-zero skip: every element's chain starts
@@ -714,46 +757,7 @@ pub fn matmul_noskip_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         return;
     }
     DISPATCH_BLOCKED.incr();
-    let wide = wide_tile_available();
-    // B is consumed in place (it is already a row-major `kdim x n`
-    // panel with stride `n`), so only k is blocked; accumulator tiles
-    // resume from the output, keeping each chain k-sequential.
-    for kb in (0..kdim).step_by(KC) {
-        let kc = KC.min(kdim - kb);
-        let panel = &b.as_slice()[kb * n..(kb + kc) * n];
-        for ib in (0..m).step_by(MR) {
-            let mr = MR.min(m - ib);
-            let mut arows: [&[f64]; MR] = [&[]; MR];
-            for (ii, arow) in arows.iter_mut().enumerate().take(mr) {
-                *arow = &a.row(ib + ii)[kb..kb + kc];
-            }
-            let mut jj = 0;
-            while jj < n {
-                let nr = NR.min(n - jj);
-                let mut acc = [[0.0f64; NR]; MR];
-                for ii in 0..mr {
-                    acc[ii][..nr].copy_from_slice(&out.row(ib + ii)[jj..jj + nr]);
-                }
-                if mr == MR && nr == NR {
-                    #[cfg(target_arch = "x86_64")]
-                    if wide {
-                        // SAFETY: only reached when run-time AVX2
-                        // detection succeeded (`wide_tile_available`).
-                        unsafe { tile_kernel_avx2(&arows, panel, n, jj, &mut acc) };
-                        store_tile(&acc, mr, nr, ib, jj, out);
-                        jj += nr;
-                        continue;
-                    }
-                    let _ = wide;
-                    tile_kernel(&arows, panel, n, jj, &mut acc);
-                } else {
-                    noskip_edge_tile(&arows, mr, kc, panel, n, jj, nr, &mut acc);
-                }
-                store_tile(&acc, mr, nr, ib, jj, out);
-                jj += nr;
-            }
-        }
-    }
+    noskip_tiled(a, b, out, wide_tile_available());
 }
 
 /// The no-skip backward reference: the historical
@@ -775,32 +779,70 @@ fn noskip_accumulate_reference(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// [`guarded_tile`] without the exact-zero skip: edge tiles of the
-/// no-skip GEMM add every term, exactly like [`axpy`].
-#[allow(clippy::too_many_arguments)]
-fn noskip_edge_tile(
-    arows: &[&[f64]; MR],
-    mr: usize,
-    kc: usize,
-    panel: &[f64],
-    nc: usize,
-    jj: usize,
-    nr: usize,
-    acc: &mut [[f64; NR]; MR],
-) {
-    for k in 0..kc {
-        let prow = &panel[k * nc + jj..k * nc + jj + nr];
-        for ii in 0..mr {
-            let av = arows[ii][k];
-            for (r, &pv) in prow.iter().enumerate() {
-                acc[ii][r] += av * pv;
-            }
+/// The tiled no-skip product without the size dispatch. B is consumed in
+/// place: it is already a row-major `kdim x n` panel.
+fn noskip_tiled(a: &Matrix, b: &Matrix, out: &mut Matrix, wide: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if wide {
+        // SAFETY: `wide` is `wide_tile_available()` (or a test's request
+        // after that check), so the CPU supports AVX2.
+        unsafe { noskip_tiles_avx2(a, b, out) };
+        return;
+    }
+    let _ = wide;
+    noskip_tiles(a, b, out);
+}
+
+/// Every tile of [`matmul_noskip_into`].
+#[inline(always)]
+fn noskip_tiles(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, n) = (a.rows(), b.cols());
+    for ib in (0..m).step_by(MR) {
+        let mr = MR.min(m - ib);
+        for jb in (0..n).step_by(NR) {
+            let nr = NR.min(n - jb);
+            fixed_shape_tile!(noskip_tile [], mr, nr, (a, b, ib, jb, out));
         }
     }
 }
 
-/// Columns of B per register tile in [`matmul_at_b_accum_into`].
-const ATB_NR: usize = 8;
+/// [`noskip_tiles`] compiled with AVX2 enabled. No FMA — every multiply
+/// and add stays a distinct IEEE operation, so the wider codegen cannot
+/// change a single output bit (see [`tile_kernel_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn noskip_tiles_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    noskip_tiles(a, b, out);
+}
+
+/// One `R x C` tile of [`matmul_noskip_into`]: `R * C` chains from `0.0`
+/// over every k ascending, each adding `a[r][k] * b[k][j]` in the
+/// reference's operand order (the axpy `delta * weight`).
+#[inline(always)]
+fn noskip_tile<const R: usize, const C: usize>(
+    a: &Matrix,
+    b: &Matrix,
+    ib: usize,
+    jb: usize,
+    out: &mut Matrix,
+) {
+    let (kdim, n) = (a.cols(), b.cols());
+    let arows: [&[f64]; R] = std::array::from_fn(|ii| &a.row(ib + ii)[..kdim]);
+    let panel = &b.as_slice()[..kdim * n];
+    let mut acc = [[0.0f64; C]; R];
+    for k in 0..kdim {
+        let bs = &panel[k * n + jb..k * n + jb + C];
+        for (accrow, arow) in acc.iter_mut().zip(&arows) {
+            let av = arow[k];
+            for (c, &bv) in accrow.iter_mut().zip(bs) {
+                *c += av * bv;
+            }
+        }
+    }
+    for (ii, accrow) in acc.iter().enumerate() {
+        out.row_mut(ib + ii)[jb..jb + C].copy_from_slice(accrow);
+    }
+}
 
 fn assert_atb_shapes(a: &Matrix, b: &Matrix, out: &[f64]) {
     assert_eq!(a.rows(), b.rows(), "atb row-count mismatch");
@@ -817,108 +859,134 @@ fn assert_atb_shapes(a: &Matrix, b: &Matrix, out: &[f64]) {
 /// # Panics
 /// Panics on dimension mismatch.
 pub fn matmul_at_b_accum_into(a: &Matrix, b: &Matrix, out: &mut [f64]) {
+    atb_accum::<false>(a, b, out);
+}
+
+/// The squared-term form of [`matmul_at_b_accum_into`] (EWC's Fisher
+/// diagonal): element `(o, i)` accumulates `g * g` with
+/// `g = a[r][o]·b[r][i]`, rows ascending from the value already in `out`
+/// — bit-identical to the per-sample `f += g * g` loop over flat
+/// gradients for all inputs.
+///
+/// # Panics
+/// Panics on dimension mismatch.
+pub fn matmul_at_b_sq_accum_into(a: &Matrix, b: &Matrix, out: &mut [f64]) {
+    atb_accum::<true>(a, b, out);
+}
+
+fn atb_accum<const SQUARE: bool>(a: &Matrix, b: &Matrix, out: &mut [f64]) {
     assert_atb_shapes(a, b, out);
-    let (m, n_out, n_in) = (a.rows(), a.cols(), b.cols());
-    if m * n_out * n_in < TRAIN_MIN_MULADDS {
+    if a.rows() * a.cols() * b.cols() < TRAIN_MIN_MULADDS {
         DISPATCH_SCALAR.incr();
-        atb_accumulate_reference(a, b, out);
+        atb_accumulate_reference::<SQUARE>(a, b, out);
         return;
     }
     DISPATCH_BLOCKED.incr();
-    let wide = wide_tile_available();
-    let mut ob = 0;
-    while ob < n_out {
-        let mr = XW_MR.min(n_out - ob);
-        let mut jb = 0;
-        while jb < n_in {
-            let nr = ATB_NR.min(n_in - jb);
-            #[cfg(target_arch = "x86_64")]
-            if wide {
-                // SAFETY: only reached when run-time AVX2 detection
-                // succeeded (`wide_tile_available`).
-                unsafe { atb_tile_avx2(a, b, ob, mr, jb, nr, m, n_in, out) };
-                jb += nr;
-                continue;
-            }
-            let _ = wide;
-            atb_tile(a, b, ob, mr, jb, nr, m, n_in, out);
-            jb += nr;
-        }
-        ob += mr;
-    }
+    atb_tiled::<SQUARE>(a, b, out, wide_tile_available());
 }
 
-/// One `mr x nr` accumulation tile of [`matmul_at_b_accum_into`]:
-/// resumes the tile's chains from `out`, walks rows r ascending with
-/// `delta * input` operand order, stores the chains back.
+/// The accumulation term of one (row, delta, input) triple: the product
+/// `d * x` (delta × input operand order, as in `axpy(d, x, gw)`), or its
+/// square for the Fisher diagonal.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn atb_tile(
-    a: &Matrix,
-    b: &Matrix,
-    ob: usize,
-    mr: usize,
-    jb: usize,
-    nr: usize,
-    m: usize,
-    n_in: usize,
-    out: &mut [f64],
-) {
-    let mut acc = [[0.0f64; ATB_NR]; XW_MR];
-    for (ii, arow) in acc.iter_mut().enumerate().take(mr) {
-        let base = (ob + ii) * n_in + jb;
-        arow[..nr].copy_from_slice(&out[base..base + nr]);
-    }
-    for r in 0..m {
-        let drow = &a.row(r)[ob..ob + mr];
-        let brow = &b.row(r)[jb..jb + nr];
-        for (arow, &dv) in acc.iter_mut().zip(drow) {
-            for (acc_v, &bv) in arow.iter_mut().zip(brow) {
-                // delta * input operand order, as in axpy(d, x, gw).
-                *acc_v += dv * bv;
-            }
-        }
-    }
-    for (ii, arow) in acc.iter().enumerate().take(mr) {
-        let base = (ob + ii) * n_in + jb;
-        out[base..base + nr].copy_from_slice(&arow[..nr]);
+fn atb_term<const SQUARE: bool>(d: f64, x: f64) -> f64 {
+    let g = d * x;
+    if SQUARE {
+        g * g
+    } else {
+        g
     }
 }
 
-/// [`atb_tile`] compiled with AVX2 enabled. No FMA — every multiply and
+/// The tiled accumulation without the size dispatch.
+fn atb_tiled<const SQUARE: bool>(a: &Matrix, b: &Matrix, out: &mut [f64], wide: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if wide {
+        // SAFETY: `wide` is `wide_tile_available()` (or a test's request
+        // after that check), so the CPU supports AVX2.
+        unsafe { atb_tiles_avx2::<SQUARE>(a, b, out) };
+        return;
+    }
+    let _ = wide;
+    atb_tiles::<SQUARE>(a, b, out);
+}
+
+/// Every tile of [`matmul_at_b_accum_into`]: `MR` delta columns by `NR`
+/// input columns of the flat output.
+#[inline(always)]
+fn atb_tiles<const SQUARE: bool>(a: &Matrix, b: &Matrix, out: &mut [f64]) {
+    let (n_out, n_in) = (a.cols(), b.cols());
+    for ob in (0..n_out).step_by(MR) {
+        let mr = MR.min(n_out - ob);
+        for jb in (0..n_in).step_by(NR) {
+            let nr = NR.min(n_in - jb);
+            fixed_shape_tile!(atb_tile [, SQUARE], mr, nr, (a, b, ob, jb, out));
+        }
+    }
+}
+
+/// [`atb_tiles`] compiled with AVX2 enabled. No FMA — every multiply and
 /// add stays a distinct IEEE operation, so the wider codegen cannot
 /// change a single output bit (see [`tile_kernel_avx2`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-fn atb_tile_avx2(
+fn atb_tiles_avx2<const SQUARE: bool>(a: &Matrix, b: &Matrix, out: &mut [f64]) {
+    atb_tiles::<SQUARE>(a, b, out);
+}
+
+/// One `R x C` accumulation tile of [`matmul_at_b_accum_into`]: resumes
+/// the chains of outputs `(ob..ob+R, jb..jb+C)` from `out`, walks rows r
+/// ascending adding [`atb_term`] of `a[r][ob + ii]` and `b[r][jb + jj]`,
+/// stores the chains back.
+#[inline(always)]
+fn atb_tile<const R: usize, const C: usize, const SQUARE: bool>(
     a: &Matrix,
     b: &Matrix,
     ob: usize,
-    mr: usize,
     jb: usize,
-    nr: usize,
-    m: usize,
-    n_in: usize,
     out: &mut [f64],
 ) {
-    atb_tile(a, b, ob, mr, jb, nr, m, n_in, out);
+    let (n_out, n_in) = (a.cols(), b.cols());
+    let mut acc = [[0.0f64; C]; R];
+    for (ii, arow) in acc.iter_mut().enumerate() {
+        let base = (ob + ii) * n_in + jb;
+        arow.copy_from_slice(&out[base..base + C]);
+    }
+    for (drow, xrow) in a
+        .as_slice()
+        .chunks_exact(n_out)
+        .zip(b.as_slice().chunks_exact(n_in))
+    {
+        let ds = &drow[ob..ob + R];
+        let xs = &xrow[jb..jb + C];
+        for (arow, &dv) in acc.iter_mut().zip(ds) {
+            for (acc_v, &xv) in arow.iter_mut().zip(xs) {
+                *acc_v += atb_term::<SQUARE>(dv, xv);
+            }
+        }
+    }
+    for (ii, arow) in acc.iter().enumerate() {
+        let base = (ob + ii) * n_in + jb;
+        out[base..base + C].copy_from_slice(arow);
+    }
 }
 
-/// The gradient-accumulation reference: the historical per-sample
-/// weight-gradient loop run over the whole batch.
-#[cfg(test)]
-fn matmul_at_b_accum_reference_into(a: &Matrix, b: &Matrix, out: &mut [f64]) {
-    assert_atb_shapes(a, b, out);
-    atb_accumulate_reference(a, b, out);
-}
-
-fn atb_accumulate_reference(a: &Matrix, b: &Matrix, out: &mut [f64]) {
+/// The accumulation reference: the historical per-sample loop (the
+/// weight-gradient axpy, or the Fisher's `f += g * g`) over the batch.
+fn atb_accumulate_reference<const SQUARE: bool>(a: &Matrix, b: &Matrix, out: &mut [f64]) {
     let n_in = b.cols();
     for r in 0..a.rows() {
         let brow = b.row(r);
         for (o, &dv) in a.row(r).iter().enumerate() {
-            axpy(dv, brow, &mut out[o * n_in..(o + 1) * n_in]);
+            let orow = &mut out[o * n_in..(o + 1) * n_in];
+            if SQUARE {
+                for (f, &xv) in orow.iter_mut().zip(brow) {
+                    let g = dv * xv;
+                    *f += g * g;
+                }
+            } else {
+                axpy(dv, brow, orow);
+            }
         }
     }
 }
@@ -932,6 +1000,20 @@ pub fn accum_col_sums(a: &Matrix, out: &mut [f64]) {
     assert_eq!(a.cols(), out.len(), "column-sum width mismatch");
     for r in 0..a.rows() {
         add_assign(out, a.row(r));
+    }
+}
+
+/// `out[j] += Σ_r a[r][j]²` accumulated row-ascending — the bias half of
+/// the Fisher diagonal (a bias's per-sample gradient is its delta).
+///
+/// # Panics
+/// Panics on width mismatch.
+pub fn accum_col_sq_sums(a: &Matrix, out: &mut [f64]) {
+    assert_eq!(a.cols(), out.len(), "column-sum width mismatch");
+    for r in 0..a.rows() {
+        for (f, &d) in out.iter_mut().zip(a.row(r)) {
+            *f += d * d;
+        }
     }
 }
 
@@ -1141,22 +1223,46 @@ mod tests {
         }
     }
 
+    /// Row counts the training-GEMM oracles sweep: every remainder mod
+    /// `MR`, and a full 64-row batch with and without a ragged tail.
+    const ORACLE_ROWS: [usize; 11] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65];
+    /// Widths of the vectorized dimension: every remainder mod `NR`, both
+    /// below and above one tile.
+    const ORACLE_WIDTHS: std::ops::RangeInclusive<usize> = 1..=17;
+
+    /// The tile paths this CPU can run: portable, and AVX2 when present.
+    fn tile_paths() -> Vec<bool> {
+        let mut paths = vec![false];
+        if wide_tile_available() {
+            paths.push(true);
+        }
+        paths
+    }
+
     #[test]
     fn xwt_bias_matches_reference_bitwise() {
         let mut seed = 21;
-        for &(m, k, n) in &[(1, 1, 1), (3, 2, 5), (4, 7, 4), (64, 20, 32), (65, 33, 9)] {
-            let x = lcg_matrix_special(m, k, &mut seed);
-            let w = lcg_matrix_special(n, k, &mut seed);
-            let bias = lcg_vec(n, &mut seed);
-            let mut fast = Matrix::zeros(m, n);
-            let mut reference = Matrix::zeros(m, n);
-            matmul_xwt_bias_into(&x, &w, &bias, &mut fast);
-            matmul_xwt_bias_reference_into(&x, &w, &bias, &mut reference);
-            assert_bits_eq(
-                fast.as_slice(),
-                reference.as_slice(),
-                &format!("{m}x{k}x{n}"),
-            );
+        let mut wt = Vec::new();
+        for m in ORACLE_ROWS {
+            for n in ORACLE_WIDTHS {
+                for k in [0, 1, 7, 33] {
+                    let x = lcg_matrix_special(m, k, &mut seed);
+                    let w = lcg_matrix_special(n, k, &mut seed);
+                    let bias = lcg_vec(n, &mut seed);
+                    let mut reference = Matrix::zeros(m, n);
+                    matmul_xwt_bias_reference_into(&x, &w, &bias, &mut reference);
+                    let mut fast = Matrix::zeros(m, n);
+                    matmul_xwt_bias_into(&x, &w, &bias, &mut wt, &mut fast);
+                    let ctx = format!("{m}x{k}x{n}");
+                    assert_bits_eq(fast.as_slice(), reference.as_slice(), &ctx);
+                    for wide in tile_paths() {
+                        let mut tiled = Matrix::zeros(m, n);
+                        xwt_tiled(&x, &w, &bias, &mut wt, &mut tiled, wide);
+                        let ctx = format!("{ctx} tiled (wide {wide})");
+                        assert_bits_eq(tiled.as_slice(), reference.as_slice(), &ctx);
+                    }
+                }
+            }
         }
     }
 
@@ -1168,7 +1274,7 @@ mod tests {
         let w = Matrix::zeros(4, 0);
         let bias = [1.5, -0.0, f64::NEG_INFINITY, 2.25];
         let mut out = Matrix::zeros(2, 4);
-        matmul_xwt_bias_into(&x, &w, &bias, &mut out);
+        matmul_xwt_bias_into(&x, &w, &bias, &mut Vec::new(), &mut out);
         for r in 0..2 {
             assert_bits_eq(out.row(r), &bias, "bias row");
         }
@@ -1177,18 +1283,25 @@ mod tests {
     #[test]
     fn noskip_matmul_matches_reference_bitwise() {
         let mut seed = 22;
-        for &(m, k, n) in &[(1, 1, 1), (2, 5, 3), (4, 8, 8), (64, 32, 20), (63, 300, 17)] {
-            let a = lcg_matrix_special(m, k, &mut seed);
-            let b = lcg_matrix_special(k, n, &mut seed);
-            let mut fast = Matrix::zeros(m, n);
-            let mut reference = Matrix::zeros(m, n);
-            matmul_noskip_into(&a, &b, &mut fast);
-            matmul_noskip_reference_into(&a, &b, &mut reference);
-            assert_bits_eq(
-                fast.as_slice(),
-                reference.as_slice(),
-                &format!("{m}x{k}x{n}"),
-            );
+        for m in ORACLE_ROWS {
+            for n in ORACLE_WIDTHS {
+                for k in [1, 6, 32, 300] {
+                    let a = lcg_matrix_special(m, k, &mut seed);
+                    let b = lcg_matrix_special(k, n, &mut seed);
+                    let mut reference = Matrix::zeros(m, n);
+                    matmul_noskip_reference_into(&a, &b, &mut reference);
+                    let mut fast = Matrix::zeros(m, n);
+                    matmul_noskip_into(&a, &b, &mut fast);
+                    let ctx = format!("{m}x{k}x{n}");
+                    assert_bits_eq(fast.as_slice(), reference.as_slice(), &ctx);
+                    for wide in tile_paths() {
+                        let mut tiled = Matrix::zeros(m, n);
+                        noskip_tiled(&a, &b, &mut tiled, wide);
+                        let ctx = format!("{ctx} tiled (wide {wide})");
+                        assert_bits_eq(tiled.as_slice(), reference.as_slice(), &ctx);
+                    }
+                }
+            }
         }
     }
 
@@ -1203,27 +1316,54 @@ mod tests {
         assert!(out[(0, 0)].is_nan(), "0 * inf must poison the chain");
     }
 
+    /// Checks [`atb_accum`] (through the public entry point and through
+    /// the tiles directly) against the per-sample reference on every
+    /// oracle shape, resuming from a nonzero output.
+    fn check_atb_against_reference<const SQUARE: bool>(seed: &mut u64) {
+        for m in ORACLE_ROWS {
+            for i in ORACLE_WIDTHS {
+                for o in [1, 2, 3, 4, 6, 33] {
+                    let d = lcg_matrix_special(m, o, seed);
+                    let act = lcg_matrix_special(m, i, seed);
+                    // Seed every output with the same nonzero state: the
+                    // kernel must resume existing chains, not restart them.
+                    let init = lcg_vec(o * i, seed);
+                    let mut reference = init.clone();
+                    atb_accumulate_reference::<SQUARE>(&d, &act, &mut reference);
+                    let mut fast = init.clone();
+                    atb_accum::<SQUARE>(&d, &act, &mut fast);
+                    let ctx = format!("{m}x{o}x{i} square {SQUARE}");
+                    assert_bits_eq(&fast, &reference, &ctx);
+                    for wide in tile_paths() {
+                        let mut tiled = init.clone();
+                        atb_tiled::<SQUARE>(&d, &act, &mut tiled, wide);
+                        let ctx = format!("{ctx} tiled (wide {wide})");
+                        assert_bits_eq(&tiled, &reference, &ctx);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn atb_accum_matches_reference_bitwise_and_resumes() {
         let mut seed = 23;
-        for &(m, o, i) in &[
-            (1, 1, 1),
-            (3, 2, 9),
-            (64, 32, 20),
-            (64, 5, 100),
-            (7, 33, 35),
-        ] {
-            let d = lcg_matrix_special(m, o, &mut seed);
-            let act = lcg_matrix_special(m, i, &mut seed);
-            // Seed both outputs with the same nonzero state: the kernel
-            // must resume existing chains, not restart them.
-            let init = lcg_vec(o * i, &mut seed);
-            let mut fast = init.clone();
-            let mut reference = init;
-            matmul_at_b_accum_into(&d, &act, &mut fast);
-            matmul_at_b_accum_reference_into(&d, &act, &mut reference);
-            assert_bits_eq(&fast, &reference, &format!("{m}x{o}x{i}"));
-        }
+        check_atb_against_reference::<false>(&mut seed);
+        check_atb_against_reference::<true>(&mut seed);
+    }
+
+    #[test]
+    fn atb_sq_accum_squares_each_rows_product() {
+        // Two rows: (o, i) accumulates (d0 * x0)^2 then (d1 * x1)^2 onto
+        // the resumed value, never the square of a sum.
+        let d = Matrix::from_rows(&[vec![3.0], vec![-0.5]]);
+        let x = Matrix::from_rows(&[vec![2.0], vec![4.0]]);
+        let mut out = vec![1.0];
+        atb_tiled::<true>(&d, &x, &mut out, false);
+        assert_eq!(out, vec![1.0 + 36.0 + 4.0]);
+        let mut plain = vec![1.0];
+        matmul_at_b_sq_accum_into(&d, &x, &mut plain);
+        assert_eq!(plain, out);
     }
 
     #[test]
@@ -1232,12 +1372,17 @@ mod tests {
         let a = lcg_matrix_special(9, 5, &mut seed);
         let mut got = vec![0.0; 5];
         accum_col_sums(&a, &mut got);
+        let mut got_sq = vec![0.0; 5];
+        accum_col_sq_sums(&a, &mut got_sq);
         let mut want = vec![0.0; 5];
+        let mut want_sq = vec![0.0; 5];
         for r in 0..a.rows() {
-            for (w, x) in want.iter_mut().zip(a.row(r)) {
+            for ((w, ws), x) in want.iter_mut().zip(&mut want_sq).zip(a.row(r)) {
                 *w += x;
+                *ws += x * x;
             }
         }
         assert_bits_eq(&got, &want, "col sums");
+        assert_bits_eq(&got_sq, &want_sq, "col square sums");
     }
 }

@@ -18,6 +18,11 @@ static GEMM_BATCHES: Counter = Counter::new("train.mlp.gemm_batches");
 /// pass over each window).
 static SAMPLE_GRADIENTS: Counter = Counter::new("train.mlp.sample_gradients");
 
+/// Rows per chunk of the batched Fisher pass: one SGD batch at the
+/// paper's default size, so the pass runs the training step's tile shapes
+/// and its buffers stay batch-sized however long the window.
+const FISHER_CHUNK: usize = 64;
+
 /// The learning objective of the output head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
@@ -79,6 +84,8 @@ struct TrainScratch {
     delta: Matrix,
     /// Delta of the previous (shallower) layer during backprop.
     prev_delta: Matrix,
+    /// Packed `Wᵀ` of the layer a forward GEMM is running.
+    packed: Vec<f64>,
     /// Teacher forward ping-pong buffers for the LwF branch.
     teacher_a: Matrix,
     teacher_b: Matrix,
@@ -270,11 +277,9 @@ impl Mlp {
         }
         GEMM_BATCHES.incr();
         let n_layers = self.layers.len();
-        let batch = rows.len();
         // The scratch moves out of `self` for the duration of the step so
         // the borrows below stay disjoint from the layer borrows.
         let mut s = std::mem::take(&mut self.scratch);
-        s.acts.resize_with(n_layers + 1, Matrix::default);
         if s.grads.len() != n_layers {
             s.grads = self
                 .layers
@@ -288,88 +293,44 @@ impl Mlp {
             }
         }
 
-        // Gather the batch rows once; the GEMMs then stream them densely.
-        // oeb-lint: allow(panic-in-library) -- acts has n_layers + 1 >= 1 entries by construction
-        s.acts[0].reset_zeroed(batch, self.input_dim());
-        for (bi, &r) in rows.iter().enumerate() {
-            // oeb-lint: allow(panic-in-library) -- acts has n_layers + 1 >= 1 entries by construction
-            s.acts[0].row_mut(bi).copy_from_slice(xs.row(r));
-        }
+        self.forward_cached(&mut s, xs, rows);
+        let total_loss = self.output_delta(&mut s, ys, rows);
 
-        // Batched forward with cached post-activations.
-        for li in 0..n_layers {
-            let layer = &self.layers[li];
-            let (done, rest) = s.acts.split_at_mut(li + 1);
-            // oeb-lint: allow(panic-in-library) -- li < n_layers, so rest is non-empty
-            let next = &mut rest[0];
-            next.reset_zeroed(batch, layer.n_out);
-            kernels::matmul_xwt_bias_into(&done[li], &layer.w, &layer.b, next);
-            if li + 1 < n_layers {
-                for v in next.as_mut_slice() {
-                    *v = v.max(0.0);
-                }
-            }
-        }
-
-        // Output-layer delta and data loss, row by row in batch order (the
-        // loss chain accumulates exactly as the per-sample loop did).
-        let mut total_loss = 0.0;
-        {
+        // LwF distillation adds to the output delta. The teacher runs the
+        // same batched forward; temperature scaling and softmax go through
+        // reused scratch instead of per-sample collect()s.
+        if let Some((prev, lambda)) = &opts.distill {
+            let batch = rows.len();
+            // oeb-lint: allow(panic-in-library) -- acts[0] is the input batch, always present
+            let input = &s.acts[0];
+            prev.forward_batch(input, &mut s.teacher_a, &mut s.teacher_b, &mut s.packed);
             let out = &s.acts[n_layers];
-            s.delta.reset_zeroed(batch, self.output_dim());
+            let prev_out = &s.teacher_a;
             match self.objective {
                 Objective::CrossEntropy => {
+                    const T: f64 = 2.0;
                     for bi in 0..batch {
-                        softmax_into(out.row(bi), &mut s.soft_cur);
-                        let drow = s.delta.row_mut(bi);
-                        drow.copy_from_slice(&s.soft_cur);
-                        let c = (ys[rows[bi]] as usize).min(drow.len() - 1);
-                        total_loss += -(drow[c].max(1e-12)).ln();
-                        drow[c] -= 1.0;
+                        s.scaled.clear();
+                        s.scaled.extend(out.row(bi).iter().map(|v| v / T));
+                        softmax_into(&s.scaled, &mut s.soft_cur);
+                        s.scaled.clear();
+                        s.scaled.extend(prev_out.row(bi).iter().map(|v| v / T));
+                        softmax_into(&s.scaled, &mut s.soft_prev);
+                        for ((d, &sc), &sp) in s
+                            .delta
+                            .row_mut(bi)
+                            .iter_mut()
+                            .zip(&s.soft_cur)
+                            .zip(&s.soft_prev)
+                        {
+                            // d/dz of T^2 * CE(soft_prev, softmax(z/T)).
+                            *d += lambda * T * (sc - sp);
+                        }
                     }
                 }
                 Objective::SquaredError => {
                     for bi in 0..batch {
-                        let diff = out[(bi, 0)] - ys[rows[bi]];
-                        total_loss += diff * diff;
-                        s.delta[(bi, 0)] = 2.0 * diff;
-                    }
-                }
-            }
-
-            // LwF distillation adds to the output delta. The teacher runs
-            // the same batched forward; temperature scaling and softmax go
-            // through reused scratch instead of per-sample collect()s.
-            if let Some((prev, lambda)) = &opts.distill {
-                // oeb-lint: allow(panic-in-library) -- acts[0] is the input batch, always present
-                prev.forward_batch(&s.acts[0], &mut s.teacher_a, &mut s.teacher_b);
-                let prev_out = &s.teacher_a;
-                match self.objective {
-                    Objective::CrossEntropy => {
-                        const T: f64 = 2.0;
-                        for bi in 0..batch {
-                            s.scaled.clear();
-                            s.scaled.extend(out.row(bi).iter().map(|v| v / T));
-                            softmax_into(&s.scaled, &mut s.soft_cur);
-                            s.scaled.clear();
-                            s.scaled.extend(prev_out.row(bi).iter().map(|v| v / T));
-                            softmax_into(&s.scaled, &mut s.soft_prev);
-                            for ((d, &sc), &sp) in s
-                                .delta
-                                .row_mut(bi)
-                                .iter_mut()
-                                .zip(&s.soft_cur)
-                                .zip(&s.soft_prev)
-                            {
-                                // d/dz of T^2 * CE(soft_prev, softmax(z/T)).
-                                *d += lambda * T * (sc - sp);
-                            }
-                        }
-                    }
-                    Objective::SquaredError => {
-                        for bi in 0..batch {
-                            s.delta[(bi, 0)] += lambda * 2.0 * (out[(bi, 0)] - prev_out[(bi, 0)]);
-                        }
+                        s.delta[(bi, 0)] += lambda * 2.0 * (out[(bi, 0)] - prev_out[(bi, 0)]);
                     }
                 }
             }
@@ -378,47 +339,120 @@ impl Mlp {
         // Batched backward: bias gradients as column sums (row-ascending,
         // like the per-sample `gb[o] += d`), weight gradients as `Δᵀ·A`
         // (row-ascending per element, like the per-sample axpy), and the
-        // next delta as a no-skip `Δ·W` (k-ascending from 0.0) followed by
-        // the elementwise ReLU mask.
+        // next delta through `backprop_delta`.
         for li in (0..n_layers).rev() {
-            let layer = &self.layers[li];
             let (gw, gb) = &mut s.grads[li];
             kernels::accum_col_sums(&s.delta, gb);
             kernels::matmul_at_b_accum_into(&s.delta, &s.acts[li], gw);
             if li > 0 {
-                s.prev_delta.reset_zeroed(batch, layer.n_in);
-                kernels::matmul_noskip_into(&s.delta, &layer.w, &mut s.prev_delta);
-                // ReLU mask of the layer input (which was an output of
-                // the previous layer, already rectified).
-                for (pd, &a) in s
-                    .prev_delta
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(s.acts[li].as_slice())
-                {
-                    if a <= 0.0 {
-                        *pd = 0.0;
-                    }
-                }
-                std::mem::swap(&mut s.delta, &mut s.prev_delta);
+                self.backprop_delta(li, &mut s);
             }
         }
 
-        let loss = self.apply_gradients(&mut s.grads, batch, lr, opts, total_loss);
+        let loss = self.apply_gradients(&mut s.grads, rows.len(), lr, opts, total_loss);
         self.scratch = s;
         loss
     }
 
+    /// Gathers the batch `rows` of `xs` into `s.acts[0]` and runs the
+    /// batched forward, caching every layer's post-activation in
+    /// `s.acts`. Each output element runs the bias-seeded chain of the
+    /// per-sample [`Mlp::forward`].
+    fn forward_cached(&self, s: &mut TrainScratch, xs: &Matrix, rows: &[usize]) {
+        let n_layers = self.layers.len();
+        let batch = rows.len();
+        s.acts.resize_with(n_layers + 1, Matrix::default);
+        // Gather the batch rows once; the GEMMs then stream them densely.
+        // oeb-lint: allow(panic-in-library) -- acts has n_layers + 1 >= 1 entries by construction
+        s.acts[0].reset_zeroed(batch, self.input_dim());
+        for (bi, &r) in rows.iter().enumerate() {
+            // oeb-lint: allow(panic-in-library) -- acts has n_layers + 1 >= 1 entries by construction
+            s.acts[0].row_mut(bi).copy_from_slice(xs.row(r));
+        }
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = s.acts.split_at_mut(li + 1);
+            // oeb-lint: allow(panic-in-library) -- li < n_layers, so rest is non-empty
+            let next = &mut rest[0];
+            next.reset_zeroed(batch, layer.n_out);
+            kernels::matmul_xwt_bias_into(&done[li], &layer.w, &layer.b, &mut s.packed, next);
+            if li + 1 < n_layers {
+                for v in next.as_mut_slice() {
+                    *v = v.max(0.0);
+                }
+            }
+        }
+    }
+
+    /// Fills `s.delta` with the output-layer delta of the cached forward
+    /// (`softmax - onehot`, or `2 * (out - y)`) and returns the summed
+    /// data loss, row by row in batch order (the loss chain accumulates
+    /// exactly as the per-sample loop did).
+    fn output_delta(&self, s: &mut TrainScratch, ys: &[f64], rows: &[usize]) -> f64 {
+        let mut total_loss = 0.0;
+        let out = &s.acts[self.layers.len()];
+        s.delta.reset_zeroed(rows.len(), self.output_dim());
+        match self.objective {
+            Objective::CrossEntropy => {
+                for (bi, &r) in rows.iter().enumerate() {
+                    softmax_into(out.row(bi), &mut s.soft_cur);
+                    let drow = s.delta.row_mut(bi);
+                    drow.copy_from_slice(&s.soft_cur);
+                    let c = (ys[r] as usize).min(drow.len() - 1);
+                    total_loss += -(drow[c].max(1e-12)).ln();
+                    drow[c] -= 1.0;
+                }
+            }
+            Objective::SquaredError => {
+                for (bi, &r) in rows.iter().enumerate() {
+                    let diff = out[(bi, 0)] - ys[r];
+                    total_loss += diff * diff;
+                    s.delta[(bi, 0)] = 2.0 * diff;
+                }
+            }
+        }
+        total_loss
+    }
+
+    /// Moves `s.delta` from layer `li`'s output to its input: a no-skip
+    /// `Δ·W` (k-ascending from 0.0, the per-sample axpy chain), then the
+    /// ReLU mask of the input activation. The mask is a select with the
+    /// historical predicate, so it vectorizes instead of branching on
+    /// each activation: `a <= 0.0` (false for NaN) writes `+0.0`,
+    /// anything else keeps the delta.
+    fn backprop_delta(&self, li: usize, s: &mut TrainScratch) {
+        let layer = &self.layers[li];
+        s.prev_delta.reset_zeroed(s.delta.rows(), layer.n_in);
+        kernels::matmul_noskip_into(&s.delta, &layer.w, &mut s.prev_delta);
+        // The layer input was an output of the previous layer, already
+        // rectified.
+        for (pd, &a) in s
+            .prev_delta
+            .as_mut_slice()
+            .iter_mut()
+            .zip(s.acts[li].as_slice())
+        {
+            *pd = if a <= 0.0 { 0.0 } else { *pd };
+        }
+        std::mem::swap(&mut s.delta, &mut s.prev_delta);
+    }
+
     /// Batched forward through the stack: `input` is a gathered batch,
-    /// `cur`/`next` are ping-pong scratch, and the result lands in `cur`.
+    /// `cur`/`next` are ping-pong scratch, `packed` the forward GEMM's
+    /// `Wᵀ` scratch, and the result lands in `cur`.
     /// Runs the same bias-seeded GEMM chains as the per-sample
     /// [`Mlp::forward`].
-    fn forward_batch(&self, input: &Matrix, cur: &mut Matrix, next: &mut Matrix) {
+    fn forward_batch(
+        &self,
+        input: &Matrix,
+        cur: &mut Matrix,
+        next: &mut Matrix,
+        packed: &mut Vec<f64>,
+    ) {
         cur.reset_zeroed(input.rows(), input.cols());
         cur.as_mut_slice().copy_from_slice(input.as_slice());
         for (i, layer) in self.layers.iter().enumerate() {
             next.reset_zeroed(input.rows(), layer.n_out);
-            kernels::matmul_xwt_bias_into(cur, &layer.w, &layer.b, next);
+            kernels::matmul_xwt_bias_into(cur, &layer.w, &layer.b, packed, next);
             if i + 1 < self.layers.len() {
                 for v in next.as_mut_slice() {
                     *v = v.max(0.0);
@@ -595,7 +629,16 @@ impl Mlp {
     }
 
     /// Diagonal Fisher information estimated from per-sample gradients of
-    /// the loss at the current parameters (EWC's importance weights).
+    /// the loss at the current parameters (EWC's importance weights): the
+    /// mean over the first `min(rows, max_samples)` rows of each
+    /// parameter's squared gradient.
+    ///
+    /// The rows run in chunks of [`FISHER_CHUNK`] through the training
+    /// step's batched forward and backward kernels. Each parameter's sum
+    /// is the chain `f += g * g` over rows ascending, continued from chunk
+    /// to chunk, with `g = delta * input` (or `delta` for a bias) — the
+    /// per-sample loop's chain, so the result is bit-identical to
+    /// `Mlp::fisher_diagonal_reference` (proptested in this file's tests).
     pub fn fisher_diagonal(&self, xs: &Matrix, ys: &[f64], max_samples: usize) -> Vec<f64> {
         let mut fisher = vec![0.0; self.n_params()];
         let n = xs.rows().min(max_samples);
@@ -603,6 +646,44 @@ impl Mlp {
             return fisher;
         }
         SAMPLE_GRADIENTS.add(n as u64);
+        // Each layer's span of the flat vector: weights, then biases.
+        let mut spans = Vec::with_capacity(self.layers.len());
+        let mut off = 0;
+        for l in &self.layers {
+            let wl = l.w.as_slice().len();
+            spans.push((off, wl, l.n_out));
+            off += wl + l.n_out;
+        }
+        let mut s = TrainScratch::default();
+        let rows: Vec<usize> = (0..n).collect();
+        for chunk in rows.chunks(FISHER_CHUNK) {
+            self.forward_cached(&mut s, xs, chunk);
+            self.output_delta(&mut s, ys, chunk);
+            for li in (0..self.layers.len()).rev() {
+                let (base, wl, nb) = spans[li];
+                let (fw, fb) = fisher[base..base + wl + nb].split_at_mut(wl);
+                kernels::accum_col_sq_sums(&s.delta, fb);
+                kernels::matmul_at_b_sq_accum_into(&s.delta, &s.acts[li], fw);
+                if li > 0 {
+                    self.backprop_delta(li, &mut s);
+                }
+            }
+        }
+        for f in &mut fisher {
+            *f /= n as f64;
+        }
+        fisher
+    }
+
+    /// The historical per-sample Fisher diagonal, the bitwise reference
+    /// for [`Mlp::fisher_diagonal`].
+    #[cfg(test)]
+    fn fisher_diagonal_reference(&self, xs: &Matrix, ys: &[f64], max_samples: usize) -> Vec<f64> {
+        let mut fisher = vec![0.0; self.n_params()];
+        let n = xs.rows().min(max_samples);
+        if n == 0 {
+            return fisher;
+        }
         for r in 0..n {
             let g = self.sample_gradient(xs.row(r), ys[r]);
             for (f, gi) in fisher.iter_mut().zip(&g) {
@@ -616,6 +697,7 @@ impl Mlp {
     }
 
     /// Flat gradient of the loss for a single sample.
+    #[cfg(test)]
     fn sample_gradient(&self, x: &[f64], y: f64) -> Vec<f64> {
         // Forward with caches.
         let mut acts: Vec<Vec<f64>> = vec![x.to_vec()];
@@ -631,7 +713,7 @@ impl Mlp {
             acts.push(next.clone());
             std::mem::swap(&mut cur, &mut next);
         }
-        let out = acts.last().expect("output"); // oeb-lint: allow(panic-in-library) -- forward() yields one activation per layer
+        let out = acts.last().expect("output");
         let mut delta: Vec<f64> = match self.objective {
             Objective::CrossEntropy => {
                 let mut p = softmax(out);
@@ -639,7 +721,6 @@ impl Mlp {
                 p[c] -= 1.0;
                 p
             }
-            // oeb-lint: allow(panic-in-library) -- squared-error nets have output dim 1
             Objective::SquaredError => vec![2.0 * (out[0] - y)],
         };
         let mut flat = vec![0.0; self.n_params()];
@@ -996,6 +1077,145 @@ mod tests {
                         "param {} diverged at step {}: {} vs {}", i, step, a, b
                     );
                 }
+            }
+        }
+
+        /// The training oracle at the shapes production runs: the §6.1
+        /// [32, 16, 8] stack on the encoded input widths (7, 11, 16, 33)
+        /// and output widths (1 for regression; 2, 4, 6 classes) of the
+        /// `large-windows` streams, trained one epoch in 64-row batches
+        /// plus a ragged tail, so every GEMM runs full 4x8 tiles and the
+        /// layer-0 gradient meets each of its edge widths. One special
+        /// value (NaN, +-inf, or none) sits in one cell of the tail.
+        #[test]
+        fn production_stack_train_matches_reference_bitwise(
+            seed in 0u64..1000,
+            input_sel in 0usize..4,
+            output_sel in 0usize..4,
+            full_batches in 1usize..3,
+            tail in 1usize..64,
+            reg_sel in 0usize..3,
+            lambda in 0.01..5.0f64,
+            special_sel in 0usize..4,
+            data in prop::collection::vec(
+                prop_oneof![6 => -3.0..3.0f64, 1 => Just(0.0)],
+                64..128,
+            ),
+        ) {
+            let input = [7usize, 11, 16, 33][input_sel];
+            let n_out = [1usize, 2, 4, 6][output_sel];
+            let objective = if n_out == 1 {
+                Objective::SquaredError
+            } else {
+                Objective::CrossEntropy
+            };
+            let n_rows = 64 * full_batches + tail;
+            let mut rows: Vec<Vec<f64>> = (0..n_rows)
+                .map(|r| (0..input).map(|c| data[(r * 31 + c * 7) % data.len()]).collect())
+                .collect();
+            if let Some(v) = [Some(f64::NAN), Some(f64::INFINITY), Some(f64::NEG_INFINITY), None][special_sel] {
+                rows[n_rows - 1][seed as usize % input] = v;
+            }
+            let ys: Vec<f64> = (0..n_rows)
+                .map(|r| if n_out == 1 { data[r % data.len()] } else { (r % n_out) as f64 })
+                .collect();
+            let xs = Matrix::from_rows(&rows);
+            let hidden = [32, 16, 8];
+            let mut batched = Mlp::new(input, &hidden, n_out, objective, seed);
+            let mut reference = batched.clone();
+            let teacher = Mlp::new(input, &hidden, n_out, objective, seed ^ 0x5eed);
+            let anchor = batched.get_params();
+            let fisher: Vec<f64> = (0..batched.n_params()).map(|i| (i % 5) as f64 * 0.25).collect();
+            let opts = match reg_sel {
+                1 => TrainOpts { ewc: Some((&anchor, &fisher, lambda)), ..Default::default() },
+                2 => TrainOpts { distill: Some((&teacher, lambda)), ..Default::default() },
+                _ => TrainOpts::default(),
+            };
+            // A fixed permutation, then 64-row batches: the last is the tail.
+            let order: Vec<usize> = (0..n_rows).map(|i| (i * 7 + seed as usize) % n_rows).collect();
+            let order = if n_rows % 7 == 0 { (0..n_rows).collect() } else { order };
+            for (step, batch) in order.chunks(64).enumerate() {
+                let lb = batched.train_batch(&xs, &ys, batch, 0.01, &opts);
+                let lr_ = reference.train_batch_reference(&xs, &ys, batch, 0.01, &opts);
+                prop_assert!(
+                    lb.to_bits() == lr_.to_bits() || (lb.is_nan() && lr_.is_nan()),
+                    "loss diverged at batch {}: {} vs {}", step, lb, lr_
+                );
+                let pb = batched.get_params();
+                let pr = reference.get_params();
+                for (i, (a, b)) in pb.iter().zip(&pr).enumerate() {
+                    prop_assert_eq!(
+                        a.to_bits(), b.to_bits(),
+                        "param {} diverged at batch {}: {} vs {}", i, step, a, b
+                    );
+                }
+            }
+        }
+
+        /// The contract of the batched Fisher pass: `fisher_diagonal` is
+        /// bit-identical to the per-sample reference for both objectives,
+        /// on the production stack and a small one, with sample counts
+        /// below, at and above one 64-row chunk and above `max_samples`,
+        /// and with NaN, +-inf and exact zeros in the data. A training
+        /// step runs first, so the weights are not at their initial
+        /// values.
+        #[test]
+        fn batched_fisher_matches_reference_bitwise(
+            seed in 0u64..1000,
+            arch_sel in 0usize..5,
+            output_sel in 0usize..4,
+            n_rows in prop_oneof![1usize..64, Just(64usize), 65usize..200],
+            max_samples in prop_oneof![Just(500usize), Just(64usize), 1usize..200],
+            data in prop::collection::vec(
+                prop_oneof![
+                    12 => -3.0..3.0f64,
+                    2 => Just(0.0),
+                    1 => Just(f64::NAN),
+                    1 => Just(f64::INFINITY),
+                    1 => Just(f64::NEG_INFINITY),
+                ],
+                1..256,
+            ),
+        ) {
+            let (input, hidden): (usize, Vec<usize>) = match arch_sel {
+                0 => (7, vec![32, 16, 8]),
+                1 => (11, vec![32, 16, 8]),
+                2 => (16, vec![32, 16, 8]),
+                3 => (33, vec![32, 16, 8]),
+                _ => (3, vec![4]),
+            };
+            let n_out = [1usize, 2, 4, 6][output_sel];
+            let objective = if n_out == 1 {
+                Objective::SquaredError
+            } else {
+                Objective::CrossEntropy
+            };
+            let rows: Vec<Vec<f64>> = (0..n_rows)
+                .map(|r| (0..input).map(|c| data[(r * 31 + c * 7) % data.len()]).collect())
+                .collect();
+            let ys: Vec<f64> = (0..n_rows)
+                .map(|r| if n_out == 1 { data[(r * 3) % data.len()] } else { (r % n_out) as f64 })
+                .collect();
+            let xs = Matrix::from_rows(&rows);
+            let mut mlp = Mlp::new(input, &hidden, n_out, objective, seed);
+            // One step on finite data moves the weights off their init.
+            let clean: Vec<Vec<f64>> = (0..16)
+                .map(|r| (0..input).map(|c| ((r * 5 + c * 3) % 11) as f64 * 0.3 - 1.5).collect())
+                .collect();
+            let clean_ys: Vec<f64> = (0..16).map(|r| (r % n_out.max(2)).min(n_out - 1) as f64).collect();
+            let before = mlp.get_params();
+            let all: Vec<usize> = (0..16).collect();
+            mlp.train_batch(&Matrix::from_rows(&clean), &clean_ys, &all, 0.05, &TrainOpts::default());
+            prop_assert!(mlp.get_params() != before, "the training step moved no weight");
+
+            let batched = mlp.fisher_diagonal(&xs, &ys, max_samples);
+            let reference = mlp.fisher_diagonal_reference(&xs, &ys, max_samples);
+            prop_assert_eq!(batched.len(), reference.len());
+            for (i, (a, b)) in batched.iter().zip(&reference).enumerate() {
+                prop_assert!(
+                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                    "fisher {} diverged (n {}, cap {}): {} vs {}", i, n_rows, max_samples, a, b
+                );
             }
         }
     }

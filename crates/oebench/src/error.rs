@@ -77,6 +77,10 @@ pub enum HarnessError {
         /// Display text of the final failure.
         reason: String,
     },
+    /// A checkpoint belongs to another sweep (its header names another
+    /// seed, dataset, learner list or config) or has no header, so its
+    /// records cannot be resumed as this sweep's results.
+    CheckpointMismatch(String),
 }
 
 impl HarnessError {
@@ -97,6 +101,7 @@ impl HarnessError {
             HarnessError::Checkpoint(_) => 12,
             HarnessError::CellTimedOut { .. } => 13,
             HarnessError::Quarantined { .. } => 14,
+            HarnessError::CheckpointMismatch(_) => 15,
         }
     }
 
@@ -115,6 +120,7 @@ impl HarnessError {
             HarnessError::Checkpoint(_) => "checkpoint",
             HarnessError::CellTimedOut { .. } => "cell-timed-out",
             HarnessError::Quarantined { .. } => "quarantined",
+            HarnessError::CheckpointMismatch(_) => "checkpoint-mismatch",
         }
     }
 
@@ -130,7 +136,8 @@ impl HarnessError {
             HarnessError::InvalidConfig(_)
             | HarnessError::NotApplicable { .. }
             | HarnessError::InsufficientWindows { .. }
-            | HarnessError::Quarantined { .. } => false,
+            | HarnessError::Quarantined { .. }
+            | HarnessError::CheckpointMismatch(_) => false,
             HarnessError::CellTimedOut { wall, .. } => *wall,
             _ => true,
         }
@@ -186,6 +193,7 @@ impl std::fmt::Display for HarnessError {
                 f,
                 "quarantined after {attempts} attempts (last failure {last_kind}: {reason})"
             ),
+            HarnessError::CheckpointMismatch(m) => write!(f, "checkpoint mismatch: {m}"),
         }
     }
 }
@@ -231,6 +239,7 @@ mod tests {
                 last_kind: "panicked".into(),
                 reason: "run panicked: boom".into(),
             },
+            HarnessError::CheckpointMismatch("seed 0, this sweep's is 1".into()),
         ]
     }
 

@@ -57,6 +57,6 @@ pub use supervise::{
     backoff_duration, cell_seed, supervise_cell, CellBudget, SupervisePolicy, Supervised,
 };
 pub use sweep::{
-    load_checkpoint, run_sweep, set_sweep_progress, RunOutcome, SupervisionSummary, SweepRecord,
-    SweepReport,
+    load_checkpoint, run_sweep, set_sweep_progress, Checkpoint, RunOutcome, SupervisionSummary,
+    SweepRecord, SweepReport,
 };

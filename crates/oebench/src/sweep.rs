@@ -9,13 +9,16 @@
 //! checkpoint file as one JSON object per line. Re-running the same
 //! sweep against the same checkpoint skips every pair already recorded,
 //! so an interrupted sweep resumes from the last completed pair and
-//! produces the same final report as an uninterrupted one.
+//! produces the same final report as an uninterrupted one. The file's
+//! first line is a header naming the sweep its records belong to; a
+//! checkpoint of any other sweep (another seed, scale, dataset content,
+//! learner list or result-bearing config) is refused, not resumed.
 
 use crate::error::HarnessError;
 use crate::executor::parallel_map;
 use crate::harness::{try_run_stream, HarnessConfig, RunResult};
 use crate::learners::Algorithm;
-use crate::supervise::{cell_seed, supervise_cell};
+use crate::supervise::{cell_seed, supervise_cell, SupervisePolicy};
 use oeb_tabular::StreamDataset;
 use oeb_trace::{CellCtx, Counter, SpanDef};
 use serde_json::{json, Value};
@@ -272,7 +275,12 @@ pub struct SupervisionSummary {
 ///
 /// - `checkpoint`: when set, every finished pair is appended to this
 ///   JSON-lines file, and pairs already recorded there are *not* re-run —
-///   their stored outcome enters the report instead (resume).
+///   their stored outcome enters the report instead (resume). A new file
+///   starts with a header line naming the sweep (a digest of the
+///   result-bearing config, the seed, the learners, and each dataset's
+///   name, row count and content); an existing one must start with the
+///   same header, or the sweep fails with
+///   [`HarnessError::CheckpointMismatch`] before running any cell.
 /// - `max_new_runs`: when set, stop after this many *new* runs (pairs
 ///   loaded from the checkpoint do not count). The report then contains
 ///   only the records finished so far; invoke again with the same
@@ -303,9 +311,27 @@ pub fn run_sweep(
     threads: usize,
 ) -> Result<SweepReport, HarnessError> {
     config.validate()?;
+    let header = checkpoint_header(datasets, algorithms, config);
     let mut done: HashMap<(String, String), RunOutcome> = HashMap::new();
+    // A fresh checkpoint (missing or empty) gets the header before its
+    // first record.
+    let mut fresh = true;
     if let Some(path) = checkpoint {
-        for record in load_checkpoint(path)? {
+        let loaded = load_checkpoint(path)?;
+        match &loaded.header {
+            Some(found) => check_header(found, &header)?,
+            None if loaded.records.is_empty() => {}
+            None => {
+                return Err(HarnessError::CheckpointMismatch(format!(
+                    "{} has no header line, so nothing shows which sweep its {} records \
+                     belong to; start a new checkpoint",
+                    path.display(),
+                    loaded.records.len()
+                )))
+            }
+        }
+        fresh = loaded.header.is_none();
+        for record in loaded.records {
             done.insert(
                 (record.dataset.clone(), record.algorithm.clone()),
                 record.outcome,
@@ -344,13 +370,18 @@ pub fn run_sweep(
         // One writer, shared by all workers; appends happen as cells
         // finish, so an interrupt loses at most the in-flight cells.
         let writer: Option<Mutex<std::fs::File>> = match checkpoint {
-            Some(path) => Some(Mutex::new(
-                std::fs::OpenOptions::new()
+            Some(path) => {
+                let mut file = std::fs::OpenOptions::new()
                     .create(true)
                     .append(true)
                     .open(path)
-                    .map_err(|e| HarnessError::Io(format!("open {}: {e}", path.display())))?,
-            )),
+                    .map_err(|e| HarnessError::Io(format!("open {}: {e}", path.display())))?;
+                if fresh {
+                    writeln!(file, "{}", json_line(&header)?)
+                        .map_err(|e| HarnessError::Io(format!("write checkpoint: {e}")))?;
+                }
+                Some(Mutex::new(file))
+            }
             None => None,
         };
         let append_error: Mutex<Option<HarnessError>> = Mutex::new(None);
@@ -488,6 +519,87 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 // ---------------------------------------------------------------------
 // Checkpoint serialisation (one JSON object per line).
+
+/// The value of a header line's `"header"` field (the checkpoint format).
+const HEADER_FORMAT: &str = "oebench-sweep/1";
+
+/// The identity of a sweep, written as its checkpoint's first line: what
+/// the records below it are results of. It holds
+///
+/// - `config`: an FNV-1a digest of every result-bearing
+///   [`HarnessConfig`] field, i.e. all of them except `supervise` (a
+///   deadline or retry budget changes no completed cell's result);
+/// - `seed`, and `learners` in grid order;
+/// - `datasets`: each one's name, row count and content fingerprint
+///   ([`StreamDataset::fingerprint`]), which tells one `--scale` or
+///   generation seed from another.
+///
+/// The run budget (`max_new_runs`) and the thread count are no part of
+/// it: neither changes a completed cell.
+fn checkpoint_header(
+    datasets: &[StreamDataset],
+    algorithms: &[Algorithm],
+    config: &HarnessConfig,
+) -> Value {
+    let result_config = HarnessConfig {
+        supervise: SupervisePolicy::unsupervised(),
+        ..config.clone()
+    };
+    let learners: Vec<&str> = algorithms.iter().map(|a| a.name()).collect();
+    let datasets: Vec<Value> = datasets
+        .iter()
+        .map(|d| {
+            json!({
+                "name": d.name.as_str(),
+                "rows": d.n_rows() as u64,
+                "content": format!("{:016x}", d.fingerprint()),
+            })
+        })
+        .collect();
+    json!({
+        "header": HEADER_FORMAT,
+        "config": format!("{:016x}", fnv1a(format!("{result_config:?}").as_bytes())),
+        "seed": config.seed,
+        "learners": learners,
+        "datasets": datasets,
+    })
+}
+
+/// 64-bit FNV-1a: a digest that stays the same across builds and runs.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+    const FNV_PRIME: u64 = 0x100000001b3;
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// Refuses a checkpoint written by another sweep, naming the first
+/// header field that differs.
+fn check_header(found: &Value, expected: &Value) -> Result<(), HarnessError> {
+    if found == expected {
+        return Ok(());
+    }
+    let field = ["header", "seed", "learners", "datasets", "config"]
+        .into_iter()
+        .find(|key| found.get(key) != expected.get(key))
+        .unwrap_or("header");
+    let show = |v: &Value| {
+        v.get(field).map_or_else(
+            || "none".to_string(),
+            |x| serde_json::to_string(x).unwrap_or_default(),
+        )
+    };
+    Err(HarnessError::CheckpointMismatch(format!(
+        "the checkpoint belongs to another sweep: {field} {} in the checkpoint, {} in this sweep",
+        show(found),
+        show(expected),
+    )))
+}
+
+fn json_line(value: &Value) -> Result<String, HarnessError> {
+    serde_json::to_string(value).map_err(|e| HarnessError::Checkpoint(e.to_string()))
+}
 
 fn outcome_to_json(outcome: &RunOutcome) -> Value {
     match outcome {
@@ -653,19 +765,38 @@ fn record_from_json(v: &Value, line: usize) -> Result<SweepRecord, HarnessError>
     })
 }
 
-/// Reads every record of a JSON-lines checkpoint file. A missing file is
-/// an empty checkpoint (fresh sweep), a malformed one a typed error —
-/// with one exception: exactly one malformed *trailing* line is treated
-/// as a torn write (the process died mid-`write_checkpoint_line`). The
-/// torn line is physically truncated from the file — so later appends
-/// cannot merge with the fragment into a corrupt mid-file line — a
-/// warning goes to stderr, and that cell simply re-runs.
-pub fn load_checkpoint(path: &Path) -> Result<Vec<SweepRecord>, HarnessError> {
+/// A checkpoint file read back.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Checkpoint {
+    /// The first line: the identity of the sweep that wrote the file
+    /// (config digest, seed, learners, datasets); `None` when the file is
+    /// missing or empty, or its first line is a record.
+    pub header: Option<Value>,
+    /// Every record, in file order.
+    pub records: Vec<SweepRecord>,
+}
+
+/// One parsed line of a checkpoint file.
+enum CheckpointLine {
+    Header(Value),
+    Record(SweepRecord),
+}
+
+/// Reads a JSON-lines checkpoint file: the header line, then every
+/// record. A missing file is an empty checkpoint (fresh sweep), a
+/// malformed one a typed error — with one exception: exactly one
+/// malformed *trailing* line is treated as a torn write (the process died
+/// mid-`write_checkpoint_line`). The torn line is physically truncated
+/// from the file — so later appends cannot merge with the fragment into
+/// a corrupt mid-file line — a warning goes to stderr, and that cell
+/// simply re-runs.
+pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, HarnessError> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Checkpoint::default()),
         Err(e) => return Err(HarnessError::Io(format!("read {}: {e}", path.display()))),
     };
+    let mut header = None;
     let mut records = Vec::new();
     // Candidate torn line: (line number, byte offset of its start, error).
     let mut torn: Option<(usize, usize, HarnessError)> = None;
@@ -676,17 +807,25 @@ pub fn load_checkpoint(path: &Path) -> Result<Vec<SweepRecord>, HarnessError> {
         if line.trim().is_empty() {
             continue;
         }
+        let first = header.is_none() && records.is_empty();
         let parsed = serde_json::from_str(line)
             .map_err(|e| HarnessError::Checkpoint(format!("line {}: {e}", i + 1)))
-            .and_then(|value| record_from_json(&value, i + 1));
+            .and_then(|value| match value.get("header") {
+                // Only the first line may be the header.
+                Some(_) if first => Ok(CheckpointLine::Header(value)),
+                _ => record_from_json(&value, i + 1).map(CheckpointLine::Record),
+            });
         match parsed {
-            Ok(record) => {
+            Ok(line) => {
                 if let Some((_, _, e)) = torn {
-                    // A malformed line *followed by* a valid record is
+                    // A malformed line *followed by* a valid one is
                     // mid-file corruption, not a torn tail.
                     return Err(e);
                 }
-                records.push(record);
+                match line {
+                    CheckpointLine::Header(value) => header = Some(value),
+                    CheckpointLine::Record(record) => records.push(record),
+                }
             }
             Err(e) => {
                 if let Some((_, _, first)) = torn {
@@ -709,7 +848,7 @@ pub fn load_checkpoint(path: &Path) -> Result<Vec<SweepRecord>, HarnessError> {
         file.set_len(line_start as u64)
             .map_err(|e| HarnessError::Io(format!("truncate {}: {e}", path.display())))?;
     }
-    Ok(records)
+    Ok(Checkpoint { header, records })
 }
 
 /// Serialises one record through the shared sweep writer (one line per
@@ -718,8 +857,7 @@ fn write_checkpoint_line(
     writer: &Mutex<std::fs::File>,
     record: &SweepRecord,
 ) -> Result<(), HarnessError> {
-    let line = serde_json::to_string(&record_to_json(record))
-        .map_err(|e| HarnessError::Checkpoint(e.to_string()))?;
+    let line = json_line(&record_to_json(record))?;
     // Recover a poisoned writer: `writeln!` appends the whole line in one
     // call, so a panicking holder left the file either untouched or with
     // a complete line — at worst a torn trailing line, which
@@ -730,8 +868,7 @@ fn write_checkpoint_line(
 
 #[cfg(test)]
 fn append_checkpoint(path: &Path, record: &SweepRecord) -> Result<(), HarnessError> {
-    let line = serde_json::to_string(&record_to_json(record))
-        .map_err(|e| HarnessError::Checkpoint(e.to_string()))?;
+    let line = json_line(&record_to_json(record))?;
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -851,7 +988,7 @@ mod tests {
         for r in &records {
             append_checkpoint(&path, r).unwrap();
         }
-        let loaded = load_checkpoint(&path).unwrap();
+        let loaded = load_checkpoint(&path).unwrap().records;
         assert_eq!(loaded.len(), 3);
         assert_eq!(loaded[1], records[1]);
         assert_eq!(loaded[2], records[2]);
@@ -871,7 +1008,7 @@ mod tests {
     #[test]
     fn missing_checkpoint_is_a_fresh_sweep() {
         let path = temp_path("missing");
-        assert!(load_checkpoint(&path).unwrap().is_empty());
+        assert_eq!(load_checkpoint(&path).unwrap(), Checkpoint::default());
     }
 
     #[test]
@@ -965,7 +1102,7 @@ mod tests {
         for record in [&completed, &timed_out, &quarantined] {
             let line = serde_json::to_string(&record_to_json(record)).unwrap();
             std::fs::write(&path, format!("{line}\n{valid}\n")).unwrap();
-            assert_eq!(load_checkpoint(&path).unwrap()[0], *record);
+            assert_eq!(load_checkpoint(&path).unwrap().records[0], *record);
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -1010,7 +1147,7 @@ mod tests {
         write!(f, "{}", &full[..full.len() / 2]).unwrap();
         drop(f);
 
-        let loaded = load_checkpoint(&path).unwrap();
+        let loaded = load_checkpoint(&path).unwrap().records;
         assert_eq!(loaded, vec![valid.clone()]);
         // The fragment is physically gone: a later append starts a clean
         // line instead of merging with it.
@@ -1022,7 +1159,7 @@ mod tests {
             outcome: RunOutcome::Inapplicable,
         };
         append_checkpoint(&path, &next).unwrap();
-        assert_eq!(load_checkpoint(&path).unwrap(), vec![valid, next]);
+        assert_eq!(load_checkpoint(&path).unwrap().records, vec![valid, next]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1049,7 +1186,7 @@ mod tests {
             "resume after a torn write diverged"
         );
         // Every line of the repaired checkpoint parses again.
-        assert_eq!(load_checkpoint(&path).unwrap().len(), 4);
+        assert_eq!(load_checkpoint(&path).unwrap().records.len(), 4);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1077,7 +1214,7 @@ mod tests {
         };
         write_checkpoint_line(&writer, &record).expect("poisoned writer must recover");
         drop(writer);
-        assert_eq!(load_checkpoint(&path).unwrap(), vec![record]);
+        assert_eq!(load_checkpoint(&path).unwrap().records, vec![record]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1107,7 +1244,176 @@ mod tests {
         for r in &records {
             append_checkpoint(&path, r).unwrap();
         }
-        assert_eq!(load_checkpoint(&path).unwrap(), records);
+        assert_eq!(load_checkpoint(&path).unwrap().records, records);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Writes a seed-`seed` checkpoint of one Naive-DT cell over
+    /// `datasets` and returns its path.
+    fn one_cell_checkpoint(tag: &str, datasets: &[StreamDataset], seed: u64) -> std::path::PathBuf {
+        let path = temp_path(tag);
+        let cfg = HarnessConfig {
+            seed,
+            ..Default::default()
+        };
+        run_sweep(
+            datasets,
+            &[Algorithm::NaiveDt],
+            &cfg,
+            Some(&path),
+            Some(1),
+            1,
+        )
+        .unwrap();
+        path
+    }
+
+    fn mismatch_message(result: Result<SweepReport, HarnessError>) -> String {
+        match result {
+            Err(HarnessError::CheckpointMismatch(msg)) => msg,
+            other => panic!("expected a checkpoint mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checkpoint_of_another_seed_is_refused() {
+        let datasets = tiny_datasets();
+        let path = one_cell_checkpoint("seed", &datasets, 0);
+        let before = std::fs::read_to_string(&path).unwrap();
+        let seed1 = HarnessConfig {
+            seed: 1,
+            ..Default::default()
+        };
+        let msg = mismatch_message(run_sweep(
+            &datasets,
+            &[Algorithm::NaiveDt],
+            &seed1,
+            Some(&path),
+            None,
+            1,
+        ));
+        assert!(
+            msg.contains("seed 0 in the checkpoint, 1 in this sweep"),
+            "{msg}"
+        );
+        // A result-bearing config field other than the seed.
+        let wider = HarnessConfig {
+            window_factor: 2.0,
+            ..Default::default()
+        };
+        let msg = mismatch_message(run_sweep(
+            &datasets,
+            &[Algorithm::NaiveDt],
+            &wider,
+            Some(&path),
+            None,
+            1,
+        ));
+        assert!(
+            msg.starts_with("the checkpoint belongs to another sweep: config "),
+            "{msg}"
+        );
+        // Nothing ran and nothing was appended.
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_of_another_scale_is_refused() {
+        let at_scale = |scale: f64| {
+            let entries = registry_scaled(scale);
+            let entry = entries
+                .iter()
+                .find(|e| e.spec.name == "Electricity Prices")
+                .unwrap();
+            vec![generate(&entry.spec, 0)]
+        };
+        let path = one_cell_checkpoint("scale", &at_scale(0.05), 0);
+        let msg = mismatch_message(run_sweep(
+            &at_scale(0.2),
+            &[Algorithm::NaiveDt],
+            &HarnessConfig::default(),
+            Some(&path),
+            None,
+            1,
+        ));
+        assert!(msg.contains("datasets [{"), "{msg}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_of_another_learner_list_is_refused() {
+        let datasets = tiny_datasets();
+        let path = one_cell_checkpoint("learners", &datasets, 0);
+        let msg = mismatch_message(run_sweep(
+            &datasets,
+            &[Algorithm::NaiveDt, Algorithm::Arf],
+            &HarnessConfig::default(),
+            Some(&path),
+            None,
+            1,
+        ));
+        assert!(
+            msg.contains("learners [\"Naive-DT\"] in the checkpoint"),
+            "{msg}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_without_a_header_is_refused() {
+        let datasets = tiny_datasets();
+        let path = temp_path("headerless");
+        append_checkpoint(
+            &path,
+            &SweepRecord {
+                dataset: datasets[0].name.clone(),
+                algorithm: Algorithm::NaiveDt.name().into(),
+                outcome: RunOutcome::Inapplicable,
+            },
+        )
+        .unwrap();
+        let msg = mismatch_message(run_sweep(
+            &datasets,
+            &[Algorithm::NaiveDt],
+            &HarnessConfig::default(),
+            Some(&path),
+            None,
+            1,
+        ));
+        assert!(msg.contains("no header"), "{msg}");
+        let err = HarnessError::CheckpointMismatch(msg);
+        assert_eq!((err.exit_code(), err.kind()), (15, "checkpoint-mismatch"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn header_ignores_the_run_budget_threads_and_supervision() {
+        // The limit, the worker count and the supervision policy change
+        // no completed cell, so a checkpoint written under one setting of
+        // each resumes under another.
+        let datasets = tiny_datasets();
+        let algorithms = [Algorithm::NaiveDt, Algorithm::Arf];
+        let plain = HarnessConfig::default();
+        let uninterrupted = run_sweep(&datasets, &algorithms, &plain, None, None, 1).unwrap();
+        let path = temp_path("header_invariants");
+        run_sweep(&datasets, &algorithms, &plain, Some(&path), Some(1), 1).unwrap();
+        let supervised = HarnessConfig {
+            supervise: SupervisePolicy {
+                wall_deadline: Some(std::time::Duration::from_secs(60)),
+                max_retries: 1,
+                ..SupervisePolicy::unsupervised()
+            },
+            ..HarnessConfig::default()
+        };
+        let resumed = run_sweep(&datasets, &algorithms, &supervised, Some(&path), None, 2).unwrap();
+        assert!(same_modulo_timing(&resumed, &uninterrupted));
+        let loaded = load_checkpoint(&path).unwrap();
+        assert_eq!(
+            loaded.header,
+            Some(checkpoint_header(&datasets, &algorithms, &plain))
+        );
+        assert_eq!(loaded.records.len(), 4, "no cell ran twice");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -152,15 +152,15 @@ proptest! {
         );
         let resumed =
             run_sweep(&datasets, &algorithms, &cfg, Some(&path), None, threads).unwrap();
-        let checkpoint_lines = std::fs::read_to_string(&path)
-            .unwrap()
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .count();
+        let checkpoint = std::fs::read_to_string(&path).unwrap();
+        let checkpoint_lines: Vec<&str> =
+            checkpoint.lines().filter(|l| !l.trim().is_empty()).collect();
         let _ = std::fs::remove_file(&path);
         prop_assert_eq!(digest(&resumed), digest(&uninterrupted));
-        // No cell ran twice: one checkpoint line per grid cell.
-        prop_assert_eq!(checkpoint_lines, 6);
+        // No cell ran twice: the header line, then one checkpoint line
+        // per grid cell.
+        prop_assert!(checkpoint_lines[0].starts_with("{\"header\":"));
+        prop_assert_eq!(checkpoint_lines.len(), 1 + 6);
     }
 
     /// Supervision acceptance property: with a retry budget and a

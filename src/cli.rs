@@ -879,8 +879,43 @@ mod tests {
         let full = execute(&parse(&args).unwrap()).unwrap();
         assert_eq!(full.lines().count(), 6); // 5 records + summary
         assert!(full.contains("5 completed, 0 inapplicable, 0 failed"));
+        // The header line, then one line per pair: no pair is run twice.
         let checkpoint = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(checkpoint.lines().count(), 5, "no pair is run twice");
+        assert!(checkpoint.starts_with("{\"header\":"), "{checkpoint}");
+        assert_eq!(checkpoint.lines().count(), 1 + 5, "no pair is run twice");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn sweep_refuses_a_checkpoint_of_another_seed() {
+        let path =
+            std::env::temp_dir().join(format!("oeb_cli_sweep_seed_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let sweep = |seed: &str| {
+            execute(
+                &parse(&s(&[
+                    "sweep",
+                    "--out",
+                    path.to_str().unwrap(),
+                    "--algorithm",
+                    "dt",
+                    "--scale",
+                    "0.02",
+                    "--seed",
+                    seed,
+                    "--limit",
+                    "1",
+                ]))
+                .unwrap(),
+            )
+        };
+        sweep("0").unwrap();
+        // Resuming seed 0's checkpoint as seed 1 used to print seed 0's
+        // losses as seed 1's and exit 0.
+        let err = sweep("1").unwrap_err();
+        assert_eq!(err.code, 15, "{}", err.message);
+        // The same seed still resumes.
+        assert!(sweep("0").is_ok());
         let _ = std::fs::remove_file(&path);
     }
 
