@@ -550,8 +550,11 @@ fn guarded_tile(
 // propagation cannot differ either. The gradient kernel has a
 // squared-term twin for EWC's Fisher diagonal (`g = d * x; f += g * g`).
 //
-// Each kernel has one tile body, generic over its shape: `R` rows (1..=4)
-// by `C` columns (1..=8), both compile-time constants picked per tile by
+// Two tile bodies serve the three kernels: `panel_tile` (`out += A·P`
+// for a row-major panel P: the forward over a packed `Wᵀ`, the backward
+// delta over `W` itself) and `atb_tile` (the gradient, plain or
+// squared). Each is generic over its shape: `R` rows (1..=4) by `C`
+// columns (1..=8), both compile-time constants picked per tile by
 // `fixed_shape_tile!`. A full 4x8 tile and every edge tile therefore
 // keep their accumulators in registers and unroll completely. The tile
 // walk runs either as portable code or compiled with AVX2; the choice is
@@ -647,7 +650,8 @@ fn matmul_xwt_bias_reference_into(x: &Matrix, w: &Matrix, bias: &[f64], out: &mu
 }
 
 /// The tiled forward without the size dispatch: packs `Wᵀ` into `wt`
-/// (`n_in x n_out`, row-major), then walks `MR x NR` tiles of the output.
+/// (`n_in x n_out`, row-major), seeds every output row with the bias,
+/// and runs the panel tiles with the reference's `w * x` operand order.
 fn xwt_tiled(
     x: &Matrix,
     w: &Matrix,
@@ -664,74 +668,88 @@ fn xwt_tiled(
             *dst = wv;
         }
     }
+    for r in 0..out.rows() {
+        out.row_mut(r).copy_from_slice(bias);
+    }
+    panel_tiled::<true>(x, wt, out, wide);
+}
+
+/// The tiled product `out += A·P` without the size dispatch, for a
+/// row-major `a.cols() x out.cols()` panel `P`: the forward's packed
+/// `Wᵀ` (`PANEL_FIRST`, the `w * x` order, `out` seeded at the bias) or
+/// the backward's `W` itself (`delta * weight`, `out` zeroed). `wide`
+/// asks for the AVX2 build of the tiles, which runs only on a CPU with
+/// AVX2.
+fn panel_tiled<const PANEL_FIRST: bool>(a: &Matrix, panel: &[f64], out: &mut Matrix, wide: bool) {
     #[cfg(target_arch = "x86_64")]
-    if wide {
-        // SAFETY: `wide` is `wide_tile_available()` (or a test's request
-        // after that check), so the CPU supports AVX2.
-        unsafe { xwt_tiles_avx2(x, wt, bias, out) };
+    if wide && wide_tile_available() {
+        // SAFETY: `wide_tile_available()` just confirmed AVX2 support.
+        unsafe { panel_tiles_avx2::<PANEL_FIRST>(a, panel, out) };
         return;
     }
     let _ = wide;
-    xwt_tiles(x, wt, bias, out);
+    panel_tiles::<PANEL_FIRST>(a, panel, out);
 }
 
-/// Every tile of [`matmul_xwt_bias_into`] over the packed `wt`.
+/// Every `MR x NR` tile of [`panel_tiled`].
 #[inline(always)]
-fn xwt_tiles(x: &Matrix, wt: &[f64], bias: &[f64], out: &mut Matrix) {
-    let (m, n) = (x.rows(), bias.len());
+fn panel_tiles<const PANEL_FIRST: bool>(a: &Matrix, panel: &[f64], out: &mut Matrix) {
+    let (m, n) = (out.rows(), out.cols());
     for ib in (0..m).step_by(MR) {
         let mr = MR.min(m - ib);
-        for ob in (0..n).step_by(NR) {
-            let nr = NR.min(n - ob);
-            fixed_shape_tile!(xwt_tile [], mr, nr, (x, wt, bias, ib, ob, out));
+        for jb in (0..n).step_by(NR) {
+            let nr = NR.min(n - jb);
+            fixed_shape_tile!(panel_tile [, PANEL_FIRST], mr, nr, (a, panel, ib, jb, out));
         }
     }
 }
 
-/// [`xwt_tiles`] compiled with AVX2 enabled (256-bit moves and
+/// [`panel_tiles`] compiled with AVX2 enabled (256-bit moves and
 /// arithmetic). No FMA: `target_feature` does not license contraction,
 /// every multiply and add stays a distinct IEEE operation, so the wider
 /// codegen cannot change a single output bit.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn xwt_tiles_avx2(x: &Matrix, wt: &[f64], bias: &[f64], out: &mut Matrix) {
-    xwt_tiles(x, wt, bias, out);
+fn panel_tiles_avx2<const PANEL_FIRST: bool>(a: &Matrix, panel: &[f64], out: &mut Matrix) {
+    panel_tiles::<PANEL_FIRST>(a, panel, out);
 }
 
-/// One `R x C` tile of [`matmul_xwt_bias_into`]: the outputs `ob..ob+C`
-/// of rows `ib..ib+R`, `R * C` independent chains seeded at the bias and
-/// walked k-ascending. Per k the tile broadcasts `R` input values against
-/// the `C` packed weights `wt[k][ob..ob+C]`, which sit next to each
-/// other; each chain performs the reference's operation sequence, with
-/// the reference's `w * x` operand order.
+/// One `R x C` tile of [`panel_tiled`]: the outputs `jb..jb+C` of rows
+/// `ib..ib+R`, `R * C` independent chains resumed from `out` and walked
+/// k-ascending. Per k the tile broadcasts `R` values of A against the
+/// `C` panel values `panel[k][jb..jb+C]`, which sit next to each other;
+/// each chain performs the reference's operation sequence in its operand
+/// order.
 #[inline(always)]
-fn xwt_tile<const R: usize, const C: usize>(
-    x: &Matrix,
-    wt: &[f64],
-    bias: &[f64],
+fn panel_tile<const R: usize, const C: usize, const PANEL_FIRST: bool>(
+    a: &Matrix,
+    panel: &[f64],
     ib: usize,
-    ob: usize,
+    jb: usize,
     out: &mut Matrix,
 ) {
-    let (kdim, n) = (x.cols(), bias.len());
-    let xrows: [&[f64]; R] = std::array::from_fn(|ii| &x.row(ib + ii)[..kdim]);
-    let wt = &wt[..kdim * n];
-    let seed = &bias[ob..ob + C];
+    let (kdim, n) = (a.cols(), out.cols());
+    let arows: [&[f64]; R] = std::array::from_fn(|ii| &a.row(ib + ii)[..kdim]);
+    let panel = &panel[..kdim * n];
     let mut acc = [[0.0f64; C]; R];
-    for row in acc.iter_mut() {
-        row.copy_from_slice(seed);
+    for (ii, accrow) in acc.iter_mut().enumerate() {
+        accrow.copy_from_slice(&out.row(ib + ii)[jb..jb + C]);
     }
     for k in 0..kdim {
-        let ws = &wt[k * n + ob..k * n + ob + C];
-        for (arow, xrow) in acc.iter_mut().zip(&xrows) {
-            let xv = xrow[k];
-            for (a, &wv) in arow.iter_mut().zip(ws) {
-                *a += wv * xv;
+        let ps = &panel[k * n + jb..k * n + jb + C];
+        for (accrow, arow) in acc.iter_mut().zip(&arows) {
+            let av = arow[k];
+            for (c, &pv) in accrow.iter_mut().zip(ps) {
+                // The products are equal as numbers; the operand order
+                // is the reference's, so is the NaN payload it picks.
+                #[allow(clippy::if_same_then_else)]
+                let term = if PANEL_FIRST { pv * av } else { av * pv };
+                *c += term;
             }
         }
     }
-    for (ii, arow) in acc.iter().enumerate() {
-        out.row_mut(ib + ii)[ob..ob + C].copy_from_slice(arow);
+    for (ii, accrow) in acc.iter().enumerate() {
+        out.row_mut(ib + ii)[jb..jb + C].copy_from_slice(accrow);
     }
 }
 
@@ -757,7 +775,8 @@ pub fn matmul_noskip_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         return;
     }
     DISPATCH_BLOCKED.incr();
-    noskip_tiled(a, b, out, wide_tile_available());
+    // B is consumed in place: it is already a row-major `kdim x n` panel.
+    panel_tiled::<false>(a, b.as_slice(), out, wide_tile_available());
 }
 
 /// The no-skip backward reference: the historical
@@ -776,71 +795,6 @@ fn noskip_accumulate_reference(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         for (k, &av) in arow.iter().enumerate() {
             axpy(av, b.row(k), dst);
         }
-    }
-}
-
-/// The tiled no-skip product without the size dispatch. B is consumed in
-/// place: it is already a row-major `kdim x n` panel.
-fn noskip_tiled(a: &Matrix, b: &Matrix, out: &mut Matrix, wide: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if wide {
-        // SAFETY: `wide` is `wide_tile_available()` (or a test's request
-        // after that check), so the CPU supports AVX2.
-        unsafe { noskip_tiles_avx2(a, b, out) };
-        return;
-    }
-    let _ = wide;
-    noskip_tiles(a, b, out);
-}
-
-/// Every tile of [`matmul_noskip_into`].
-#[inline(always)]
-fn noskip_tiles(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, n) = (a.rows(), b.cols());
-    for ib in (0..m).step_by(MR) {
-        let mr = MR.min(m - ib);
-        for jb in (0..n).step_by(NR) {
-            let nr = NR.min(n - jb);
-            fixed_shape_tile!(noskip_tile [], mr, nr, (a, b, ib, jb, out));
-        }
-    }
-}
-
-/// [`noskip_tiles`] compiled with AVX2 enabled. No FMA — every multiply
-/// and add stays a distinct IEEE operation, so the wider codegen cannot
-/// change a single output bit (see [`tile_kernel_avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn noskip_tiles_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    noskip_tiles(a, b, out);
-}
-
-/// One `R x C` tile of [`matmul_noskip_into`]: `R * C` chains from `0.0`
-/// over every k ascending, each adding `a[r][k] * b[k][j]` in the
-/// reference's operand order (the axpy `delta * weight`).
-#[inline(always)]
-fn noskip_tile<const R: usize, const C: usize>(
-    a: &Matrix,
-    b: &Matrix,
-    ib: usize,
-    jb: usize,
-    out: &mut Matrix,
-) {
-    let (kdim, n) = (a.cols(), b.cols());
-    let arows: [&[f64]; R] = std::array::from_fn(|ii| &a.row(ib + ii)[..kdim]);
-    let panel = &b.as_slice()[..kdim * n];
-    let mut acc = [[0.0f64; C]; R];
-    for k in 0..kdim {
-        let bs = &panel[k * n + jb..k * n + jb + C];
-        for (accrow, arow) in acc.iter_mut().zip(&arows) {
-            let av = arow[k];
-            for (c, &bv) in accrow.iter_mut().zip(bs) {
-                *c += av * bv;
-            }
-        }
-    }
-    for (ii, accrow) in acc.iter().enumerate() {
-        out.row_mut(ib + ii)[jb..jb + C].copy_from_slice(accrow);
     }
 }
 
@@ -898,12 +852,12 @@ fn atb_term<const SQUARE: bool>(d: f64, x: f64) -> f64 {
     }
 }
 
-/// The tiled accumulation without the size dispatch.
+/// The tiled accumulation without the size dispatch. `wide` asks for
+/// the AVX2 build of the tiles, which runs only on a CPU with AVX2.
 fn atb_tiled<const SQUARE: bool>(a: &Matrix, b: &Matrix, out: &mut [f64], wide: bool) {
     #[cfg(target_arch = "x86_64")]
-    if wide {
-        // SAFETY: `wide` is `wide_tile_available()` (or a test's request
-        // after that check), so the CPU supports AVX2.
+    if wide && wide_tile_available() {
+        // SAFETY: `wide_tile_available()` just confirmed AVX2 support.
         unsafe { atb_tiles_avx2::<SQUARE>(a, b, out) };
         return;
     }
@@ -1296,7 +1250,7 @@ mod tests {
                     assert_bits_eq(fast.as_slice(), reference.as_slice(), &ctx);
                     for wide in tile_paths() {
                         let mut tiled = Matrix::zeros(m, n);
-                        noskip_tiled(&a, &b, &mut tiled, wide);
+                        panel_tiled::<false>(&a, b.as_slice(), &mut tiled, wide);
                         let ctx = format!("{ctx} tiled (wide {wide})");
                         assert_bits_eq(tiled.as_slice(), reference.as_slice(), &ctx);
                     }
