@@ -171,21 +171,27 @@ done
 # counter mismatch, nondeterministic deadline). On top of that, the
 # traced run must validate against the span schema, the metrics table
 # must surface the supervise.* counters, and the JSON report must carry
-# the quarantine accounting.
-cargo run --release --bin oebench -- chaos --limit 8 --max-retries 2 \
-    --out "$smoke_dir/chaos.json" --trace "$smoke_dir/chaos_trace.jsonl" \
-    --metrics 2> "$smoke_dir/chaos_metrics.txt" \
-    || { cat "$smoke_dir/chaos_metrics.txt"; exit 1; }
-cargo run --release -p oeb-bench --bin trace_check -- "$smoke_dir/chaos_trace.jsonl" \
-    --counters "$smoke_dir/chaos_metrics.txt"
-grep -Eq 'supervise\.retries +[1-9]' "$smoke_dir/chaos_metrics.txt" \
-    || { echo "ci: no supervise.retries in chaos --metrics output" >&2; exit 1; }
-grep -Eq 'supervise\.quarantined +[1-9]' "$smoke_dir/chaos_metrics.txt" \
-    || { echo "ci: no supervise.quarantined in chaos --metrics output" >&2; exit 1; }
-grep -q '"quarantined"' "$smoke_dir/chaos.json" \
-    || { echo "ci: chaos report lacks quarantine accounting" >&2; exit 1; }
-grep -q '"violations": \[\]' "$smoke_dir/chaos.json" \
-    || { echo "ci: chaos report lists violations" >&2; exit 1; }
+# the quarantine accounting. The scenarios fan out over the workers, so
+# the report must be byte-identical at one worker and at four.
+for threads in 1 4; do
+    chaos="$smoke_dir/chaos_t$threads"
+    cargo run --release --bin oebench -- chaos --limit 8 --max-retries 2 \
+        --threads "$threads" --out "$chaos.json" --trace "${chaos}_trace.jsonl" \
+        --metrics 2> "${chaos}_metrics.txt" \
+        || { cat "${chaos}_metrics.txt"; exit 1; }
+    cargo run --release -p oeb-bench --bin trace_check -- "${chaos}_trace.jsonl" \
+        --counters "${chaos}_metrics.txt"
+    grep -Eq 'supervise\.retries +[1-9]' "${chaos}_metrics.txt" \
+        || { echo "ci: no supervise.retries in chaos --metrics output" >&2; exit 1; }
+    grep -Eq 'supervise\.quarantined +[1-9]' "${chaos}_metrics.txt" \
+        || { echo "ci: no supervise.quarantined in chaos --metrics output" >&2; exit 1; }
+    grep -q '"quarantined"' "$chaos.json" \
+        || { echo "ci: chaos report lacks quarantine accounting" >&2; exit 1; }
+    grep -q '"violations": \[\]' "$chaos.json" \
+        || { echo "ci: chaos report lists violations" >&2; exit 1; }
+done
+diff "$smoke_dir/chaos_t1.json" "$smoke_dir/chaos_t4.json" \
+    || { echo "ci: chaos report differs between 1 and 4 threads" >&2; exit 1; }
 
 # Smoke: supervision is a no-op on a healthy sweep. The same ten cells,
 # plain and under a generous wall-clock deadline plus a retry budget,

@@ -98,9 +98,16 @@ fn profile_totals_match_the_metrics_snapshot_and_are_thread_invariant() {
     let checked = check_metrics(&profile, &table).expect("span totals match");
     assert_eq!(checked, snapshot.spans.len());
 
-    // Cells were attributed: the harness funnel tags every run.
-    assert!(!profile.cells.is_empty(), "no attributed cells");
-    assert!(profile.cells.iter().all(|c| c.rows == 240));
+    // Cells were attributed: the harness funnel tags every run, once.
+    // One dataset x two learners is two cells, each with its run's wall
+    // time (a second context around a run would add a cell without one).
+    assert_eq!(
+        profile.cells.len(),
+        2,
+        "one cell per run: {:?}",
+        profile.cells
+    );
+    assert!(profile.cells.iter().all(|c| c.rows == 240 && c.wall_ns > 0));
     assert!(profile.makespan_ns >= profile.lower_bound_ns);
 
     // Analysis fan-out is invisible: 1-thread and 4-thread profiles

@@ -253,11 +253,6 @@ impl Matrix {
         cov
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// True when every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())

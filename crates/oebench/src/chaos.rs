@@ -1,14 +1,14 @@
 //! Chaos-soak harness: the fault-plan × drift cross-product, executed
-//! under full supervision with invariants checked after every scenario.
+//! under full supervision with invariants checked after the run.
 //!
 //! Each scenario pairs one fault axis (a single [`FaultKind`] at an
 //! aggressive rate, the composed chaos preset, a drop-everything plan,
 //! or the clean identity) with one drift regime from the synthetic
-//! generator, runs the resulting stream through the supervised sweep,
-//! and checks the supervision contract:
+//! generator. The scenarios and the control runs go through the grid
+//! runner as one grid, and the report checks the supervision contract:
 //!
-//! - no panic escapes the sweep's isolation layer;
-//! - every cell is accounted for — completed, inapplicable, failed,
+//! - no panic escapes the runner's isolation layer;
+//! - every run is accounted for — completed, inapplicable, failed,
 //!   timed out, or quarantined, never silently dropped;
 //! - quarantined cells are reported with their fault × drift
 //!   coordinates;
@@ -22,11 +22,10 @@
 //! Any violated invariant lands in [`ChaosReport::violations`]; the CI
 //! smoke gate fails on a non-empty list.
 
-use crate::error::HarnessError;
 use crate::harness::{DegradePolicy, HarnessConfig};
 use crate::learners::Algorithm;
 use crate::supervise::SupervisePolicy;
-use crate::sweep::{run_sweep, SupervisionSummary, SweepReport};
+use crate::sweep::{run_grid, supervision_of, RunOutcome, SupervisionSummary};
 use oeb_faults::{FaultKind, FaultPlan};
 use oeb_synth::{Balance, DriftPattern, LabelMechanism, Level, StreamSpec, TaskSpec};
 use oeb_tabular::Domain;
@@ -42,7 +41,7 @@ pub struct ChaosOptions {
     pub seed: u64,
     /// Scenarios to execute; `None` runs the full fault × drift grid.
     pub max_cells: Option<usize>,
-    /// Worker threads per scenario sweep.
+    /// Worker threads of the scenario grid.
     pub threads: usize,
     /// Retry budget per cell before quarantine.
     pub max_retries: usize,
@@ -89,7 +88,8 @@ pub fn drift_regimes() -> Vec<(&'static str, DriftPattern)> {
 /// preset stacked with an extra NaN axis (exercising
 /// [`FaultPlan::compose`]), and a drop-everything plan that forces the
 /// retry → quarantine path deterministically (every window dropped ⇒
-/// [`HarnessError::EmptyStream`], which is retryable).
+/// [`HarnessError::EmptyStream`](crate::error::HarnessError::EmptyStream),
+/// which is retryable).
 pub fn fault_axes(seed: u64) -> Vec<(String, FaultPlan)> {
     // The three structurally interesting axes lead so that a truncated
     // smoke grid still exercises the clean path, the forced quarantine,
@@ -123,7 +123,7 @@ pub struct ChaosCell {
     pub status: String,
     /// One-line outcome description.
     pub detail: String,
-    /// Supervision accounting for the scenario's sweep.
+    /// Supervision accounting for the scenario's run.
     pub supervision: SupervisionSummary,
 }
 
@@ -217,40 +217,37 @@ fn chaos_config(seed: u64, plan: &FaultPlan, supervise: SupervisePolicy) -> Harn
     config
 }
 
-/// The deterministic half of a sweep report, floats by bit pattern —
-/// two equal digests mean byte-identical reproducible fields.
-fn digest(report: &SweepReport) -> Vec<String> {
-    report
-        .records
-        .iter()
-        .map(|r| {
-            let body = match &r.outcome {
-                crate::sweep::RunOutcome::Completed(res) => {
-                    let losses: Vec<String> = res
-                        .per_window_loss
-                        .iter()
-                        .map(|l| format!("{:016x}", l.to_bits()))
-                        .collect();
-                    format!(
-                        "completed mean={:016x} items={} losses=[{}] deg={:?}",
-                        res.mean_loss.to_bits(),
-                        res.items,
-                        losses.join(","),
-                        res.degradations
-                    )
-                }
-                other => other.describe(),
-            };
-            format!("{}|{}|{body}", r.dataset, r.algorithm)
-        })
-        .collect()
+/// The deterministic half of an outcome, floats by bit pattern — two
+/// equal digests mean byte-identical reproducible fields.
+fn digest(outcome: &RunOutcome) -> String {
+    match outcome {
+        RunOutcome::Completed(res) => {
+            let losses: Vec<String> = res
+                .per_window_loss
+                .iter()
+                .map(|l| format!("{:016x}", l.to_bits()))
+                .collect();
+            format!(
+                "completed mean={:016x} items={} losses=[{}] deg={:?}",
+                res.mean_loss.to_bits(),
+                res.items,
+                losses.join(","),
+                res.degradations
+            )
+        }
+        other => other.describe(),
+    }
 }
 
 /// Executes the fault × drift matrix under supervision and checks every
-/// invariant. Never panics; never returns a typed error for a *cell*
-/// failure (those are outcomes) — only for harness-level problems like
-/// an invalid option set.
-pub fn run_chaos_matrix(options: &ChaosOptions) -> Result<ChaosReport, HarnessError> {
+/// invariant. Never panics; a cell failure is an outcome, and a broken
+/// invariant is a violation in the report.
+///
+/// The scenarios and the four control runs (the clean control,
+/// supervised and unsupervised, and the deadline control and its
+/// replay) are one grid, run on `options.threads` workers; the report is
+/// the same for every worker count.
+pub fn run_chaos_matrix(options: &ChaosOptions) -> ChaosReport {
     let axes = fault_axes(options.seed);
     let drifts = drift_regimes();
     let policy = SupervisePolicy {
@@ -258,7 +255,21 @@ pub fn run_chaos_matrix(options: &ChaosOptions) -> Result<ChaosReport, HarnessEr
         backoff_base: Duration::from_millis(1),
         ..SupervisePolicy::unsupervised()
     };
-    let algorithms = [Algorithm::NaiveDt];
+    // A tight logical budget must time the cell out, and must do so
+    // identically on a replay.
+    let tight = SupervisePolicy {
+        max_windows: Some(2),
+        ..policy
+    };
+    // The control runs, after the scenarios: the clean control,
+    // supervised then unsupervised, and the deadline control twice.
+    let clean = FaultPlan::none(options.seed);
+    let controls = [
+        ("chaos-control", policy),
+        ("chaos-control", SupervisePolicy::unsupervised()),
+        ("chaos-deadline", tight),
+        ("chaos-deadline", tight),
+    ];
     let before = oeb_trace::enabled().then(oeb_trace::snapshot);
 
     let mut report = ChaosReport::default();
@@ -269,60 +280,58 @@ pub fn run_chaos_matrix(options: &ChaosOptions) -> Result<ChaosReport, HarnessEr
     // faults *and* many drifts instead of one row of the matrix.
     let total = axes.len() * drifts.len();
     let n_cells = options.max_cells.unwrap_or(total).min(total);
-    for k in 0..n_cells {
-        let (fault_name, plan) = &axes[k % axes.len()];
-        let (drift_name, drift) = drifts[k % drifts.len()];
-        let scenario = format!("{fault_name}×{drift_name}");
-        let spec = spec_for(&scenario, drift, options.rows, options.seed);
-        let dataset = oeb_synth::generate(&spec, options.seed);
-        let config = chaos_config(options.seed, plan, policy);
+    let n_runs = n_cells + controls.len();
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        run_grid(
+            n_runs,
+            options.threads,
+            |k| {
+                let (name, drift, plan, supervise) = if k < n_cells {
+                    let (fault_name, plan) = &axes[k % axes.len()];
+                    let (drift_name, drift) = drifts[k % drifts.len()];
+                    (format!("{fault_name}×{drift_name}"), drift, plan, policy)
+                } else {
+                    let (name, supervise) = controls[k - n_cells];
+                    (name.to_string(), DriftPattern::Gradual, &clean, supervise)
+                };
+                let spec = spec_for(&name, drift, options.rows, options.seed);
+                let dataset = oeb_synth::generate(&spec, options.seed);
+                let config = chaos_config(options.seed, plan, supervise);
+                (dataset, Algorithm::NaiveDt, config)
+            },
+            |_, _| {},
+        )
+    }));
+    let outcomes = match ran {
+        Ok(outcomes) => outcomes,
+        Err(_) => {
+            report
+                .violations
+                .push("a panic escaped the supervised runner".into());
+            return report;
+        }
+    };
+    // Every run accounted for: one outcome per scenario, then the four
+    // control runs.
+    let Some((scenarios, [supervised, unsupervised, deadline, replay])) = outcomes
+        .split_last_chunk()
+        .filter(|(scenarios, _)| scenarios.len() == n_cells)
+    else {
+        report.violations.push(format!(
+            "{} of {n_runs} runs reported — runs were dropped",
+            outcomes.len()
+        ));
+        return report;
+    };
 
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            run_sweep(
-                &[dataset],
-                &algorithms,
-                &config,
-                None,
-                None,
-                options.threads,
-            )
-        }));
-        let sweep = match ran {
-            Ok(Ok(sweep)) => sweep,
-            Ok(Err(e)) => {
-                report
-                    .violations
-                    .push(format!("{scenario}: sweep returned a harness error: {e}"));
-                continue;
-            }
-            Err(_) => {
-                report
-                    .violations
-                    .push(format!("{scenario}: a panic escaped the supervised sweep"));
-                continue;
-            }
-        };
-        // Every cell accounted for: the grid is 1 dataset × 1 algorithm.
-        if sweep.records.len() != algorithms.len() {
-            report.violations.push(format!(
-                "{scenario}: {} of {} cells reported — cells were dropped",
-                sweep.records.len(),
-                algorithms.len()
-            ));
-            continue;
-        }
-        let supervision = sweep.supervision();
-        accumulate(&mut report.summary, &supervision);
-        for record in &sweep.records {
-            let status = status_of(&record.outcome);
-            report.cells.push(ChaosCell {
-                fault: fault_name.clone(),
-                drift: drift_name.to_string(),
-                status: status.to_string(),
-                detail: record.outcome.describe(),
-                supervision,
-            });
-        }
+    for (k, outcome) in scenarios.iter().enumerate() {
+        report.cells.push(ChaosCell {
+            fault: axes[k % axes.len()].0.clone(),
+            drift: drifts[k % drifts.len()].0.to_string(),
+            status: status_of(outcome).to_string(),
+            detail: outcome.describe(),
+            supervision: supervision_of([outcome]),
+        });
     }
 
     // The forced-quarantine axis must actually quarantine (when the
@@ -339,81 +348,26 @@ pub fn run_chaos_matrix(options: &ChaosOptions) -> Result<ChaosReport, HarnessEr
 
     // Clean-stream control: the supervised path (retry budget armed but
     // untouched) must be bit-identical to the unsupervised one.
-    {
-        let spec = spec_for(
-            "chaos-control",
-            DriftPattern::Gradual,
-            options.rows,
-            options.seed,
-        );
-        let dataset = oeb_synth::generate(&spec, options.seed);
-        let run = |supervise| {
-            let config = chaos_config(options.seed, &FaultPlan::none(options.seed), supervise);
-            let datasets = std::slice::from_ref(&dataset);
-            run_sweep(datasets, &algorithms, &config, None, None, options.threads)
-        };
-        let supervised = run(policy)?;
-        let unsupervised = run(SupervisePolicy::unsupervised())?;
-        if digest(&supervised) != digest(&unsupervised) {
-            report.violations.push(
-                "clean control: supervised report diverged from the unsupervised path".into(),
-            );
-        }
-        accumulate(&mut report.summary, &supervised.supervision());
+    if digest(supervised) != digest(unsupervised) {
+        report
+            .violations
+            .push("clean control: supervised report diverged from the unsupervised path".into());
     }
 
-    // Deadline control: a tight logical budget must time the cell out,
-    // and must do so identically on a replay.
-    {
-        let spec = spec_for(
-            "chaos-deadline",
-            DriftPattern::Gradual,
-            options.rows,
-            options.seed,
-        );
-        let dataset = oeb_synth::generate(&spec, options.seed);
-        let tight = SupervisePolicy {
-            max_windows: Some(2),
-            ..policy
-        };
-        let config = chaos_config(options.seed, &FaultPlan::none(options.seed), tight);
-        let run = |tag: &str, report: &mut ChaosReport| -> Option<SweepReport> {
-            match run_sweep(
-                std::slice::from_ref(&dataset),
-                &algorithms,
-                &config,
-                None,
-                None,
-                options.threads,
-            ) {
-                Ok(sweep) => Some(sweep),
-                Err(e) => {
-                    report
-                        .violations
-                        .push(format!("deadline control ({tag}): {e}"));
-                    None
-                }
-            }
-        };
-        if let (Some(first), Some(second)) = (run("first", &mut report), run("replay", &mut report))
-        {
-            let timed_out = first.timed_out().count();
-            if timed_out != algorithms.len() {
-                report.violations.push(format!(
-                    "deadline control: {timed_out} of {} cells timed out under a 2-window budget",
-                    algorithms.len()
-                ));
-            }
-            if digest(&first) != digest(&second) {
-                report.violations.push(
-                    "deadline control: replay diverged — logical timeout is not deterministic"
-                        .into(),
-                );
-            }
-            accumulate(&mut report.summary, &first.supervision());
-            accumulate(&mut report.summary, &second.supervision());
-        }
+    // Deadline control: the 2-window budget times the cell out on both
+    // runs, identically.
+    if !matches!(deadline, RunOutcome::TimedOut { .. }) {
+        report.violations.push(format!(
+            "deadline control: {} under a 2-window budget",
+            deadline.describe()
+        ));
     }
+    if digest(deadline) != digest(replay) {
+        report.violations.push(
+            "deadline control: replay diverged — logical timeout is not deterministic".into(),
+        );
+    }
+    report.summary = supervision_of(scenarios.iter().chain([supervised, deadline, replay]));
 
     // Counter contract: the deterministic `supervise.*` counters must
     // agree with the record-derived summary. Wall-clock events would be
@@ -443,23 +397,15 @@ pub fn run_chaos_matrix(options: &ChaosOptions) -> Result<ChaosReport, HarnessEr
         }
     }
 
-    Ok(report)
+    report
 }
 
-fn accumulate(total: &mut SupervisionSummary, part: &SupervisionSummary) {
-    total.retries += part.retries;
-    total.recovered += part.recovered;
-    total.timeouts += part.timeouts;
-    total.wall_timeouts += part.wall_timeouts;
-    total.quarantined += part.quarantined;
-}
-
-fn status_of(outcome: &crate::sweep::RunOutcome) -> &'static str {
+fn status_of(outcome: &RunOutcome) -> &'static str {
     match outcome {
-        crate::sweep::RunOutcome::Completed(_) => "completed",
-        crate::sweep::RunOutcome::Inapplicable => "inapplicable",
-        crate::sweep::RunOutcome::Failed { .. } => "failed",
-        crate::sweep::RunOutcome::TimedOut { .. } => "timed-out",
-        crate::sweep::RunOutcome::Quarantined { .. } => "quarantined",
+        RunOutcome::Completed(_) => "completed",
+        RunOutcome::Inapplicable => "inapplicable",
+        RunOutcome::Failed { .. } => "failed",
+        RunOutcome::TimedOut { .. } => "timed-out",
+        RunOutcome::Quarantined { .. } => "quarantined",
     }
 }

@@ -85,7 +85,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// depends only on `i` — the parallel sweep stays bit-identical to the
 /// sequential one. `f` must not panic: a panicking worker aborts the
 /// scope (callers wanting isolation catch panics inside `f`, as the
-/// sweep's cells do).
+/// grid runner `crate::sweep::run_grid` does for every run).
 pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -5,11 +5,12 @@
 
 use super::datasets::level_labels;
 use super::{json_f64, ExpContext, ExperimentOutput};
-use crate::harness::{try_run_stream, HarnessConfig, RunResult};
+use crate::harness::{HarnessConfig, RunResult};
 use crate::learners::Algorithm;
 use crate::recommend::render_tree;
 use crate::report::{fmt_summary, TextTable};
 use crate::stats::OeStats;
+use crate::sweep::{run_grid, RunOutcome};
 use oeb_synth::DatasetEntry;
 use parking_lot::Mutex;
 use serde_json::json;
@@ -51,9 +52,10 @@ pub(super) fn default_variant() -> Vec<(String, HarnessConfig)> {
 /// The runs fan out over the executor with the algorithm innermost, so
 /// the learners of one prepared stream run back to back and share it
 /// through the prepare cache. Collection is in grid order, so the cells
-/// are identical for every worker count. A failed run (ARF on
-/// regression) drops out of the means; a diverged loss drops out of the
-/// summary only.
+/// are identical for every worker count. Each run goes through the one
+/// grid runner, so a panicking run is a failed outcome, not the end of
+/// the process. A run that does not complete (ARF on regression) drops
+/// out of the means; a diverged loss drops out of the summary only.
 ///
 /// Results are memoized per (scale, seeds, datasets, algorithms,
 /// variants) within the process, so Table 4/5/6 share one grid and
@@ -80,27 +82,35 @@ pub fn run_matrix(
         |e: usize, v: usize, s: usize, a: usize| ((e * n_variants + v) * n_seeds + s) * n_algs + a;
     let n_runs = entries.len() * n_variants * n_seeds * n_algs;
     let threads = crate::executor::resolve_threads(None);
-    let runs = crate::executor::parallel_map(n_runs, threads, |i| {
-        let (a, s) = (i % n_algs, i / n_algs % n_seeds);
-        let (v, e) = (
-            i / (n_algs * n_seeds) % n_variants,
-            i / (n_algs * n_seeds * n_variants),
-        );
-        let seed = ctx.seeds[s];
-        let cfg = HarnessConfig {
-            seed,
-            ..variants[v].1.clone()
-        };
-        let dataset = oeb_synth::generate_cached(&entries[e].spec, seed);
-        try_run_stream(&dataset, algorithms[a], &cfg).ok()
-    });
+    let runs = run_grid(
+        n_runs,
+        threads,
+        |i| {
+            let (a, s) = (i % n_algs, i / n_algs % n_seeds);
+            let (v, e) = (
+                i / (n_algs * n_seeds) % n_variants,
+                i / (n_algs * n_seeds * n_variants),
+            );
+            let seed = ctx.seeds[s];
+            let cfg = HarnessConfig {
+                seed,
+                ..variants[v].1.clone()
+            };
+            let dataset = oeb_synth::generate_cached(&entries[e].spec, seed);
+            (dataset, algorithms[a], cfg)
+        },
+        |_, _| {},
+    );
 
     let mut cells = Vec::with_capacity(entries.len() * n_algs * n_variants);
     for (e, entry) in entries.iter().enumerate() {
         for (a, &algorithm) in algorithms.iter().enumerate() {
             for (v, (variant, _)) in variants.iter().enumerate() {
                 let done: Vec<&RunResult> = (0..n_seeds)
-                    .filter_map(|s| runs[run_index(e, v, s, a)].as_ref())
+                    .filter_map(|s| match &runs[run_index(e, v, s, a)] {
+                        RunOutcome::Completed(run) => Some(run),
+                        _ => None,
+                    })
                     .collect();
                 let mean_of = |f: fn(&RunResult) -> f64| {
                     if done.is_empty() {
@@ -345,6 +355,7 @@ pub fn fig9(ctx: &ExpContext, stats: &[OeStats]) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::try_run_stream;
 
     fn tiny_ctx() -> ExpContext {
         ExpContext {

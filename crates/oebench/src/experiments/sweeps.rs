@@ -3,9 +3,11 @@
 
 use super::main_results::{default_variant, run_matrix, short_name, MatrixCell};
 use super::{json_f64, json_series, ExpContext, ExperimentOutput};
-use crate::harness::{try_run_stream, HarnessConfig, ImputerChoice, OutlierRemoval};
+use crate::executor::resolve_threads;
+use crate::harness::{HarnessConfig, ImputerChoice, OutlierRemoval};
 use crate::learners::Algorithm;
 use crate::report::{fmt_summary, TextTable};
+use crate::sweep::{run_grid, RunOutcome};
 use oeb_synth::DatasetEntry;
 use serde_json::json;
 
@@ -235,42 +237,52 @@ fn curve_experiment(
             _ => None,
         })
         .collect();
+    let seed = ctx.seeds.first().copied().unwrap_or(0);
+    let n_variants = variants.len();
+    let runs = run_grid(
+        targets.len() * n_variants,
+        resolve_threads(None),
+        |i| {
+            let (entry, alg) = targets[i / n_variants];
+            let dataset = oeb_synth::generate_cached(&entry.spec, seed);
+            (dataset, alg, &variants[i % n_variants].1)
+        },
+        |_, _| {},
+    );
     let mut text = String::new();
     let mut json_rows = Vec::new();
-    for (entry, alg) in targets {
-        let dataset =
-            oeb_synth::generate_cached(&entry.spec, ctx.seeds.first().copied().unwrap_or(0));
-        for (variant, cfg) in variants {
-            let Ok(run) = try_run_stream(&dataset, alg, cfg) else {
-                continue;
-            };
-            let curve: Vec<String> = run
-                .per_window_loss
-                .iter()
-                .map(|l| {
-                    if l.is_finite() {
-                        format!("{l:.3}")
-                    } else {
-                        "inf".into()
-                    }
-                })
-                .collect();
-            text.push_str(&format!(
-                "{} [{}] {}: mean {:.3}\n  {}\n",
-                entry.selected.unwrap_or("?"),
-                alg.name(),
-                variant,
-                run.mean_loss,
-                curve.join(" ")
-            ));
-            json_rows.push(json!({
-                "dataset": entry.selected,
-                "algorithm": alg.name(),
-                "variant": variant,
-                "curve": json_series(&run.per_window_loss),
-                "mean": json_f64(run.mean_loss),
-            }));
-        }
+    for (i, outcome) in runs.iter().enumerate() {
+        let RunOutcome::Completed(run) = outcome else {
+            continue;
+        };
+        let (entry, alg) = targets[i / n_variants];
+        let variant = &variants[i % n_variants].0;
+        let curve: Vec<String> = run
+            .per_window_loss
+            .iter()
+            .map(|l| {
+                if l.is_finite() {
+                    format!("{l:.3}")
+                } else {
+                    "inf".into()
+                }
+            })
+            .collect();
+        text.push_str(&format!(
+            "{} [{}] {}: mean {:.3}\n  {}\n",
+            entry.selected.unwrap_or("?"),
+            alg.name(),
+            variant,
+            run.mean_loss,
+            curve.join(" ")
+        ));
+        json_rows.push(json!({
+            "dataset": entry.selected,
+            "algorithm": alg.name(),
+            "variant": variant,
+            "curve": json_series(&run.per_window_loss),
+            "mean": json_f64(run.mean_loss),
+        }));
     }
     ExperimentOutput {
         id,

@@ -16,9 +16,11 @@
 //! per (dataset, seed, preprocessing config), and
 //! [`evaluate_prepared`](crate::prepare::evaluate_prepared) runs one
 //! learner over it. [`try_run_stream`] is the composition of the two and
-//! the one per-run entry point: the experiment grid
-//! ([`run_matrix`](crate::experiments::main_results::run_matrix)) and the
-//! checkpointed [`run_sweep`](crate::sweep::run_sweep) both call it.
+//! the one per-run entry point: every grid — the checkpointed
+//! [`run_sweep`](crate::sweep::run_sweep), the experiment grid
+//! ([`run_matrix`](crate::experiments::main_results::run_matrix)), the
+//! curve figures and chaos — calls it through the one grid runner in
+//! [`crate::sweep`], which adds panic isolation and supervision.
 //!
 //! The prepare stage consumes [`WindowFrame`](oeb_faults::WindowFrame)s
 //! from any [`FrameSource`](oeb_faults::FrameSource) — in particular a
@@ -280,9 +282,8 @@ pub fn try_run_stream(
     config: &HarnessConfig,
 ) -> Result<RunResult, HarnessError> {
     config.validate()?;
-    // Ambient attribution for every span this cell records (the sweep
-    // installs the same context around retries; installs nest, so the
-    // innermost — this one — wins for the execution itself).
+    // Ambient attribution for every span this run records: the one
+    // context of the run (the grid runner installs none).
     let _ctx = CellCtx {
         dataset: dataset.name.clone(),
         learner: algorithm.name().to_string(),

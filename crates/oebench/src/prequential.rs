@@ -6,7 +6,6 @@
 //! prequential accuracy is the conventional metric.
 
 use crate::error::HarnessError;
-use crate::supervise::CellBudget;
 use oeb_linalg::Matrix;
 use oeb_tabular::{StreamDataset, Task};
 use oeb_trace::{enabled, Counter, Histogram, Stopwatch};
@@ -71,18 +70,12 @@ pub struct PrequentialResult {
 /// `xs` carries one already-encoded sample per row; `ys` the class
 /// labels. `sample_every` controls the resolution of the returned curve.
 /// The feature and target lengths must agree (a typed
-/// [`HarnessError::InvalidConfig`] otherwise). `budget` is checked
-/// cooperatively before every item: a [`CellBudget`] with `max_items`
-/// stops test-then-train at exactly that item on every replay, and an
-/// expired wall-clock deadline is honoured at item granularity instead
-/// of hanging until the stream ends; pass [`CellBudget::unlimited`] for
-/// an unsupervised run.
+/// [`HarnessError::InvalidConfig`] otherwise).
 pub fn prequential_items<M: IncrementalClassifier>(
     model: &mut M,
     xs: &Matrix,
     ys: &[f64],
     sample_every: usize,
-    budget: &CellBudget,
 ) -> Result<PrequentialResult, HarnessError> {
     if xs.rows() != ys.len() {
         return Err(HarnessError::InvalidConfig(format!(
@@ -95,7 +88,6 @@ pub fn prequential_items<M: IncrementalClassifier>(
     let mut correct = 0usize;
     let mut curve = Vec::new();
     for r in 0..xs.rows() {
-        budget.check(0, r)?;
         let x = xs.row(r);
         let y = ys[r] as usize;
         let watch = enabled().then(Stopwatch::start);
@@ -124,8 +116,8 @@ pub fn prequential_items<M: IncrementalClassifier>(
 }
 
 /// Encodes a classification [`StreamDataset`] (numeric view, NaN as 0)
-/// and runs [`prequential_items`] without a budget. Regression datasets
-/// are a typed [`HarnessError::NotApplicable`].
+/// and runs [`prequential_items`]. Regression datasets are a typed
+/// [`HarnessError::NotApplicable`].
 pub fn prequential_dataset<M: IncrementalClassifier>(
     model: &mut M,
     dataset: &StreamDataset,
@@ -155,7 +147,7 @@ pub fn prequential_dataset<M: IncrementalClassifier>(
         .collect();
     let xs = Matrix::from_rows(&rows);
     let ys = dataset.targets();
-    prequential_items(model, &xs, &ys, sample_every, &CellBudget::unlimited())
+    prequential_items(model, &xs, &ys, sample_every)
 }
 
 #[cfg(test)]
@@ -175,8 +167,7 @@ mod tests {
     fn accuracy_improves_as_the_tree_learns() {
         let (xs, ys) = stream(6000);
         let mut tree = HoeffdingTree::new(2, 2, HoeffdingConfig::default());
-        let result =
-            prequential_items(&mut tree, &xs, &ys, 1000, &CellBudget::unlimited()).unwrap();
+        let result = prequential_items(&mut tree, &xs, &ys, 1000).unwrap();
         assert_eq!(result.items, 6000);
         assert_eq!(result.accuracy_curve.len(), 6);
         let first = result.accuracy_curve[0];
@@ -192,7 +183,7 @@ mod tests {
     fn arf_reaches_high_prequential_accuracy() {
         let (xs, ys) = stream(4000);
         let mut arf = AdaptiveRandomForest::new(2, 2, ArfConfig::default());
-        let result = prequential_items(&mut arf, &xs, &ys, 500, &CellBudget::unlimited()).unwrap();
+        let result = prequential_items(&mut arf, &xs, &ys, 500).unwrap();
         assert!(result.accuracy > 0.8, "accuracy {}", result.accuracy);
     }
 
@@ -218,8 +209,7 @@ mod tests {
     fn mismatched_lengths_are_a_typed_error() {
         let (xs, _) = stream(10);
         let mut tree = HoeffdingTree::new(2, 2, HoeffdingConfig::default());
-        let err =
-            prequential_items(&mut tree, &xs, &[0.0; 3], 5, &CellBudget::unlimited()).unwrap_err();
+        let err = prequential_items(&mut tree, &xs, &[0.0; 3], 5).unwrap_err();
         assert!(matches!(err, HarnessError::InvalidConfig(_)), "{err}");
     }
 
@@ -237,52 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn item_budget_stops_at_the_exact_item() {
-        let (xs, ys) = stream(100);
-        let mut tree = HoeffdingTree::new(2, 2, HoeffdingConfig::default());
-        let budget = CellBudget {
-            max_items: Some(37),
-            ..CellBudget::unlimited()
-        };
-        let err = prequential_items(&mut tree, &xs, &ys, 10, &budget).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                HarnessError::CellTimedOut {
-                    items: 37,
-                    wall: false,
-                    ..
-                }
-            ),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn expired_deadline_stops_an_item_run() {
-        let (xs, ys) = stream(100);
-        let mut tree = HoeffdingTree::new(2, 2, HoeffdingConfig::default());
-        let budget = crate::supervise::SupervisePolicy {
-            wall_deadline: Some(std::time::Duration::ZERO),
-            ..Default::default()
-        }
-        .budget();
-        let err = prequential_items(&mut tree, &xs, &ys, 10, &budget).unwrap_err();
-        assert!(matches!(
-            err,
-            HarnessError::CellTimedOut {
-                items: 0,
-                wall: true,
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn empty_stream_is_harmless() {
         let xs = Matrix::zeros(0, 2);
         let mut tree = HoeffdingTree::new(2, 2, HoeffdingConfig::default());
-        let result = prequential_items(&mut tree, &xs, &[], 10, &CellBudget::unlimited()).unwrap();
+        let result = prequential_items(&mut tree, &xs, &[], 10).unwrap();
         assert_eq!(result.items, 0);
         assert_eq!(result.accuracy, 0.0);
     }

@@ -7,9 +7,8 @@
 //! fresh attempt would survive), or fail every attempt it is given. The
 //! supervision layer bounds all three without giving up determinism:
 //!
-//! - **Logical deadlines** ([`CellBudget`]) cap windows entered and
-//!   items trained. They are checked cooperatively inside the evaluate
-//!   loop, so hitting one is a pure function of the stream — replays are
+//! - **Logical deadlines** ([`CellBudget`]) cap the windows a cell
+//!   enters. They are checked cooperatively inside the evaluate loop, so hitting one is a pure function of the stream — replays are
 //!   bit-identical at any thread count.
 //! - **Wall-clock deadlines** ride the same budget: each attempt's
 //!   [`CellBudget`] starts a clock, and the same cooperative checks read
@@ -53,8 +52,6 @@ const MAX_BACKOFF_EXP: u32 = 6;
 pub struct SupervisePolicy {
     /// Logical deadline: windows a cell may *enter* (warm-up included).
     pub max_windows: Option<usize>,
-    /// Logical deadline: items a cell may test/train.
-    pub max_items: Option<usize>,
     /// Wall-clock deadline per *attempt* of the evaluate stage.
     /// Machine-dependent; an expired deadline is retryable.
     pub wall_deadline: Option<Duration>,
@@ -71,7 +68,6 @@ impl SupervisePolicy {
     pub fn unsupervised() -> SupervisePolicy {
         SupervisePolicy {
             max_windows: None,
-            max_items: None,
             wall_deadline: None,
             max_retries: 0,
             backoff_base: Duration::from_millis(10),
@@ -80,19 +76,15 @@ impl SupervisePolicy {
 
     /// Is any supervision feature active?
     pub fn is_active(&self) -> bool {
-        self.max_windows.is_some()
-            || self.max_items.is_some()
-            || self.wall_deadline.is_some()
-            || self.max_retries > 0
+        self.max_windows.is_some() || self.wall_deadline.is_some() || self.max_retries > 0
     }
 
-    /// A fresh budget for one attempt: the logical limits, and a wall
+    /// A fresh budget for one attempt: the logical limit, and a wall
     /// clock started now when a deadline is set. A retried cell calls
     /// this again, so each attempt gets its full wall budget back.
     pub fn budget(&self) -> CellBudget {
         CellBudget {
             max_windows: self.max_windows,
-            max_items: self.max_items,
             wall: self.wall_deadline.map(|limit| (Stopwatch::start(), limit)),
         }
     }
@@ -104,8 +96,8 @@ impl Default for SupervisePolicy {
     }
 }
 
-/// One attempt's deadline state, threaded into the evaluate loop and the
-/// item-level prequential loop. [`CellBudget::check`] is the single
+/// One attempt's deadline state, threaded into the evaluate loop.
+/// [`CellBudget::check`] is the single
 /// cooperative cancellation point: it reports a logical deadline
 /// (deterministic) or an expired wall-clock deadline (machine noise) as
 /// a typed [`HarnessError::CellTimedOut`].
@@ -113,8 +105,6 @@ impl Default for SupervisePolicy {
 pub struct CellBudget {
     /// Windows the attempt may enter.
     pub max_windows: Option<usize>,
-    /// Items the attempt may test/train.
-    pub max_items: Option<usize>,
     /// The attempt's start and the wall-clock time it may take.
     pub wall: Option<(Stopwatch, Duration)>,
 }
@@ -125,14 +115,14 @@ impl CellBudget {
         CellBudget::default()
     }
 
-    /// Cooperative deadline check with the attempt's progress so far.
+    /// Cooperative deadline check with the attempt's progress so far
+    /// (`items` is reported in the timeout, not bounded).
     ///
     /// The clock is read only when a wall deadline is set, and *after*
-    /// the logical bounds: when both would fire, the deterministic
+    /// the logical bound: when both would fire, the deterministic
     /// verdict wins so replays agree.
     pub fn check(&self, windows: usize, items: usize) -> Result<(), HarnessError> {
-        let logical = self.max_windows.is_some_and(|m| windows >= m)
-            || self.max_items.is_some_and(|m| items >= m);
+        let logical = self.max_windows.is_some_and(|m| windows >= m);
         let wall = !logical
             && self
                 .wall
@@ -318,7 +308,6 @@ mod tests {
     fn logical_deadlines_fire_deterministically() {
         let b = CellBudget {
             max_windows: Some(5),
-            max_items: Some(1000),
             ..CellBudget::unlimited()
         };
         assert!(b.check(4, 999).is_ok());
@@ -327,8 +316,6 @@ mod tests {
             matches!(e, HarnessError::CellTimedOut { wall: false, .. }),
             "{e}"
         );
-        let e = b.check(0, 1000).unwrap_err();
-        assert!(matches!(e, HarnessError::CellTimedOut { wall: false, .. }));
     }
 
     fn wall_budget(deadline: Duration, max_windows: Option<usize>) -> CellBudget {

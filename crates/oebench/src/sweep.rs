@@ -1,18 +1,21 @@
-//! Resilient (dataset, learner) sweeps: panic isolation, typed failure
+//! Resilient (dataset, learner) grids: panic isolation, typed failure
 //! reporting, and JSON-lines checkpoint/resume.
 //!
-//! A benchmark sweep crosses every dataset with every learner; one
-//! panicking run (a diverging network, a malformed window) must not take
-//! the other hundreds of runs down with it. [`run_sweep`] wraps each run
-//! in [`std::panic::catch_unwind`], records the outcome — completed,
-//! inapplicable, or failed with a reason — and appends it to a
-//! checkpoint file as one JSON object per line. Re-running the same
-//! sweep against the same checkpoint skips every pair already recorded,
-//! so an interrupted sweep resumes from the last completed pair and
-//! produces the same final report as an uninterrupted one. The file's
-//! first line is a header naming the sweep its records belong to; a
-//! checkpoint of any other sweep (another seed, scale, dataset content,
-//! learner list or result-bearing config) is refused, not resumed.
+//! Every grid of runs — the checkpointed [`run_sweep`], the experiment
+//! grid behind the tables and figures, the curve figures and the chaos
+//! scenarios — goes through one runner, `run_grid`: each run is wrapped
+//! in [`std::panic::catch_unwind`] and supervised, so one panicking run
+//! (a diverging network, a malformed window) cannot take the other
+//! hundreds down with it, and yields a typed [`RunOutcome`] in its own
+//! slot. [`run_sweep`] records each outcome — completed, inapplicable,
+//! or failed with a reason — and appends it to a checkpoint file as one
+//! JSON object per line. Re-running the same sweep against the same
+//! checkpoint skips every pair already recorded, so an interrupted
+//! sweep resumes from the last completed pair and produces the same
+//! final report as an uninterrupted one. The file's first line is a
+//! header naming the sweep its records belong to; a checkpoint of any
+//! other sweep (another seed, scale, dataset content, learner list or
+//! result-bearing config) is refused, not resumed.
 
 use crate::error::HarnessError;
 use crate::executor::parallel_map;
@@ -20,8 +23,9 @@ use crate::harness::{try_run_stream, HarnessConfig, RunResult};
 use crate::learners::Algorithm;
 use crate::supervise::{cell_seed, supervise_cell, SupervisePolicy};
 use oeb_tabular::StreamDataset;
-use oeb_trace::{CellCtx, Counter, SpanDef};
+use oeb_trace::Counter;
 use serde_json::{json, Value};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,7 +41,6 @@ static CELLS_TOTAL: Counter = Counter::new("sweep.cells.total");
 static CELLS_RESUMED: Counter = Counter::new("sweep.cells.resumed");
 static CELLS_EXECUTED: Counter = Counter::new("sweep.cells.executed");
 static CELLS_FAILED: Counter = Counter::new("sweep.cells.failed");
-static CELL_SPAN: SpanDef = SpanDef::new("sweep.cell");
 
 /// Whether [`run_sweep`] emits a stderr progress line per finished cell.
 /// Off by default so library callers and tests stay quiet; the CLI sweep
@@ -167,21 +170,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Completed runs.
-    pub fn completed(&self) -> impl Iterator<Item = (&SweepRecord, &RunResult)> {
-        self.records.iter().filter_map(|r| match &r.outcome {
-            RunOutcome::Completed(res) => Some((r, res)),
-            _ => None,
-        })
-    }
-
-    /// Failed runs.
-    pub fn failed(&self) -> impl Iterator<Item = &SweepRecord> {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.outcome, RunOutcome::Failed { .. }))
-    }
-
     /// (completed, inapplicable, failed) counts. Timed-out and
     /// quarantined cells count as failed: they produced no result.
     pub fn counts(&self) -> (usize, usize, usize) {
@@ -198,13 +186,6 @@ impl SweepReport {
         c
     }
 
-    /// Quarantined cells.
-    pub fn quarantined(&self) -> impl Iterator<Item = &SweepRecord> {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.outcome, RunOutcome::Quarantined { .. }))
-    }
-
     /// Timed-out cells.
     pub fn timed_out(&self) -> impl Iterator<Item = &SweepRecord> {
         self.records
@@ -217,38 +198,45 @@ impl SweepReport {
     /// recovered cell carries its `supervision:` degradation line, a
     /// quarantined cell its attempt count.
     pub fn supervision(&self) -> SupervisionSummary {
-        let mut s = SupervisionSummary::default();
-        for r in &self.records {
-            match &r.outcome {
-                RunOutcome::Completed(res) => {
-                    for d in &res.degradations {
-                        if let Some(rest) = d.strip_prefix(RECOVERY_PREFIX) {
-                            s.recovered += 1;
-                            let attempts: usize = rest
-                                .split_whitespace()
-                                .next()
-                                .and_then(|t| t.parse().ok())
-                                .unwrap_or(1);
-                            s.retries += attempts.saturating_sub(1);
-                        }
-                    }
-                }
-                RunOutcome::TimedOut { wall, .. } => {
-                    if *wall {
-                        s.wall_timeouts += 1;
-                    } else {
-                        s.timeouts += 1;
-                    }
-                }
-                RunOutcome::Quarantined { attempts, .. } => {
-                    s.quarantined += 1;
-                    s.retries += attempts.saturating_sub(1);
-                }
-                RunOutcome::Inapplicable | RunOutcome::Failed { .. } => {}
-            }
-        }
-        s
+        supervision_of(self.records.iter().map(|r| &r.outcome))
     }
+}
+
+/// [`SweepReport::supervision`] over any outcomes.
+pub(crate) fn supervision_of<'a>(
+    outcomes: impl IntoIterator<Item = &'a RunOutcome>,
+) -> SupervisionSummary {
+    let mut s = SupervisionSummary::default();
+    for outcome in outcomes {
+        match outcome {
+            RunOutcome::Completed(res) => {
+                for d in &res.degradations {
+                    if let Some(rest) = d.strip_prefix(RECOVERY_PREFIX) {
+                        s.recovered += 1;
+                        let attempts: usize = rest
+                            .split_whitespace()
+                            .next()
+                            .and_then(|t| t.parse().ok())
+                            .unwrap_or(1);
+                        s.retries += attempts.saturating_sub(1);
+                    }
+                }
+            }
+            RunOutcome::TimedOut { wall, .. } => {
+                if *wall {
+                    s.wall_timeouts += 1;
+                } else {
+                    s.timeouts += 1;
+                }
+            }
+            RunOutcome::Quarantined { attempts, .. } => {
+                s.quarantined += 1;
+                s.retries += attempts.saturating_sub(1);
+            }
+            RunOutcome::Inapplicable | RunOutcome::Failed { .. } => {}
+        }
+    }
+    s
 }
 
 /// The prefix [`crate::supervise::Supervised::recovery_note`] uses; the
@@ -280,7 +268,8 @@ pub struct SupervisionSummary {
 ///   result-bearing config, the seed, the learners, and each dataset's
 ///   name, row count and content); an existing one must start with the
 ///   same header, or the sweep fails with
-///   [`HarnessError::CheckpointMismatch`] before running any cell.
+///   [`HarnessError::CheckpointMismatch`] before running any cell. The
+///   header is built only when there is a checkpoint.
 /// - `max_new_runs`: when set, stop after this many *new* runs (pairs
 ///   loaded from the checkpoint do not count). The report then contains
 ///   only the records finished so far; invoke again with the same
@@ -311,16 +300,16 @@ pub fn run_sweep(
     threads: usize,
 ) -> Result<SweepReport, HarnessError> {
     config.validate()?;
-    let header = checkpoint_header(datasets, algorithms, config);
     let mut done: HashMap<(String, String), RunOutcome> = HashMap::new();
-    // A fresh checkpoint (missing or empty) gets the header before its
-    // first record.
-    let mut fresh = true;
+    // The header to write before the first record; set only when the
+    // checkpoint is fresh (missing or empty).
+    let mut new_header = None;
     if let Some(path) = checkpoint {
+        let header = checkpoint_header(datasets, algorithms, config);
         let loaded = load_checkpoint(path)?;
         match &loaded.header {
             Some(found) => check_header(found, &header)?,
-            None if loaded.records.is_empty() => {}
+            None if loaded.records.is_empty() => new_header = Some(header),
             None => {
                 return Err(HarnessError::CheckpointMismatch(format!(
                     "{} has no header line, so nothing shows which sweep its {} records \
@@ -330,12 +319,8 @@ pub fn run_sweep(
                 )))
             }
         }
-        fresh = loaded.header.is_none();
         for record in loaded.records {
-            done.insert(
-                (record.dataset.clone(), record.algorithm.clone()),
-                record.outcome,
-            );
+            done.insert((record.dataset, record.algorithm), record.outcome);
         }
     }
 
@@ -344,12 +329,11 @@ pub fn run_sweep(
     let cells: Vec<(usize, usize)> = (0..datasets.len())
         .flat_map(|d| (0..algorithms.len()).map(move |a| (d, a)))
         .collect();
+    let names =
+        |(d, a): (usize, usize)| (datasets[d].name.clone(), algorithms[a].name().to_string());
     let mut outcomes: Vec<Option<RunOutcome>> = cells
         .iter()
-        .map(|&(d, a)| {
-            done.get(&(datasets[d].name.clone(), algorithms[a].name().to_string()))
-                .cloned()
-        })
+        .map(|&cell| done.get(&names(cell)).cloned())
         .collect();
 
     // New work = unresolved cells in order, truncated to the run budget.
@@ -366,41 +350,32 @@ pub fn run_sweep(
     CELLS_EXECUTED.add(to_run.len() as u64);
     let progress = SweepProgress::new(cells.len(), resumed, PROGRESS.load(Ordering::Relaxed));
 
-    if !to_run.is_empty() {
-        // One writer, shared by all workers; appends happen as cells
-        // finish, so an interrupt loses at most the in-flight cells.
-        let writer: Option<Mutex<std::fs::File>> = match checkpoint {
-            Some(path) => {
-                let mut file = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| HarnessError::Io(format!("open {}: {e}", path.display())))?;
-                if fresh {
-                    writeln!(file, "{}", json_line(&header)?)
-                        .map_err(|e| HarnessError::Io(format!("write checkpoint: {e}")))?;
-                }
-                Some(Mutex::new(file))
+    // One writer, shared by all workers; appends happen as cells finish,
+    // so an interrupt loses at most the in-flight cells.
+    let writer: Option<Mutex<std::fs::File>> = match checkpoint {
+        Some(path) if !to_run.is_empty() => {
+            let mut file = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .map_err(|e| HarnessError::Io(format!("open {}: {e}", path.display())))?;
+            if let Some(header) = &new_header {
+                writeln!(file, "{}", json_line(header)?)
+                    .map_err(|e| HarnessError::Io(format!("write checkpoint: {e}")))?;
             }
-            None => None,
-        };
-        let append_error: Mutex<Option<HarnessError>> = Mutex::new(None);
-
-        let ran: Vec<RunOutcome> = parallel_map(to_run.len(), threads, |slot| {
+            Some(Mutex::new(file))
+        }
+        _ => None,
+    };
+    let append_error: Mutex<Option<HarnessError>> = Mutex::new(None);
+    let ran = run_grid(
+        to_run.len(),
+        threads,
+        |slot| {
             let (d, a) = cells[to_run[slot]];
-            // Ambient attribution: every span recorded while this cell
-            // runs (prepare stages, evaluate stages, the cell span
-            // itself) carries its (dataset, learner, seed, rows).
-            let _ctx = CellCtx {
-                dataset: datasets[d].name.clone(),
-                learner: algorithms[a].name().to_string(),
-                seed: cell_seed(config.seed, &datasets[d].name, algorithms[a].name()),
-                rows: datasets[d].n_rows() as u64,
-            }
-            .install();
-            let cell_span = CELL_SPAN.start();
-            let outcome = run_supervised(&datasets[d], algorithms[a], config);
-            drop(cell_span);
+            (&datasets[d], algorithms[a], config)
+        },
+        |slot, outcome| {
             if matches!(
                 outcome,
                 RunOutcome::Failed { .. }
@@ -411,43 +386,73 @@ pub fn run_sweep(
             }
             progress.note_done();
             if let Some(writer) = &writer {
+                let (dataset, algorithm) = names(cells[to_run[slot]]);
                 let record = SweepRecord {
-                    dataset: datasets[d].name.clone(),
-                    algorithm: algorithms[a].name().to_string(),
+                    dataset,
+                    algorithm,
                     outcome: outcome.clone(),
                 };
                 if let Err(e) = write_checkpoint_line(writer, &record) {
                     lock_recover(&append_error).get_or_insert(e);
                 }
             }
-            outcome
-        });
-        if let Some(e) = append_error
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-        {
-            return Err(e);
-        }
-        for (slot, outcome) in to_run.iter().zip(ran) {
-            outcomes[*slot] = Some(outcome);
-        }
+        },
+    );
+    if let Some(e) = append_error
+        .into_inner()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    {
+        return Err(e);
+    }
+    for (slot, outcome) in to_run.iter().zip(ran) {
+        outcomes[*slot] = Some(outcome);
     }
 
     // The report is the prefix of the grid up to the first cell the run
     // budget excluded — exactly where the sequential loop stopped.
     let mut report = SweepReport::default();
-    for (&(d, a), outcome) in cells.iter().zip(outcomes) {
+    for (&cell, outcome) in cells.iter().zip(outcomes) {
         let Some(outcome) = outcome else { break };
+        let (dataset, algorithm) = names(cell);
         report.records.push(SweepRecord {
-            dataset: datasets[d].name.clone(),
-            algorithm: algorithms[a].name().to_string(),
+            dataset,
+            algorithm,
             outcome,
         });
     }
     Ok(report)
 }
 
-/// One cell under `config.supervise`: each attempt runs with panic
+/// The one grid runner behind [`run_sweep`], the experiment grid, the
+/// curve figures and the chaos scenarios.
+///
+/// `build(i)` makes run `i` of `0..n` when a worker claims it: a
+/// borrowed or cached dataset, a learner and a config. Each run goes
+/// through [`run_supervised`] (panic isolation and `config.supervise`)
+/// on up to `threads` workers, and `on_done(i, outcome)` is called once
+/// per finished run on the worker that ran it (the sweep's checkpoint
+/// append and progress line). The outcomes come back in index order, so
+/// they are the same for every worker count. The runner installs no
+/// trace context of its own: `try_run_stream` installs each run's one.
+pub(crate) fn run_grid<D, C>(
+    n: usize,
+    threads: usize,
+    build: impl Fn(usize) -> (D, Algorithm, C) + Sync,
+    on_done: impl Fn(usize, &RunOutcome) + Sync,
+) -> Vec<RunOutcome>
+where
+    D: Borrow<StreamDataset>,
+    C: Borrow<HarnessConfig>,
+{
+    parallel_map(n, threads, |i| {
+        let (dataset, algorithm, config) = build(i);
+        let outcome = run_supervised(dataset.borrow(), algorithm, config.borrow());
+        on_done(i, &outcome);
+        outcome
+    })
+}
+
+/// One run under `config.supervise`: each attempt runs with panic
 /// isolation and a fresh budget (`try_run_stream` starts it at the
 /// evaluate stage); the retry state machine ([`supervise_cell`]) turns
 /// the attempt sequence into a single outcome.
@@ -459,6 +464,10 @@ fn run_supervised(
     let seed = cell_seed(config.seed, &dataset.name, algorithm.name());
     let supervised = supervise_cell(&config.supervise, seed, |_attempt| {
         match catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            if dataset.name == tests::PANICKING_DATASET {
+                panic!("injected panic");
+            }
             try_run_stream(dataset, algorithm, config)
         })) {
             Ok(result) => result,
@@ -900,24 +909,76 @@ mod tests {
         path
     }
 
+    /// A dataset of this name panics in every run (see `run_supervised`).
+    pub(super) const PANICKING_DATASET: &str = "panicking-stream";
+
     /// Outcome equality that ignores wall-clock fields.
+    fn same_outcome(x: &RunOutcome, y: &RunOutcome) -> bool {
+        match (x, y) {
+            (RunOutcome::Completed(p), RunOutcome::Completed(q)) => {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                bits(&p.per_window_loss) == bits(&q.per_window_loss)
+                    && p.mean_loss.to_bits() == q.mean_loss.to_bits()
+                    && p.items == q.items
+                    && p.degradations == q.degradations
+            }
+            (o1, o2) => o1 == o2,
+        }
+    }
+
+    /// Report equality that ignores wall-clock fields.
     fn same_modulo_timing(a: &SweepReport, b: &SweepReport) -> bool {
         a.records.len() == b.records.len()
             && a.records.iter().zip(&b.records).all(|(x, y)| {
                 x.dataset == y.dataset
                     && x.algorithm == y.algorithm
-                    && match (&x.outcome, &y.outcome) {
-                        (RunOutcome::Completed(p), RunOutcome::Completed(q)) => {
-                            let bits =
-                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-                            bits(&p.per_window_loss) == bits(&q.per_window_loss)
-                                && p.mean_loss.to_bits() == q.mean_loss.to_bits()
-                                && p.items == q.items
-                                && p.degradations == q.degradations
-                        }
-                        (o1, o2) => o1 == o2,
-                    }
+                    && same_outcome(&x.outcome, &y.outcome)
             })
+    }
+
+    #[test]
+    fn grid_isolates_a_panicking_run_in_its_own_slot() {
+        // The middle dataset's two runs panic; every other slot must
+        // equal the grid without the panic, at one worker and at four.
+        let [a, b] = <[StreamDataset; 2]>::try_from(tiny_datasets()).unwrap();
+        let clean = [a.clone(), a.clone(), b.clone()];
+        let mut hostile = clean.clone();
+        hostile[1].name = PANICKING_DATASET.into();
+        let algorithms = [Algorithm::NaiveDt, Algorithm::NaiveGbdt];
+        let config = HarnessConfig::default();
+        let grid = |datasets: &[StreamDataset], threads: usize| {
+            let finished = AtomicUsize::new(0);
+            let outcomes = run_grid(
+                datasets.len() * algorithms.len(),
+                threads,
+                |i| (&datasets[i / 2], algorithms[i % 2], &config),
+                |_, _| {
+                    finished.fetch_add(1, Ordering::Relaxed);
+                },
+            );
+            assert_eq!(
+                finished.into_inner(),
+                outcomes.len(),
+                "one callback per run"
+            );
+            outcomes
+        };
+        let reference = grid(&clean, 1);
+        for threads in [1, 4] {
+            let outcomes = grid(&hostile, threads);
+            assert_eq!(outcomes.len(), reference.len());
+            for (i, (got, want)) in outcomes.iter().zip(&reference).enumerate() {
+                if i / 2 == 1 {
+                    assert!(
+                        matches!(got, RunOutcome::Failed { kind, reason }
+                            if kind == "panicked" && reason.contains("injected panic")),
+                        "slot {i} at {threads} workers: {got:?}"
+                    );
+                } else {
+                    assert!(same_outcome(got, want), "slot {i} at {threads} workers");
+                }
+            }
+        }
     }
 
     #[test]

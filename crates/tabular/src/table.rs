@@ -89,11 +89,6 @@ impl Table {
         &mut self.columns[i]
     }
 
-    /// Column by field name.
-    pub fn column_by_name(&self, name: &str) -> Option<&Column> {
-        self.schema.index_of(name).map(|i| &self.columns[i])
-    }
-
     /// Copies the rows in `range` into a new table.
     pub fn slice(&self, range: std::ops::Range<usize>) -> Table {
         assert!(range.end <= self.n_rows, "slice out of bounds");

@@ -560,7 +560,7 @@ fn run_command(opts: &CliOptions) -> Result<String, CliError> {
                 max_retries: opts.max_retries.unwrap_or(2),
                 ..ChaosOptions::default()
             };
-            let report = run_chaos_matrix(&options)?;
+            let report = run_chaos_matrix(&options);
             if let Some(path) = out {
                 std::fs::write(path, report.to_json_string()).map_err(|e| {
                     CliError::from(HarnessError::Io(format!("cannot write {path}: {e}")))
