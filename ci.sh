@@ -29,6 +29,17 @@ fi
 
 cargo fmt --check
 
+# Smoke: the examples. clippy --all-targets compiles them; this runs each
+# one once in release (about a second in all) and fails on a nonzero
+# exit. They are the callers of StreamLearner and DriftResetLearner
+# outside the crates, and they write no files.
+cargo build --release --examples
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    "target/release/examples/$name" > /dev/null \
+        || { echo "ci: example $name failed" >&2; exit 1; }
+done
+
 # Smoke: the staged pipeline + parallel executor end to end (Table 4 at
 # a tiny scale, four workers).
 smoke_dir="$(mktemp -d)"

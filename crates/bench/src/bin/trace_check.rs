@@ -1,11 +1,11 @@
-//! Validates an oeb-trace JSONL file against the exported schema (v2)
+//! Validates an oeb-trace JSONL file against the exported schema (v3)
 //! through [`oeb_bench::profile::parse_trace`], the reader `oeb-profile`
 //! uses too: span ids run `0..n` in order, the numeric fields are
 //! unsigned integers, `name` is non-empty, the attribution fields
-//! (`dataset`, `learner`, `cell_seed`, `rows`) are all present and well
-//! typed or all absent, and the schema-v2 footer ends the file with an
-//! `events` count equal to the span count. Used by `ci.sh` to gate the
-//! traced smoke runs.
+//! (`dataset`, `learner`, `cell_seed`, `rows`, `config`) are all present
+//! and well typed or all absent, and the footer (schema 3 or later) ends
+//! the file with an `events` count equal to the span count. Used by
+//! `ci.sh` to gate the traced smoke runs.
 //!
 //! With `--counters <metrics.txt>` it additionally validates the
 //! counters section of a `--metrics` table against the *generated*

@@ -1,6 +1,6 @@
 //! Trace timeline analytics behind the `oeb-profile` binary.
 //!
-//! Consumes a schema-v2 trace (`--trace` JSONL from `repro` or the
+//! Consumes a schema-v3 trace (`--trace` JSONL from `repro` or the
 //! sweep CLI) and produces the deterministic `PROFILE.json` document
 //! plus a human-readable table: per-stage span totals, per-cell wall
 //! time attributed through [`oeb_trace::CellCtx`], per-worker busy/idle
@@ -24,8 +24,12 @@ use serde_json::Value;
 const CELL_WALL_SPAN: &str = "cell.run";
 
 /// The attribution fields a span carries when it ran under a `CellCtx`:
-/// all four or none, since they serialise from one context.
-const ATTRIBUTION: [&str; 4] = ["dataset", "learner", "cell_seed", "rows"];
+/// all five or none, since they serialise from one context.
+const ATTRIBUTION: [&str; 5] = ["dataset", "learner", "cell_seed", "rows", "config"];
+
+/// The oldest trace schema this reader accepts: v3 added `config` to the
+/// attribution fields.
+const MIN_SCHEMA: u64 = 3;
 
 /// One span record parsed back out of a trace file.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,6 +50,8 @@ pub struct TraceSpan {
     pub cell_seed: Option<u64>,
     /// Raw dataset rows from the cell context.
     pub rows: Option<u64>,
+    /// Digest of the run's harness config from the cell context.
+    pub config: Option<String>,
 }
 
 impl TraceSpan {
@@ -53,15 +59,18 @@ impl TraceSpan {
         self.start_ns.saturating_add(self.dur_ns)
     }
 
-    fn cell_key(&self) -> Option<(String, String, u64)> {
-        match (&self.dataset, &self.learner, self.cell_seed) {
-            (Some(d), Some(l), Some(s)) => Some((d.clone(), l.clone(), s)),
+    fn cell_key(&self) -> Option<CellKey> {
+        match (&self.dataset, &self.learner, self.cell_seed, &self.config) {
+            (Some(d), Some(l), Some(s), Some(c)) => Some((d.clone(), l.clone(), s, c.clone())),
             _ => None,
         }
     }
 }
 
-/// The trace footer record (always the last line of a v2 trace).
+/// `(dataset, learner, seed, config)`: one run of a grid.
+type CellKey = (String, String, u64, String);
+
+/// The trace footer record (always the last line of a trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceFooter {
     /// Trace schema version.
@@ -77,7 +86,7 @@ pub struct TraceFooter {
 pub struct ParsedTrace {
     /// Span records in file order (the deterministic drained order).
     pub spans: Vec<TraceSpan>,
-    /// The footer line that ends every v2 trace.
+    /// The footer line that ends every trace.
     pub footer: TraceFooter,
 }
 
@@ -129,6 +138,7 @@ fn parse_span(v: &Value, id: u64) -> Result<TraceSpan, String> {
         learner: attribution_field(v, "learner", text)?,
         cell_seed: attribution_field(v, "cell_seed", Value::as_u64)?,
         rows: attribution_field(v, "rows", Value::as_u64)?,
+        config: attribution_field(v, "config", text)?,
     })
 }
 
@@ -139,9 +149,9 @@ fn parse_footer(v: &Value, spans: u64) -> Result<TraceFooter, String> {
         events: field_u64(v, "events")?,
         dropped: field_u64(v, "dropped")?,
     };
-    if footer.schema < 2 {
+    if footer.schema < MIN_SCHEMA {
         return Err(format!(
-            "footer `schema` must be >= 2, got {}",
+            "footer `schema` must be >= {MIN_SCHEMA}, got {}",
             footer.schema
         ));
     }
@@ -154,11 +164,11 @@ fn parse_footer(v: &Value, spans: u64) -> Result<TraceFooter, String> {
     Ok(footer)
 }
 
-/// Parse and validate a schema-v2 trace JSONL document, the one reader
+/// Parse and validate a schema-v3 trace JSONL document, the one reader
 /// behind `trace_check` and `oeb-profile`. Every span carries ids
 /// `0..n` in file order, unsigned `slot`/`seq`/`start_us`/`dur_us`/
-/// `start_ns`/`dur_ns`, a non-empty `name`, and either all four
-/// attribution fields, well typed, or none. The footer (`schema >= 2`)
+/// `start_ns`/`dur_ns`, a non-empty `name`, and either all five
+/// attribution fields, well typed, or none. The footer (`schema >= 3`)
 /// ends the file and its `events` equals the span count. Rejects the
 /// first violation (a blank line is invalid JSON) with a message naming
 /// its line, and a trace without a footer.
@@ -179,7 +189,7 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
             other => return Err(at_line(format!("unknown record type {other:?}"))),
         }
     }
-    let footer = footer.ok_or("trace has no footer line (schema v2 ends with one)")?;
+    let footer = footer.ok_or("trace has no footer line (every trace ends with one)")?;
     Ok(ParsedTrace { spans, footer })
 }
 
@@ -192,7 +202,7 @@ pub struct StageTotal {
     pub total_ns: u64,
 }
 
-/// Everything attributed to one `(dataset, learner, seed)` cell.
+/// Everything attributed to one `(dataset, learner, seed, config)` cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellProfile {
     /// Dataset name.
@@ -201,6 +211,8 @@ pub struct CellProfile {
     pub learner: String,
     /// Cell seed.
     pub seed: u64,
+    /// Digest of the run's harness config (16 hex digits).
+    pub config: String,
     /// Raw dataset rows (max over the cell's spans).
     pub rows: u64,
     /// Wall time of the cell's top-level run spans.
@@ -281,7 +293,7 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
     }
 
     // Group attributed spans by cell key, sorted for determinism.
-    let mut by_cell: BTreeMap<(String, String, u64), Vec<&TraceSpan>> = BTreeMap::new();
+    let mut by_cell: BTreeMap<CellKey, Vec<&TraceSpan>> = BTreeMap::new();
     for s in &trace.spans {
         if let Some(key) = s.cell_key() {
             by_cell.entry(key).or_default().push(s);
@@ -289,11 +301,12 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
     }
     let grouped: Vec<_> = by_cell.iter().collect();
     let mut cells: Vec<CellProfile> = parallel_map(grouped.len(), threads.max(1), |i| {
-        let ((dataset, learner, seed), spans) = &grouped[i];
+        let ((dataset, learner, seed, config), spans) = &grouped[i];
         let mut cell = CellProfile {
             dataset: dataset.clone(),
             learner: learner.clone(),
             seed: *seed,
+            config: config.clone(),
             rows: spans.iter().filter_map(|s| s.rows).max().unwrap_or(0),
             wall_ns: 0,
             stages: BTreeMap::new(),
@@ -309,9 +322,10 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
         cell
     });
     cells.sort_by(|a, b| {
-        b.wall_ns
-            .cmp(&a.wall_ns)
-            .then_with(|| (&a.dataset, &a.learner, a.seed).cmp(&(&b.dataset, &b.learner, b.seed)))
+        b.wall_ns.cmp(&a.wall_ns).then_with(|| {
+            (&a.dataset, &a.learner, a.seed, &a.config)
+                .cmp(&(&b.dataset, &b.learner, b.seed, &b.config))
+        })
     });
 
     // Per-slot busy time: union of span intervals, so nesting and
@@ -397,6 +411,7 @@ pub fn profile_json(p: &Profile, top: usize) -> serde_json::Value {
                 "dataset": c.dataset.clone(),
                 "learner": c.learner.clone(),
                 "seed": c.seed,
+                "config": c.config.clone(),
                 "rows": c.rows,
                 "wall_ns": c.wall_ns,
                 "stages": stage_map_json(&c.stages),
@@ -412,6 +427,7 @@ pub fn profile_json(p: &Profile, top: usize) -> serde_json::Value {
                 "dataset": c.dataset.clone(),
                 "learner": c.learner.clone(),
                 "seed": c.seed,
+                "config": c.config.clone(),
                 "wall_ns": c.wall_ns,
             })
         })
@@ -501,10 +517,11 @@ pub fn render_profile(p: &Profile, top: usize) -> String {
         for c in p.cells.iter().take(top) {
             let _ = writeln!(
                 out,
-                "  {:<28} {:<10} seed={:<20} rows={:<8} wall_ms={}",
+                "  {:<28} {:<10} seed={:<20} config={} rows={:<8} wall_ms={}",
                 c.dataset,
                 c.learner,
                 c.seed,
+                c.config,
                 c.rows,
                 ms(c.wall_ns)
             );
@@ -596,8 +613,8 @@ mod tests {
         let mut line = span(id, name, slot, start, dur);
         line.pop();
         format!(
-            "{line},\"dataset\":\"{}\",\"learner\":\"{}\",\"cell_seed\":{},\"rows\":{}}}",
-            cell.0, cell.1, cell.2, cell.3
+            "{line},\"dataset\":\"{}\",\"learner\":\"{}\",\"cell_seed\":{},\"rows\":{},\"config\":\"00000000000000c{}\"}}",
+            cell.0, cell.1, cell.2, cell.3, cell.2
         )
     }
 
@@ -614,7 +631,7 @@ mod tests {
             ),
             cell_span(2, "cell.run", 2, 0, 2_000_000, ("room", "tree", 9, 50)),
             span(3, "report.render", 0, 4_000_000, 500_000),
-            "{\"type\":\"footer\",\"schema\":2,\"events\":4,\"dropped\":0}".to_string(),
+            "{\"type\":\"footer\",\"schema\":3,\"events\":4,\"dropped\":0}".to_string(),
         ];
         lines.join("\n") + "\n"
     }
@@ -694,10 +711,22 @@ mod tests {
             (4, "\"dur_us\":500", "\"dur_us\":0.5", "`dur_us`"),
             (4, "\"report.render\"", "\"\"", "`name`"),
             (1, ",\"rows\":100", "", "partial attribution"),
+            (
+                3,
+                ",\"config\":\"00000000000000c9\"",
+                "",
+                "partial attribution",
+            ),
+            (
+                1,
+                "\"config\":\"00000000000000c7\"",
+                "\"config\":7",
+                "`config`",
+            ),
             (1, "\"beijing\"", "7", "`dataset`"),
             (3, "\"tree\"", "\"\"", "`learner`"),
             (3, "\"cell_seed\":9", "\"cell_seed\":\"9\"", "`cell_seed`"),
-            (5, "\"schema\":2", "\"schema\":1", "`schema`"),
+            (5, "\"schema\":3", "\"schema\":2", "`schema`"),
             (5, "\"events\":4", "\"events\":3", "footer claims"),
             (
                 3,

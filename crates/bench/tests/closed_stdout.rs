@@ -17,7 +17,7 @@ fn trace_file(tag: &str) -> PathBuf {
         "\n",
         r#"{"type":"span","id":1,"slot":0,"seq":0,"name":"evaluate.train","start_us":1,"dur_us":5,"start_ns":1000,"dur_ns":5000}"#,
         "\n",
-        r#"{"type":"footer","schema":2,"events":2,"dropped":0}"#,
+        r#"{"type":"footer","schema":3,"events":2,"dropped":0}"#,
         "\n",
     );
     std::fs::write(&path, text).expect("write the trace");

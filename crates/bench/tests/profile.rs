@@ -3,7 +3,8 @@
 //! `MetricsSnapshot` span aggregates exactly (both sum the same
 //! nanosecond durations and floor once to microseconds), and the
 //! rendered profile must be byte-identical whether the analysis fans
-//! out over 1 or 4 threads.
+//! out over 1 or 4 threads, and two sweeps of one grid under two config
+//! variants must profile as two sets of cells.
 //!
 //! This file holds exactly one test on purpose: oeb-trace state is
 //! process-global, so the property owns the whole test binary.
@@ -68,9 +69,18 @@ fn profile_totals_match_the_metrics_snapshot_and_are_thread_invariant() {
     cfg.learner.ensemble_size = 1;
     cfg.learner.buffer_size = 20;
 
+    // A second config variant of the same grid and seed, as one figure
+    // runs its variants: the runs share dataset, learner, seed and rows.
+    let variant = HarnessConfig {
+        window_factor: 0.5,
+        ..cfg.clone()
+    };
+
     oeb_trace::reset();
     oeb_trace::enable();
-    run_sweep(&datasets, &algorithms, &cfg, None, None, 4).expect("valid sweep config");
+    for config in [&cfg, &variant] {
+        run_sweep(&datasets, &algorithms, config, None, None, 4).expect("valid sweep config");
+    }
     // Snapshot and drain observe the same instrument state, in the
     // same order the CLI uses (trace file first, metrics second).
     let text = drain_trace_text();
@@ -99,11 +109,13 @@ fn profile_totals_match_the_metrics_snapshot_and_are_thread_invariant() {
     assert_eq!(checked, snapshot.spans.len());
 
     // Cells were attributed: the harness funnel tags every run, once.
-    // One dataset x two learners is two cells, each with its run's wall
-    // time (a second context around a run would add a cell without one).
+    // One dataset x two learners x two config variants is four cells,
+    // each with its run's wall time (a second context around a run would
+    // add a cell without one; a context without the config digest would
+    // merge the variants into two cells).
     assert_eq!(
         profile.cells.len(),
-        2,
+        4,
         "one cell per run: {:?}",
         profile.cells
     );

@@ -16,7 +16,8 @@ use std::collections::BTreeMap;
 pub struct ExemplarBuffer {
     /// Total capacity across classes (paper default 100).
     pub capacity: usize,
-    xs: Vec<Vec<f64>>,
+    /// One stored exemplar per row.
+    xs: Matrix,
     ys: Vec<f64>,
 }
 
@@ -25,34 +26,29 @@ impl ExemplarBuffer {
     pub fn new(capacity: usize) -> ExemplarBuffer {
         ExemplarBuffer {
             capacity,
-            xs: Vec::new(),
+            xs: Matrix::default(),
             ys: Vec::new(),
         }
     }
 
     /// Number of stored exemplars.
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.ys.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.ys.is_empty()
     }
 
     /// Approximate buffer memory in bytes (for the Table 6 accounting).
     pub fn memory_bytes(&self) -> usize {
-        self.xs.iter().map(|x| x.len() * 8).sum::<usize>() + self.ys.len() * 8
+        (self.xs.as_slice().len() + self.ys.len()) * 8
     }
 
-    /// The stored exemplars as a matrix + target vector, or `None` when
-    /// empty.
-    pub fn as_training_data(&self) -> Option<(Matrix, Vec<f64>)> {
-        if self.xs.is_empty() {
-            None
-        } else {
-            Some((Matrix::from_rows(&self.xs), self.ys.clone()))
-        }
+    /// The stored exemplars, one per row, and their targets.
+    pub fn exemplars(&self) -> (&Matrix, &[f64]) {
+        (&self.xs, &self.ys)
     }
 
     /// Rebuilds the buffer from the union of the current buffer and the
@@ -63,13 +59,15 @@ impl ExemplarBuffer {
     pub fn update(&mut self, model: &Mlp, xs: &Matrix, ys: &[f64], classify: bool) {
         assert_eq!(xs.rows(), ys.len());
         // Candidate pool = old exemplars + new window.
-        let mut pool_x: Vec<Vec<f64>> = std::mem::take(&mut self.xs);
-        let mut pool_y: Vec<f64> = std::mem::take(&mut self.ys);
-        for r in 0..xs.rows() {
-            pool_x.push(xs.row(r).to_vec());
-            pool_y.push(ys[r]);
-        }
-        if pool_x.is_empty() || self.capacity == 0 {
+        let pool_x = Matrix::from_vec(
+            self.len() + xs.rows(),
+            xs.cols(),
+            [self.xs.as_slice(), xs.as_slice()].concat(),
+        );
+        let mut pool_y = std::mem::take(&mut self.ys);
+        pool_y.extend_from_slice(ys);
+        self.xs = Matrix::default();
+        if pool_y.is_empty() || self.capacity == 0 {
             return;
         }
 
@@ -81,38 +79,40 @@ impl ExemplarBuffer {
         }
         let quota = (self.capacity / groups.len()).max(1);
 
+        // The whole pool's representations in one batched forward.
+        let reprs = model.hidden_window(&pool_x);
         let mut keep: Vec<usize> = Vec::with_capacity(self.capacity);
         for members in groups.values() {
-            keep.extend(herd(model, &pool_x, members, quota));
+            keep.extend(herd(&reprs, members, quota));
             if keep.len() >= self.capacity {
                 keep.truncate(self.capacity);
                 break;
             }
         }
-        self.xs = keep.iter().map(|&i| pool_x[i].clone()).collect();
+        let mut kept = Vec::with_capacity(keep.len() * pool_x.cols());
+        for &i in &keep {
+            kept.extend_from_slice(pool_x.row(i));
+        }
+        self.xs = Matrix::from_vec(keep.len(), pool_x.cols(), kept);
         self.ys = keep.iter().map(|&i| pool_y[i]).collect();
     }
 }
 
 /// Greedy herding: picks up to `quota` members whose representation mean
-/// best tracks the group mean.
-fn herd(model: &Mlp, pool: &[Vec<f64>], members: &[usize], quota: usize) -> Vec<usize> {
-    let reprs: Vec<Vec<f64>> = members
-        .iter()
-        .map(|&i| model.hidden_repr(&pool[i]))
-        .collect();
-    let dim = reprs.first().map(Vec::len).unwrap_or(0);
+/// best tracks the group mean (`reprs` holds one row per pool candidate).
+fn herd(reprs: &Matrix, members: &[usize], quota: usize) -> Vec<usize> {
+    let dim = reprs.cols();
     if dim == 0 {
         return members.iter().take(quota).copied().collect();
     }
     let mut mean = vec![0.0; dim];
-    for r in &reprs {
-        for (m, &v) in mean.iter_mut().zip(r) {
+    for &i in members {
+        for (m, &v) in mean.iter_mut().zip(reprs.row(i)) {
             *m += v;
         }
     }
     for m in &mut mean {
-        *m /= reprs.len() as f64;
+        *m /= members.len() as f64;
     }
 
     let mut chosen: Vec<usize> = Vec::new();
@@ -121,12 +121,13 @@ fn herd(model: &Mlp, pool: &[Vec<f64>], members: &[usize], quota: usize) -> Vec<
     for step in 0..quota.min(members.len()) {
         let k = (step + 1) as f64;
         let mut best: Option<(usize, f64)> = None;
-        for (slot, r) in reprs.iter().enumerate() {
+        for (slot, &cand) in members.iter().enumerate() {
             if used[slot] {
                 continue;
             }
             // Distance between the class mean and the mean including this
             // candidate.
+            let r = reprs.row(cand);
             let mut d = 0.0;
             for i in 0..dim {
                 let cand_mean = (chosen_sum[i] + r[i]) / k;
@@ -138,9 +139,9 @@ fn herd(model: &Mlp, pool: &[Vec<f64>], members: &[usize], quota: usize) -> Vec<
                 _ => best = Some((slot, d)),
             }
         }
-        let (slot, _) = best.expect("unused candidates remain"); // oeb-lint: allow(panic-in-library) -- k <= reprs.len() leaves a free slot each round
+        let (slot, _) = best.expect("unused candidates remain"); // oeb-lint: allow(panic-in-library) -- k <= members.len() leaves a free slot each round
         used[slot] = true;
-        for (s, &v) in chosen_sum.iter_mut().zip(&reprs[slot]) {
+        for (s, &v) in chosen_sum.iter_mut().zip(reprs.row(members[slot])) {
             *s += v;
         }
         chosen.push(members[slot]);
@@ -184,7 +185,7 @@ mod tests {
         let m = model(2);
         let mut buf = ExemplarBuffer::new(10);
         buf.update(&m, &xs, &ys, true);
-        let (_, kept_ys) = buf.as_training_data().unwrap();
+        let (_, kept_ys) = buf.exemplars();
         assert!(kept_ys.contains(&0.0));
         assert!(kept_ys.contains(&1.0));
     }
@@ -217,7 +218,7 @@ mod tests {
         let mut buf = ExemplarBuffer::new(0);
         buf.update(&m, &xs, &ys, true);
         assert!(buf.is_empty());
-        assert!(buf.as_training_data().is_none());
+        assert_eq!(buf.exemplars().0.rows(), 0);
     }
 
     #[test]

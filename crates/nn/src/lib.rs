@@ -3,8 +3,8 @@
 //! Neural stream learners for the OEBench reproduction: a from-scratch
 //! MLP with manual backpropagation ([`mlp::Mlp`]), the window-level SGD
 //! training loop with the paper's defaults ([`trainer`]), the EWC and LwF
-//! continual-learning regularisers (plugged in through
-//! [`trainer::Regularizer`]), and the iCaRL herding exemplar buffer
+//! continual-learning regularisers (borrowed into each window's training
+//! through [`mlp::TrainOpts`]), and the iCaRL herding exemplar buffer
 //! ([`exemplar::ExemplarBuffer`]).
 
 // Index loops over parallel numeric buffers are clearer than iterator
@@ -17,4 +17,4 @@ pub mod trainer;
 
 pub use exemplar::ExemplarBuffer;
 pub use mlp::{argmax, softmax, softmax_into, Mlp, Objective, TrainOpts};
-pub use trainer::{train_window, Regularizer, SgdConfig};
+pub use trainer::{train_window, SgdConfig};

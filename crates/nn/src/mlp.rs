@@ -60,6 +60,7 @@ impl Layer {
         }
     }
 
+    #[cfg(test)]
     fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
         out.clear();
         for o in 0..self.n_out {
@@ -196,8 +197,30 @@ impl Mlp {
         }
     }
 
-    /// Forward pass returning the raw output (logits or regression value).
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
+    /// Raw outputs (logits or regression values) of every row of `xs`,
+    /// one row of [`Mlp::output_dim`] values each: the batched GEMM
+    /// forward that training runs, and the one forward of prediction.
+    pub fn forward_window(&self, xs: &Matrix) -> Matrix {
+        self.window(xs, self.layers.len())
+    }
+
+    /// Activations of the last hidden layer for every row of `xs`
+    /// (iCaRL's representation space). For a network with no hidden
+    /// layer this is the input.
+    pub fn hidden_window(&self, xs: &Matrix) -> Matrix {
+        self.window(xs, self.layers.len() - 1)
+    }
+
+    fn window(&self, xs: &Matrix, depth: usize) -> Matrix {
+        let (mut out, mut next, mut packed) = (Matrix::default(), Matrix::default(), Vec::new());
+        self.forward_batch(xs, depth, &mut out, &mut next, &mut packed);
+        out
+    }
+
+    /// The per-sample forward pass, the bitwise reference for
+    /// [`Mlp::forward_window`].
+    #[cfg(test)]
+    fn forward(&self, x: &[f64]) -> Vec<f64> {
         let mut cur = x.to_vec();
         let mut next = Vec::new();
         for (i, layer) in self.layers.iter().enumerate() {
@@ -212,9 +235,10 @@ impl Mlp {
         cur
     }
 
-    /// Activations of the last hidden layer (iCaRL's representation
-    /// space). For a network with no hidden layer this is the input.
-    pub fn hidden_repr(&self, x: &[f64]) -> Vec<f64> {
+    /// The per-sample hidden representation, the bitwise reference for
+    /// [`Mlp::hidden_window`].
+    #[cfg(test)]
+    fn hidden_repr(&self, x: &[f64]) -> Vec<f64> {
         let mut cur = x.to_vec();
         let mut next = Vec::new();
         for layer in &self.layers[..self.layers.len() - 1] {
@@ -227,14 +251,9 @@ impl Mlp {
         cur
     }
 
-    /// Predicted class (argmax of logits).
-    pub fn predict_class(&self, x: &[f64]) -> usize {
-        let out = self.forward(x);
-        argmax(&out)
-    }
-
     /// Per-sample loss under the objective.
-    pub fn loss(&self, x: &[f64], y: f64) -> f64 {
+    #[cfg(test)]
+    fn loss(&self, x: &[f64], y: f64) -> f64 {
         let out = self.forward(x);
         match self.objective {
             Objective::CrossEntropy => {
@@ -243,7 +262,6 @@ impl Mlp {
                 -(p[c].max(1e-12)).ln()
             }
             Objective::SquaredError => {
-                // oeb-lint: allow(panic-in-library) -- squared-error nets have output dim 1
                 let d = out[0] - y;
                 d * d
             }
@@ -303,7 +321,13 @@ impl Mlp {
             let batch = rows.len();
             // oeb-lint: allow(panic-in-library) -- acts[0] is the input batch, always present
             let input = &s.acts[0];
-            prev.forward_batch(input, &mut s.teacher_a, &mut s.teacher_b, &mut s.packed);
+            prev.forward_batch(
+                input,
+                prev.layers.len(),
+                &mut s.teacher_a,
+                &mut s.teacher_b,
+                &mut s.packed,
+            );
             let out = &s.acts[n_layers];
             let prev_out = &s.teacher_a;
             match self.objective {
@@ -357,7 +381,7 @@ impl Mlp {
     /// Gathers the batch `rows` of `xs` into `s.acts[0]` and runs the
     /// batched forward, caching every layer's post-activation in
     /// `s.acts`. Each output element runs the bias-seeded chain of the
-    /// per-sample [`Mlp::forward`].
+    /// per-sample `forward`.
     fn forward_cached(&self, s: &mut TrainScratch, xs: &Matrix, rows: &[usize]) {
         let n_layers = self.layers.len();
         let batch = rows.len();
@@ -436,23 +460,27 @@ impl Mlp {
         std::mem::swap(&mut s.delta, &mut s.prev_delta);
     }
 
-    /// Batched forward through the stack: `input` is a gathered batch,
-    /// `cur`/`next` are ping-pong scratch, `packed` the forward GEMM's
-    /// `Wᵀ` scratch, and the result lands in `cur`.
-    /// Runs the same bias-seeded GEMM chains as the per-sample
-    /// [`Mlp::forward`].
+    /// Batched forward through the first `depth` layers: `input` is a
+    /// gathered batch, `cur`/`next` are ping-pong scratch, `packed` the
+    /// forward GEMM's `Wᵀ` scratch, and the result lands in `cur`. Hidden
+    /// layers are rectified, the output head is not. Every element runs
+    /// the bias-seeded chain of the per-sample `forward`.
     fn forward_batch(
         &self,
         input: &Matrix,
+        depth: usize,
         cur: &mut Matrix,
         next: &mut Matrix,
         packed: &mut Vec<f64>,
     ) {
-        cur.reset_zeroed(input.rows(), input.cols());
-        cur.as_mut_slice().copy_from_slice(input.as_slice());
-        for (i, layer) in self.layers.iter().enumerate() {
+        if depth == 0 {
+            cur.reset_zeroed(input.rows(), input.cols());
+            cur.as_mut_slice().copy_from_slice(input.as_slice());
+        }
+        for (i, layer) in self.layers[..depth].iter().enumerate() {
             next.reset_zeroed(input.rows(), layer.n_out);
-            kernels::matmul_xwt_bias_into(cur, &layer.w, &layer.b, packed, next);
+            let x = if i == 0 { input } else { &*cur };
+            kernels::matmul_xwt_bias_into(x, &layer.w, &layer.b, packed, next);
             if i + 1 < self.layers.len() {
                 for v in next.as_mut_slice() {
                     *v = v.max(0.0);
@@ -821,8 +849,9 @@ mod tests {
         for _ in 0..300 {
             mlp.train_batch(&xs, &ys, &rows, 0.1, &TrainOpts::default());
         }
+        let out = mlp.forward_window(&xs);
         let correct = (0..xs.rows())
-            .filter(|&r| mlp.predict_class(xs.row(r)) == ys[r] as usize)
+            .filter(|&r| argmax(out.row(r)) == ys[r] as usize)
             .count();
         assert!(correct > 380, "accuracy {correct}/400");
     }
@@ -957,9 +986,9 @@ mod tests {
     #[test]
     fn hidden_repr_is_rectified() {
         let mlp = Mlp::new(3, &[5, 4], 2, Objective::CrossEntropy, 8);
-        let h = mlp.hidden_repr(&[1.0, -1.0, 0.5]);
-        assert_eq!(h.len(), 4);
-        assert!(h.iter().all(|&v| v >= 0.0));
+        let h = mlp.hidden_window(&Matrix::from_rows(&[vec![1.0, -1.0, 0.5]]));
+        assert_eq!(h.shape(), (1, 4));
+        assert!(h.as_slice().iter().all(|&v| v >= 0.0));
     }
 
     #[test]
@@ -998,6 +1027,112 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn params_roundtrip_preserves_function(
+            seed in 0u64..1000,
+            x in prop::collection::vec(-10.0..10.0f64, 4),
+        ) {
+            let m = Mlp::new(4, &[8, 4], 3, Objective::CrossEntropy, seed);
+            let mut clone = Mlp::new(4, &[8, 4], 3, Objective::CrossEntropy, seed + 1);
+            clone.set_params(&m.get_params());
+            prop_assert_eq!(m.forward(&x), clone.forward(&x));
+        }
+
+        #[test]
+        fn losses_are_nonnegative(
+            seed in 0u64..100,
+            x in prop::collection::vec(-5.0..5.0f64, 3),
+            y in 0usize..4,
+        ) {
+            let clf = Mlp::new(3, &[6], 4, Objective::CrossEntropy, seed);
+            prop_assert!(clf.loss(&x, y as f64) >= 0.0);
+            let reg = Mlp::new(3, &[6], 1, Objective::SquaredError, seed);
+            prop_assert!(reg.loss(&x, 1.5) >= 0.0);
+        }
+
+        #[test]
+        fn one_sgd_step_on_one_sample_reduces_its_loss(
+            seed in 0u64..200,
+            x in prop::collection::vec(-2.0..2.0f64, 3),
+            y in -2.0..2.0f64,
+        ) {
+            let mut m = Mlp::new(3, &[8], 1, Objective::SquaredError, seed);
+            let before = m.loss(&x, y);
+            prop_assume!(before > 1e-6);
+            let xs = Matrix::from_rows(std::slice::from_ref(&x));
+            m.train_batch(&xs, &[y], &[0], 0.001, &TrainOpts::default());
+            let after = m.loss(&x, y);
+            prop_assert!(after <= before + 1e-9, "loss rose from {before} to {after}");
+        }
+
+        /// The contract of the one production forward: every row of
+        /// `forward_window` and `hidden_window` has the bits of the
+        /// per-sample `forward` and `hidden_repr` on that row alone, on
+        /// windows of 1, 7, 64 and 65 rows (both sides of the GEMM
+        /// dispatch floor), with NaN, +-inf and exact zeros in the data.
+        /// A training step runs first, so the biases are not all zero.
+        #[test]
+        fn window_forward_matches_per_sample_bitwise(
+            seed in 0u64..1000,
+            arch_sel in 0usize..5,
+            output_sel in 0usize..4,
+            n_rows in prop_oneof![Just(1usize), Just(7usize), Just(64usize), Just(65usize)],
+            data in prop::collection::vec(
+                prop_oneof![
+                    12 => -3.0..3.0f64,
+                    2 => Just(0.0),
+                    1 => Just(f64::NAN),
+                    1 => Just(f64::INFINITY),
+                    1 => Just(f64::NEG_INFINITY),
+                ],
+                1..256,
+            ),
+        ) {
+            let (input, hidden): (usize, Vec<usize>) = match arch_sel {
+                0 => (7, vec![32, 16, 8]),
+                1 => (11, vec![32, 16, 8]),
+                2 => (33, vec![32, 16, 8]),
+                3 => (3, vec![4]),
+                _ => (2, vec![]),
+            };
+            let n_out = [1usize, 2, 4, 6][output_sel];
+            let objective = if n_out == 1 {
+                Objective::SquaredError
+            } else {
+                Objective::CrossEntropy
+            };
+            let rows: Vec<Vec<f64>> = (0..n_rows)
+                .map(|r| (0..input).map(|c| data[(r * 31 + c * 7) % data.len()]).collect())
+                .collect();
+            let xs = Matrix::from_rows(&rows);
+            let mut mlp = Mlp::new(input, &hidden, n_out, objective, seed);
+            let clean: Vec<Vec<f64>> = (0..16)
+                .map(|r| (0..input).map(|c| ((r * 5 + c * 3) % 11) as f64 * 0.3 - 1.5).collect())
+                .collect();
+            let clean_ys: Vec<f64> = (0..16).map(|r| (r % n_out.max(2)).min(n_out - 1) as f64).collect();
+            let all: Vec<usize> = (0..16).collect();
+            mlp.train_batch(&Matrix::from_rows(&clean), &clean_ys, &all, 0.05, &TrainOpts::default());
+
+            let out = mlp.forward_window(&xs);
+            let hid = mlp.hidden_window(&xs);
+            prop_assert_eq!(out.shape(), (n_rows, n_out));
+            for r in 0..n_rows {
+                let pairs = [
+                    (out.row(r), mlp.forward(xs.row(r))),
+                    (hid.row(r), mlp.hidden_repr(xs.row(r))),
+                ];
+                for (window, reference) in pairs {
+                    prop_assert_eq!(window.len(), reference.len());
+                    for (i, (a, b)) in window.iter().zip(&reference).enumerate() {
+                        prop_assert_eq!(
+                            a.to_bits(), b.to_bits(),
+                            "row {} of {}, value {}: {} vs {}", r, n_rows, i, a, b
+                        );
+                    }
+                }
+            }
+        }
 
         /// The contract of the GEMM training path: batched
         /// `train_batch` must be bit-identical to the retained per-sample

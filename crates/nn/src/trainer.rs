@@ -1,6 +1,6 @@
 //! Window-level SGD training loop with the paper's defaults
-//! (10 epochs, batch size 64, learning rate 0.01) and the pluggable
-//! regularisers used by the EWC / LwF variants.
+//! (10 epochs, batch size 64, learning rate 0.01); the EWC and LwF
+//! variants pass their regularisers as borrowed [`TrainOpts`].
 
 use crate::mlp::{Mlp, TrainOpts};
 use oeb_linalg::Matrix;
@@ -32,40 +32,16 @@ impl Default for SgdConfig {
     }
 }
 
-/// Continual-learning regulariser applied during window training.
-#[derive(Debug, Clone)]
-pub enum Regularizer {
-    /// Plain SGD.
-    None,
-    /// Elastic Weight Consolidation: quadratic penalty around the previous
-    /// window's parameters weighted by the Fisher diagonal.
-    Ewc {
-        /// Parameters after the previous window.
-        anchor: Vec<f64>,
-        /// Fisher diagonal estimated on the previous window.
-        fisher: Vec<f64>,
-        /// Regularisation factor (paper sweeps 1e2..1e5).
-        lambda: f64,
-    },
-    /// Learning without Forgetting: distillation toward the previous
-    /// window's model outputs.
-    Lwf {
-        /// Snapshot of the model after the previous window (boxed: an
-        /// `Mlp` carries batch scratch and dwarfs the other variants).
-        prev: Box<Mlp>,
-        /// Regularisation factor (paper sweeps 1e-3..10).
-        lambda: f64,
-    },
-}
-
 /// Trains `model` on the window `(xs, ys)` for `cfg.epochs` epochs of
-/// shuffled mini-batches; returns the mean data loss over the final epoch.
+/// shuffled mini-batches, every step under the continual-learning terms
+/// of `opts` (EWC's anchor, LwF's teacher, or none); returns the mean
+/// data loss over the final epoch.
 pub fn train_window(
     model: &mut Mlp,
     xs: &Matrix,
     ys: &[f64],
     cfg: &SgdConfig,
-    reg: &Regularizer,
+    opts: &TrainOpts<'_>,
 ) -> f64 {
     assert_eq!(xs.rows(), ys.len(), "feature/target length mismatch");
     if xs.rows() == 0 {
@@ -74,29 +50,12 @@ pub fn train_window(
     let mut order: Vec<usize> = (0..xs.rows()).collect();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut last_epoch_loss = 0.0;
-    // The regulariser borrows are identical for every mini-batch, so the
-    // options are built once per window, not once per chunk.
-    let opts = match reg {
-        Regularizer::None => TrainOpts::default(),
-        Regularizer::Ewc {
-            anchor,
-            fisher,
-            lambda,
-        } => TrainOpts {
-            ewc: Some((anchor, fisher, *lambda)),
-            ..Default::default()
-        },
-        Regularizer::Lwf { prev, lambda } => TrainOpts {
-            distill: Some((prev, *lambda)),
-            ..Default::default()
-        },
-    };
     for _epoch in 0..cfg.epochs.max(1) {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            epoch_loss += model.train_batch(xs, ys, chunk, cfg.lr, &opts);
+            epoch_loss += model.train_batch(xs, ys, chunk, cfg.lr, opts);
             batches += 1;
         }
         last_epoch_loss = epoch_loss / batches.max(1) as f64;
@@ -127,7 +86,7 @@ mod tests {
                 epochs: 1,
                 ..Default::default()
             },
-            &Regularizer::None,
+            &TrainOpts::default(),
         );
         let later = train_window(
             &mut m,
@@ -137,7 +96,7 @@ mod tests {
                 epochs: 30,
                 ..Default::default()
             },
-            &Regularizer::None,
+            &TrainOpts::default(),
         );
         assert!(later < first, "first {first}, later {later}");
     }
@@ -155,7 +114,7 @@ mod tests {
                     epochs,
                     ..Default::default()
                 },
-                &Regularizer::None,
+                &TrainOpts::default(),
             )
         };
         assert!(run(40) < run(1));
@@ -166,7 +125,13 @@ mod tests {
         let xs = Matrix::zeros(0, 1);
         let mut m = Mlp::new(1, &[4], 1, Objective::SquaredError, 3);
         let before = m.get_params();
-        let loss = train_window(&mut m, &xs, &[], &SgdConfig::default(), &Regularizer::None);
+        let loss = train_window(
+            &mut m,
+            &xs,
+            &[],
+            &SgdConfig::default(),
+            &TrainOpts::default(),
+        );
         assert_eq!(loss, 0.0);
         assert_eq!(m.get_params(), before);
     }
@@ -178,10 +143,10 @@ mod tests {
             epochs: 5,
             ..Default::default()
         };
-        let drift_under = |reg: &Regularizer| {
+        let drift_under = |opts: &TrainOpts| {
             let mut m = Mlp::new(1, &[8], 1, Objective::SquaredError, 4);
             let anchor = m.get_params();
-            train_window(&mut m, &xs, &ys, &cfg, reg);
+            train_window(&mut m, &xs, &ys, &cfg, opts);
             m.get_params()
                 .iter()
                 .zip(&anchor)
@@ -189,12 +154,12 @@ mod tests {
                 .sum::<f64>()
                 / anchor.len() as f64
         };
-        let free = drift_under(&Regularizer::None);
+        let free = drift_under(&TrainOpts::default());
         let m0 = Mlp::new(1, &[8], 1, Objective::SquaredError, 4);
-        let anchored = drift_under(&Regularizer::Ewc {
-            anchor: m0.get_params(),
-            fisher: vec![1.0; m0.n_params()],
-            lambda: 50.0,
+        let (anchor, fisher) = (m0.get_params(), vec![1.0; m0.n_params()]);
+        let anchored = drift_under(&TrainOpts {
+            ewc: Some((&anchor, &fisher, 50.0)),
+            ..Default::default()
         });
         assert!(anchored < free, "anchored {anchored} vs free {free}");
     }
@@ -216,10 +181,9 @@ mod tests {
                 epochs: 5,
                 ..Default::default()
             },
-            &Regularizer::Ewc {
-                anchor,
-                fisher,
-                lambda: 1e6,
+            &TrainOpts {
+                ewc: Some((&anchor, &fisher, 1e6)),
+                ..Default::default()
             },
         );
         let params = m.get_params();

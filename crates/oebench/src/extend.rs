@@ -52,32 +52,27 @@ impl DriftResetLearner {
             warmed_up: false,
         })
     }
+}
 
-    /// Bounded per-item error signal for the detector: 0/1
-    /// misclassification, or a clipped squared error for regression.
-    fn error_signal(&self, x: &[f64], y: f64) -> f64 {
-        let pred = self.inner.predict(x);
-        match self.task {
-            Task::Classification { .. } => f64::from(pred != y),
-            Task::Regression => {
-                let e = (pred - y).powi(2);
-                if e.is_finite() {
-                    (e / (1.0 + e)).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                }
+/// Bounded per-item error signal for the detector: 0/1
+/// misclassification, or a clipped squared error for regression.
+fn error_signal(task: Task, pred: f64, y: f64) -> f64 {
+    match task {
+        Task::Classification { .. } => f64::from(pred != y),
+        Task::Regression => {
+            let e = (pred - y).powi(2);
+            if e.is_finite() {
+                (e / (1.0 + e)).clamp(0.0, 1.0)
+            } else {
+                1.0
             }
         }
     }
 }
 
 impl StreamLearner for DriftResetLearner {
-    fn name(&self) -> &'static str {
-        "DriftReset"
-    }
-
-    fn predict(&self, x: &[f64]) -> f64 {
-        self.inner.predict(x)
+    fn predict(&self, xs: &Matrix, out: &mut Vec<f64>) {
+        self.inner.predict(xs, out);
     }
 
     fn train_window(&mut self, xs: &Matrix, ys: &[f64]) {
@@ -86,8 +81,10 @@ impl StreamLearner for DriftResetLearner {
         if self.warmed_up {
             let mut drifted = false;
             let pre_mean = self.detector.mean();
-            for r in 0..xs.rows() {
-                let e = self.error_signal(xs.row(r), ys[r]);
+            let mut preds = Vec::new();
+            self.inner.predict(xs, &mut preds);
+            for (&pred, &y) in preds.iter().zip(ys) {
+                let e = error_signal(self.task, pred, y);
                 if self.detector.update(e).is_drift() && self.detector.mean() > pre_mean {
                     drifted = true;
                 }

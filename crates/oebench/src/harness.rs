@@ -229,6 +229,25 @@ impl HarnessConfig {
         }
         Ok(())
     }
+
+    /// A digest of every result-bearing field: 64-bit FNV-1a over the
+    /// `Debug` rendering of the config without `supervise` (a deadline or
+    /// retry budget changes no completed run's result). It names the
+    /// config in a sweep checkpoint's header and in a traced run's cell
+    /// context, and stays the same across builds and runs.
+    pub(crate) fn digest(&self) -> u64 {
+        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+        const FNV_PRIME: u64 = 0x100000001b3;
+        let result_config = HarnessConfig {
+            supervise: SupervisePolicy::unsupervised(),
+            ..self.clone()
+        };
+        format!("{result_config:?}")
+            .bytes()
+            .fold(FNV_OFFSET, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+            })
+    }
 }
 
 /// Result of one prequential run.
@@ -283,14 +302,18 @@ pub fn try_run_stream(
 ) -> Result<RunResult, HarnessError> {
     config.validate()?;
     // Ambient attribution for every span this run records: the one
-    // context of the run (the grid runner installs none).
-    let _ctx = CellCtx {
-        dataset: dataset.name.clone(),
-        learner: algorithm.name().to_string(),
-        seed: config.seed,
-        rows: dataset.n_rows() as u64,
-    }
-    .install();
+    // context of the run (the grid runner installs none). Built only
+    // when tracing is on, so an untraced run computes no digest.
+    let _ctx = oeb_trace::enabled().then(|| {
+        CellCtx {
+            dataset: dataset.name.clone(),
+            learner: algorithm.name().to_string(),
+            seed: config.seed,
+            rows: dataset.n_rows() as u64,
+            config: config.digest(),
+        }
+        .install()
+    });
     CELLS_ATTRIBUTED.incr();
     let cell_span = CELL_RUN_SPAN.start();
     let prepared = prepare_cached(dataset, config)?;

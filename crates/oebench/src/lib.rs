@@ -1,7 +1,9 @@
 //! # oeb-core
 //!
 //! The OEBench pipeline proper: the ten stream learners of the paper's
-//! Table 4 ([`learners`], [`sea`]), the prequential test-then-train
+//! Table 4 behind one window-level learner layer ([`learners`], whose
+//! one base-model fit also backs the ensemble policy of [`sea`]), the
+//! prequential test-then-train
 //! harness with imputation / scaling / outlier-removal stages
 //! ([`harness`]), the open-environment statistics extraction of §4.3
 //! ([`stats`], probes in [`probe`]), the PCA + K-Means representative
@@ -39,7 +41,7 @@ pub use extend::DriftResetLearner;
 pub use harness::{
     try_run_stream, DegradePolicy, HarnessConfig, ImputerChoice, OutlierRemoval, RunResult,
 };
-pub use learners::{Algorithm, LearnerConfig, StreamLearner};
+pub use learners::{Algorithm, BaseKind, LearnerConfig, StreamLearner};
 pub use plot::{LinePlot, Series};
 pub use prepare::{
     evaluate_prepared, prepare_cached, prepare_from_source, prepare_stream, PreparedStream,
@@ -50,7 +52,7 @@ pub use prequential::{
 };
 pub use recommend::{recommend, render_tree, Scenario};
 pub use report::{assign_levels, fmt_mean_std, fmt_summary, TextTable};
-pub use sea::{BaseKind, SeaLearner};
+pub use sea::SeaLearner;
 pub use select::{select_representatives, SelectionResult};
 pub use stats::{extract_stats, AvgMax, OeStats, StatsConfig};
 pub use supervise::{

@@ -24,7 +24,7 @@
 
 use crate::error::HarnessError;
 use crate::harness::{HarnessConfig, OutlierRemoval, RunResult};
-use crate::learners::{Algorithm, StreamLearner};
+use crate::learners::{window_loss, Algorithm, StreamLearner};
 use oeb_faults::{DatasetFrames, FaultInjector, FrameSource, WindowFrame};
 use oeb_linalg::Matrix;
 use oeb_outlier::{flag_by_sigma, Ecod, IForestConfig, IsolationForest};
@@ -384,6 +384,7 @@ pub fn evaluate_prepared(
     learner_cfg.seed = learner_cfg.seed.wrapping_add(config.seed);
 
     let mut learner: Option<Box<dyn StreamLearner>> = None;
+    let mut preds = Vec::new();
     let mut per_window_loss = Vec::new();
     let mut degradations: Vec<String> = Vec::new();
     let mut resets = 0usize;
@@ -422,17 +423,10 @@ pub fn evaluate_prepared(
             // test-seconds metric; the span it records on stop is
             // trace-channel only.
             let watch = Stopwatch::start();
-            let mut loss = 0.0;
-            for r in 0..feats.rows() {
-                let pred = model.predict(feats.row(r));
-                loss += match prepared.task {
-                    Task::Classification { .. } => f64::from(pred != targets[r]),
-                    Task::Regression => (pred - targets[r]).powi(2),
-                };
-            }
+            model.predict(feats, &mut preds);
+            let loss = window_loss(prepared.task, &preds, targets);
             test_seconds += watch.stop(&TEST_SPAN);
-            let window_loss = loss / feats.rows() as f64;
-            if !window_loss.is_finite() && policy.reset_on_nonfinite {
+            if !loss.is_finite() && policy.reset_on_nonfinite {
                 resets += 1;
                 if resets > policy.max_retries {
                     return Err(HarnessError::NonFiniteLoss {
@@ -448,7 +442,7 @@ pub fn evaluate_prepared(
                     .make(prepared.task, prepared.dim, &learner_cfg)
                     .expect("algorithm applied on warm-up");
             } else {
-                per_window_loss.push(window_loss);
+                per_window_loss.push(loss);
                 items += feats.rows();
                 ITEMS_TESTED.add(feats.rows() as u64);
             }
@@ -468,10 +462,9 @@ pub fn evaluate_prepared(
     }
     degradations.extend(prepared.trailing_degradations.iter().cloned());
 
-    let learner = match learner {
-        Some(l) => l,
-        None => return Err(HarnessError::EmptyStream),
-    };
+    if learner.is_none() {
+        return Err(HarnessError::EmptyStream);
+    }
     let mean_loss = if per_window_loss.is_empty() {
         f64::NAN
     } else {
@@ -480,7 +473,7 @@ pub fn evaluate_prepared(
     let elapsed = (train_seconds + test_seconds).max(1e-9);
     Ok(RunResult {
         dataset: prepared.dataset.clone(),
-        algorithm: learner.name().to_string(),
+        algorithm: algorithm.name().to_string(),
         per_window_loss,
         mean_loss,
         train_seconds,

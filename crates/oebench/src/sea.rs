@@ -7,121 +7,22 @@
 //! member *when it outperforms it on the current window* — "SEA maintains
 //! an ensemble and replaces older models with current models of better
 //! quality" (§4.5). Prediction is a majority vote (classification) or the
-//! member median (regression).
+//! member median (regression). The members are the learner layer's
+//! per-window base models; this module holds only SEA's policy.
 
-use crate::learners::{LearnerConfig, StreamLearner};
+use crate::learners::{window_loss, BaseKind, BaseModel, LearnerConfig, StreamLearner};
 use oeb_linalg::Matrix;
-use oeb_nn::{train_window, Mlp, Objective, Regularizer, SgdConfig};
 use oeb_tabular::Task;
-use oeb_tree::{DecisionTree, Gbdt, GbdtConfig, TreeConfig, TreeTask};
 
-/// Which base model SEA wraps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BaseKind {
-    /// Per-window MLP.
-    Nn,
-    /// Per-window CART tree.
-    Dt,
-    /// Per-window GBDT.
-    Gbdt,
-}
-
-enum BaseModel {
-    Nn(Box<Mlp>),
-    Dt(DecisionTree),
-    Gbdt(Gbdt),
-}
-
-impl BaseModel {
-    fn fit(
-        kind: BaseKind,
-        task: Task,
-        input_dim: usize,
-        xs: &Matrix,
-        ys: &[f64],
-        cfg: &LearnerConfig,
-        seed: u64,
-    ) -> BaseModel {
-        match kind {
-            BaseKind::Nn => {
-                let objective = match task {
-                    Task::Classification { .. } => Objective::CrossEntropy,
-                    Task::Regression => Objective::SquaredError,
-                };
-                let mut mlp =
-                    Mlp::new(input_dim, &cfg.hidden, task.output_width(), objective, seed);
-                train_window(
-                    &mut mlp,
-                    xs,
-                    ys,
-                    &SgdConfig {
-                        epochs: cfg.epochs,
-                        batch_size: cfg.batch_size,
-                        lr: cfg.lr,
-                        seed,
-                    },
-                    &Regularizer::None,
-                );
-                BaseModel::Nn(Box::new(mlp))
-            }
-            BaseKind::Dt => BaseModel::Dt(DecisionTree::fit(
-                xs,
-                ys,
-                tree_task(task),
-                &TreeConfig {
-                    seed,
-                    ..Default::default()
-                },
-            )),
-            BaseKind::Gbdt => BaseModel::Gbdt(Gbdt::fit(
-                xs,
-                ys,
-                tree_task(task),
-                &GbdtConfig {
-                    n_rounds: 5,
-                    tree: TreeConfig {
-                        max_depth: 6,
-                        seed,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-            )),
-        }
-    }
-
-    fn predict(&self, task: Task, x: &[f64]) -> f64 {
-        match self {
-            BaseModel::Nn(m) => match task {
-                Task::Classification { .. } => m.predict_class(x) as f64,
-                Task::Regression => m.forward(x)[0],
-            },
-            BaseModel::Dt(m) => m.predict(x),
-            BaseModel::Gbdt(m) => m.predict(x),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            BaseModel::Nn(m) => m.memory_bytes(),
-            BaseModel::Dt(m) => m.memory_bytes(),
-            BaseModel::Gbdt(m) => m.memory_bytes(),
-        }
-    }
-}
-
-fn tree_task(task: Task) -> TreeTask {
-    match task {
-        Task::Classification { n_classes } => TreeTask::Classification { n_classes },
-        Task::Regression => TreeTask::Regression,
-    }
-}
+/// Boosting rounds of a SEA-GBDT member: fixed at the paper's 5 trees,
+/// while Naive-GBDT boosts `ensemble_size` rounds (they agree at the
+/// default; Figure 19 varies `ensemble_size`).
+const MEMBER_GBDT_ROUNDS: usize = 5;
 
 /// The SEA ensemble learner.
 pub struct SeaLearner {
     kind: BaseKind,
     task: Task,
-    input_dim: usize,
     cfg: LearnerConfig,
     members: Vec<BaseModel>,
     window_counter: u64,
@@ -129,82 +30,63 @@ pub struct SeaLearner {
 
 impl SeaLearner {
     /// Creates an empty SEA ensemble of capacity `cfg.ensemble_size`.
-    pub fn new(kind: BaseKind, task: Task, input_dim: usize, cfg: LearnerConfig) -> SeaLearner {
+    pub fn new(kind: BaseKind, task: Task, cfg: LearnerConfig) -> SeaLearner {
         SeaLearner {
             kind,
             task,
-            input_dim,
             cfg,
             members: Vec::new(),
             window_counter: 0,
         }
     }
 
-    /// Current ensemble size.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True before any window was seen.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Mean loss of one model over a window (error rate or MSE).
-    fn window_loss(&self, model: &BaseModel, xs: &Matrix, ys: &[f64]) -> f64 {
-        let n = xs.rows().max(1);
-        let mut loss = 0.0;
-        for r in 0..xs.rows() {
-            let pred = model.predict(self.task, xs.row(r));
-            loss += match self.task {
-                Task::Classification { .. } => f64::from(pred != ys[r]),
-                Task::Regression => (pred - ys[r]).powi(2),
-            };
-        }
-        loss / n as f64
+    /// Every member's predictions for the window, member by member.
+    fn member_predictions(&self, xs: &Matrix) -> Vec<Vec<f64>> {
+        self.members
+            .iter()
+            .map(|m| {
+                let mut preds = Vec::new();
+                m.predict(xs, &mut preds);
+                preds
+            })
+            .collect()
     }
 }
 
 impl StreamLearner for SeaLearner {
-    fn name(&self) -> &'static str {
-        match self.kind {
-            BaseKind::Nn => "SEA-NN",
-            BaseKind::Dt => "SEA-DT",
-            BaseKind::Gbdt => "SEA-GBDT",
-        }
-    }
-
-    fn predict(&self, x: &[f64]) -> f64 {
+    fn predict(&self, xs: &Matrix, out: &mut Vec<f64>) {
+        out.clear();
         if self.members.is_empty() {
-            return 0.0;
+            out.resize(xs.rows(), 0.0);
+            return;
         }
-        match self.task {
-            Task::Classification { n_classes } => {
-                let mut votes = vec![0usize; n_classes];
-                for m in &self.members {
-                    let c = (m.predict(self.task, x) as usize).min(n_classes - 1);
-                    votes[c] += 1;
-                }
-                let mut best = 0;
-                for (c, &v) in votes.iter().enumerate() {
-                    if v > votes[best] {
-                        best = c;
+        let preds = self.member_predictions(xs);
+        let mut row = Vec::with_capacity(preds.len());
+        for r in 0..xs.rows() {
+            row.clear();
+            row.extend(preds.iter().map(|p| p[r]));
+            out.push(match self.task {
+                Task::Classification { n_classes } => {
+                    let mut votes = vec![0usize; n_classes];
+                    for &p in &row {
+                        votes[(p as usize).min(n_classes - 1)] += 1;
                     }
+                    let mut best = 0;
+                    for (c, &v) in votes.iter().enumerate() {
+                        if v > votes[best] {
+                            best = c;
+                        }
+                    }
+                    best as f64
                 }
-                best as f64
-            }
-            Task::Regression => {
                 // Median of the members: the robust analogue of SEA's
                 // majority vote (a single diverged member must not poison
                 // the ensemble prediction).
-                let mut preds: Vec<f64> = self
-                    .members
-                    .iter()
-                    .map(|m| m.predict(self.task, x))
-                    .collect();
-                preds.sort_by(f64::total_cmp);
-                preds[preds.len() / 2]
-            }
+                Task::Regression => {
+                    row.sort_by(f64::total_cmp);
+                    row[row.len() / 2]
+                }
+            });
         }
     }
 
@@ -221,11 +103,11 @@ impl StreamLearner for SeaLearner {
         let candidate = BaseModel::fit(
             self.kind,
             self.task,
-            self.input_dim,
             xs,
             ys,
             &self.cfg,
             seed,
+            MEMBER_GBDT_ROUNDS,
         );
 
         if self.members.len() < self.cfg.ensemble_size.max(1) {
@@ -233,12 +115,14 @@ impl StreamLearner for SeaLearner {
             return;
         }
         // Quality check on the current window.
-        let candidate_loss = self.window_loss(&candidate, xs, ys);
+        let mut preds = Vec::new();
+        candidate.predict(xs, &mut preds);
+        let candidate_loss = window_loss(self.task, &preds, ys);
         let (worst_idx, worst_loss) = self
-            .members
+            .member_predictions(xs)
             .iter()
+            .map(|p| window_loss(self.task, p, ys))
             .enumerate()
-            .map(|(i, m)| (i, self.window_loss(m, xs, ys)))
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
             .expect("non-empty ensemble");
         if candidate_loss < worst_loss {
@@ -254,6 +138,7 @@ impl StreamLearner for SeaLearner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::learners::tests::predict_row;
 
     fn window(offset: f64, n: usize) -> (Matrix, Vec<f64>) {
         let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![(i % 10) as f64 + offset]).collect();
@@ -270,7 +155,6 @@ mod tests {
         let mut sea = SeaLearner::new(
             BaseKind::Dt,
             task,
-            1,
             LearnerConfig {
                 ensemble_size: 3,
                 ..Default::default()
@@ -280,38 +164,38 @@ mod tests {
             let (xs, ys) = window(w as f64 * 0.1, 64);
             sea.train_window(&xs, &ys);
         }
-        assert_eq!(sea.len(), 3);
+        assert_eq!(sea.members.len(), 3);
     }
 
     #[test]
     fn majority_vote_classifies() {
         let task = Task::Classification { n_classes: 2 };
-        let mut sea = SeaLearner::new(BaseKind::Dt, task, 1, LearnerConfig::default());
+        let mut sea = SeaLearner::new(BaseKind::Dt, task, LearnerConfig::default());
         for _ in 0..3 {
             let (xs, ys) = window(0.0, 128);
             sea.train_window(&xs, &ys);
         }
-        assert_eq!(sea.predict(&[1.0]), 0.0);
-        assert_eq!(sea.predict(&[9.0]), 1.0);
+        assert_eq!(predict_row(&sea, &[1.0]), 0.0);
+        assert_eq!(predict_row(&sea, &[9.0]), 1.0);
     }
 
     #[test]
     fn regression_uses_member_median() {
         let task = Task::Regression;
-        let mut sea = SeaLearner::new(BaseKind::Dt, task, 1, LearnerConfig::default());
+        let mut sea = SeaLearner::new(BaseKind::Dt, task, LearnerConfig::default());
         let rows: Vec<Vec<f64>> = (0..128).map(|i| vec![(i % 10) as f64]).collect();
         let ys: Vec<f64> = rows.iter().map(|r| 3.0 * r[0]).collect();
         let xs = Matrix::from_rows(&rows);
         for _ in 0..3 {
             sea.train_window(&xs, &ys);
         }
-        assert!((sea.predict(&[5.0]) - 15.0).abs() < 1.5);
+        assert!((predict_row(&sea, &[5.0]) - 15.0).abs() < 1.5);
     }
 
     #[test]
     fn empty_ensemble_predicts_zero() {
-        let sea = SeaLearner::new(BaseKind::Nn, Task::Regression, 2, LearnerConfig::default());
-        assert_eq!(sea.predict(&[1.0, 2.0]), 0.0);
+        let sea = SeaLearner::new(BaseKind::Nn, Task::Regression, LearnerConfig::default());
+        assert_eq!(predict_row(&sea, &[1.0, 2.0]), 0.0);
         assert_eq!(sea.memory_bytes(), 0);
     }
 
@@ -321,7 +205,6 @@ mod tests {
         let mut sea = SeaLearner::new(
             BaseKind::Dt,
             task,
-            1,
             LearnerConfig {
                 ensemble_size: 2,
                 ..Default::default()
@@ -337,8 +220,8 @@ mod tests {
         for _ in 0..4 {
             sea.train_window(&xs_a, &ys_b);
         }
-        assert_eq!(sea.predict(&[1.0]), 1.0);
-        assert_eq!(sea.predict(&[9.0]), 0.0);
+        assert_eq!(predict_row(&sea, &[1.0]), 1.0);
+        assert_eq!(predict_row(&sea, &[9.0]), 0.0);
     }
 
     #[test]
@@ -347,7 +230,6 @@ mod tests {
         let mut sea = SeaLearner::new(
             BaseKind::Nn,
             task,
-            1,
             LearnerConfig {
                 epochs: 60,
                 lr: 0.05,
@@ -359,9 +241,9 @@ mod tests {
         let ys: Vec<f64> = rows.iter().map(|r| f64::from(r[0] >= 0.5)).collect();
         let xs = Matrix::from_rows(&rows);
         sea.train_window(&xs, &ys);
-        let correct = (0..xs.rows())
-            .filter(|&r| sea.predict(xs.row(r)) == ys[r])
-            .count();
+        let mut preds = Vec::new();
+        sea.predict(&xs, &mut preds);
+        let correct = preds.iter().zip(&ys).filter(|(p, y)| p == y).count();
         assert!(correct > 200, "{correct}/256");
     }
 }

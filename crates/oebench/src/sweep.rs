@@ -21,7 +21,7 @@ use crate::error::HarnessError;
 use crate::executor::parallel_map;
 use crate::harness::{try_run_stream, HarnessConfig, RunResult};
 use crate::learners::Algorithm;
-use crate::supervise::{cell_seed, supervise_cell, SupervisePolicy};
+use crate::supervise::{cell_seed, supervise_cell};
 use oeb_tabular::StreamDataset;
 use oeb_trace::Counter;
 use serde_json::{json, Value};
@@ -535,9 +535,8 @@ const HEADER_FORMAT: &str = "oebench-sweep/1";
 /// The identity of a sweep, written as its checkpoint's first line: what
 /// the records below it are results of. It holds
 ///
-/// - `config`: an FNV-1a digest of every result-bearing
-///   [`HarnessConfig`] field, i.e. all of them except `supervise` (a
-///   deadline or retry budget changes no completed cell's result);
+/// - `config`: [`HarnessConfig::digest`], which covers every
+///   result-bearing field, i.e. all of them except `supervise`;
 /// - `seed`, and `learners` in grid order;
 /// - `datasets`: each one's name, row count and content fingerprint
 ///   ([`StreamDataset::fingerprint`]), which tells one `--scale` or
@@ -550,10 +549,6 @@ fn checkpoint_header(
     algorithms: &[Algorithm],
     config: &HarnessConfig,
 ) -> Value {
-    let result_config = HarnessConfig {
-        supervise: SupervisePolicy::unsupervised(),
-        ..config.clone()
-    };
     let learners: Vec<&str> = algorithms.iter().map(|a| a.name()).collect();
     let datasets: Vec<Value> = datasets
         .iter()
@@ -567,19 +562,10 @@ fn checkpoint_header(
         .collect();
     json!({
         "header": HEADER_FORMAT,
-        "config": format!("{:016x}", fnv1a(format!("{result_config:?}").as_bytes())),
+        "config": format!("{:016x}", config.digest()),
         "seed": config.seed,
         "learners": learners,
         "datasets": datasets,
-    })
-}
-
-/// 64-bit FNV-1a: a digest that stays the same across builds and runs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
     })
 }
 
@@ -889,6 +875,7 @@ fn append_checkpoint(path: &Path, record: &SweepRecord) -> Result<(), HarnessErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervise::SupervisePolicy;
     use oeb_synth::{generate, registry_scaled};
 
     fn tiny_datasets() -> Vec<StreamDataset> {

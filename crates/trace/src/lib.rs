@@ -47,8 +47,9 @@ use std::time::Instant;
 
 /// Version of the JSON-lines trace schema written by [`write_trace_file`].
 /// v2 added per-event cell context fields, exact `start_ns`/`dur_ns`, and
-/// the mandatory trailing footer record.
-pub const TRACE_SCHEMA_VERSION: u32 = 2;
+/// the mandatory trailing footer record; v3 added the run's config digest
+/// (`config`) to the cell context.
+pub const TRACE_SCHEMA_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // Global state
@@ -111,18 +112,21 @@ pub fn disable() {
 // Cell context (attribution)
 // ---------------------------------------------------------------------------
 
-/// Ambient attribution for span events: which `(dataset, learner, seed)`
-/// cell the current thread is working on, and how many raw rows that cell
-/// covers. Installed by the sweep/harness around each task via
-/// [`CellCtx::install`]; every span event recorded while a context is
-/// active carries an `Arc` to it, so the trace stream can be grouped per
-/// cell after the fact.
+/// Ambient attribution for span events: which `(dataset, learner, seed,
+/// config)` cell the current thread is working on, and how many raw rows
+/// that cell covers. `config` is a digest of the run's harness config, so
+/// the runs of one grid under two config variants (one figure's
+/// imputers, window sizes, ...) stay two cells. Installed by the harness
+/// around each run via [`CellCtx::install`]; every span event recorded
+/// while a context is active carries an `Arc` to it, so the trace stream
+/// can be grouped per cell after the fact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellCtx {
     pub dataset: String,
     pub learner: String,
     pub seed: u64,
     pub rows: u64,
+    pub config: u64,
 }
 
 thread_local! {
@@ -587,7 +591,7 @@ pub fn dropped_events() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
-/// Serialise one drained event as a schema-v2 span record. Pulled out of
+/// Serialise one drained event as a schema-v3 span record. Pulled out of
 /// [`write_trace_file`] so tests and in-process consumers share the exact
 /// byte format.
 pub fn render_trace_event(id: usize, ev: &TraceEvent) -> String {
@@ -603,18 +607,19 @@ pub fn render_trace_event(id: usize, ev: &TraceEvent) -> String {
     );
     if let Some(ctx) = &ev.ctx {
         line.push_str(&format!(
-            ",\"dataset\":\"{}\",\"learner\":\"{}\",\"cell_seed\":{},\"rows\":{}",
+            ",\"dataset\":\"{}\",\"learner\":\"{}\",\"cell_seed\":{},\"rows\":{},\"config\":\"{:016x}\"",
             json_escape(&ctx.dataset),
             json_escape(&ctx.learner),
             ctx.seed,
             ctx.rows,
+            ctx.config,
         ));
     }
     line.push('}');
     line
 }
 
-/// Serialise the schema-v2 trace footer: schema version, number of span
+/// Serialise the trace footer: schema version, number of span
 /// records written, and how many events were silently dropped by the
 /// per-thread buffer cap (so a truncated trace is detectable after the
 /// fact — `trace_check` turns a nonzero `dropped` into a distinct exit
@@ -623,13 +628,14 @@ pub fn render_trace_footer(events: usize, dropped: u64) -> String {
     format!("{{\"type\":\"footer\",\"schema\":{TRACE_SCHEMA_VERSION},\"events\":{events},\"dropped\":{dropped}}}")
 }
 
-/// Write the drained span stream as JSON lines (schema v2). Each span
+/// Write the drained span stream as JSON lines (schema v3). Each span
 /// record carries `type`, a monotone `id` assigned after the deterministic
 /// merge, the owning `slot`, per-thread `seq`, the span `name`,
 /// epoch-relative `start_us`/`dur_us` (rounded once from the exact
 /// nanosecond fields `start_ns`/`dur_ns`), and — when the span was
 /// recorded under a [`CellCtx`] — the attribution fields `dataset`,
-/// `learner`, `cell_seed`, `rows`. The final line is the footer record.
+/// `learner`, `cell_seed`, `rows` and `config` (16 hex digits). The final
+/// line is the footer record.
 pub fn write_trace_file(path: &Path) -> std::io::Result<()> {
     let events = drain_events();
     let file = std::fs::File::create(path)?;

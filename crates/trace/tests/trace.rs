@@ -26,7 +26,7 @@ fn end_to_end() {
     cell_ctx_attaches_to_events();
     stopwatch_measures_with_tracing_off_and_on();
     span_totals_accumulate_nanoseconds();
-    trace_lines_follow_schema_v2();
+    trace_lines_follow_schema_v3();
     json_and_table_are_stable();
     deterministic_counter_filter();
 }
@@ -45,6 +45,7 @@ fn disabled_path_records_nothing() {
             learner: "l".into(),
             seed: 0,
             rows: 1,
+            config: 0,
         }
         .install();
         assert!(
@@ -161,12 +162,14 @@ fn cell_ctx_attaches_to_events() {
         learner: "arf".into(),
         seed: 42,
         rows: 1000,
+        config: 1,
     };
     let inner = CellCtx {
         dataset: "Tetouan".into(),
         learner: "mlp".into(),
         seed: 7,
         rows: 500,
+        config: 2,
     };
     {
         let _outer = outer.clone().install();
@@ -244,7 +247,7 @@ fn span_totals_accumulate_nanoseconds() {
 /// The serialized line format: v1 keys preserved, exact ns fields added,
 /// ctx fields present iff attributed, and the footer carries schema,
 /// event count and dropped count.
-fn trace_lines_follow_schema_v2() {
+fn trace_lines_follow_schema_v3() {
     let plain = TraceEvent {
         name: "t.phase",
         slot: 1,
@@ -264,6 +267,7 @@ fn trace_lines_follow_schema_v2() {
             learner: "arf".into(),
             seed: 3,
             rows: 120,
+            config: 0xabc,
         })),
         ..plain
     };
@@ -271,11 +275,12 @@ fn trace_lines_follow_schema_v2() {
         render_trace_event(5, &attributed),
         "{\"type\":\"span\",\"id\":5,\"slot\":1,\"seq\":0,\"name\":\"t.phase\",\
          \"start_us\":1234,\"dur_us\":9,\"start_ns\":1234567,\"dur_ns\":9876,\
-         \"dataset\":\"d\\\"x\",\"learner\":\"arf\",\"cell_seed\":3,\"rows\":120}"
+         \"dataset\":\"d\\\"x\",\"learner\":\"arf\",\"cell_seed\":3,\"rows\":120,\
+         \"config\":\"0000000000000abc\"}"
     );
     assert_eq!(
         render_trace_footer(13, 0),
-        "{\"type\":\"footer\",\"schema\":2,\"events\":13,\"dropped\":0}"
+        "{\"type\":\"footer\",\"schema\":3,\"events\":13,\"dropped\":0}"
     );
 }
 
