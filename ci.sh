@@ -63,8 +63,9 @@ cargo run --release -p oeb-bench --bin repro -- table4 \
 # Smoke: observability. The same run traced: every JSONL record must
 # match the span schema (required keys, monotone ids — trace_check),
 # the metrics table must show prepare-cache hits and the fast kernel
-# paths at work (batched MLP SGD, Hoeffding split checks, blocked GEMM,
-# pruned KNN candidates; their bits are pinned by the crate tests), and
+# paths at work (batched MLP SGD, Hoeffding split checks, the tiled
+# training and Gram GEMMs that `gemm.dispatch.blocked` counts, pruned KNN
+# candidates; their bits are pinned by the crate tests), and
 # the result artifact must be byte-identical to the untraced run
 # (table4.txt holds only losses; table4.json embeds wall-clock
 # throughput, so the bit-identity contract is checked on the .txt).

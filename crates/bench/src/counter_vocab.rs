@@ -24,7 +24,6 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "faults.injected.truncated-window",
     "gemm.dispatch.blocked",
     "gemm.dispatch.scalar",
-    "gemm.matvec.calls",
     "harness.runs",
     "knn.candidates.pruned",
     "knn.candidates.scanned",

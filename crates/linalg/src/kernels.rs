@@ -1,60 +1,34 @@
-//! Compute kernels: a register-blocked GEMM with packed B panels and
-//! fused slice primitives (`dot` / `axpy` / `scale_add`), all
-//! **bit-identical** to the naive scalar loops they replace.
+//! Compute kernels: fused slice primitives (`dot` / `axpy` /
+//! `scale_add`), the scalar GEMM [`matmul_into`], and one family of
+//! register-tiled GEMMs (the MLP's forward, backward and gradient
+//! products, and the Gram matrix `XᵀX`), all **bit-identical** to the
+//! naive scalar loops they replace.
 //!
 //! Bit-identity is the load-bearing invariant of this module. Every
 //! output element's floating-point accumulation happens in exactly the
-//! same order as the scalar reference: blocking reorders *which*
-//! elements are computed when, never the k-order within one element,
-//! and the fused slice kernels unroll with a **single** accumulator so
-//! the addition chain is unchanged. The determinism proptests and every
-//! golden artifact therefore see the same bits at 2-4x the throughput.
-//!
-//! The GEMM follows the classic Goto blocking scheme scaled down to
-//! this crate's needs:
-//!
-//! * B is packed into `KC x NC` row-major panels so the microkernel
-//!   streams contiguous memory regardless of B's width;
-//! * the microkernel holds an `MR x NR` tile of output accumulators in
-//!   registers across the whole k-block, turning the scalar path's
-//!   per-k load/store of the output row into register traffic;
-//! * k-blocks resume from the partially accumulated output value, so
-//!   splitting k preserves the sequential addition chain.
-//!
-//! The scalar reference's exact-zero skip (`a == 0.0` contributes
-//! nothing) is *observable* under IEEE-754 only against non-finite B
-//! values (`0.0 * inf = NaN`); panels that pack any non-finite value
-//! therefore take a guarded tile that replicates the skip exactly,
-//! while all-finite panels take a branch-free tile whose dropped skip
-//! is provably a bitwise no-op (see [`micro_block`] — the accumulator
-//! chain can never hold `-0.0`, so adding `±0.0` never changes bits).
+//! same order as the scalar reference: tiling reorders *which* elements
+//! are computed when, never the k-order within one element, and the
+//! fused slice kernels unroll with a **single** accumulator so the
+//! addition chain is unchanged. The determinism proptests and every
+//! golden artifact therefore see the same bits.
 
 use crate::matrix::Matrix;
 use oeb_trace::Counter;
 
-/// Dispatch accounting: which GEMM path each `matmul_into` call took.
-/// Purely shape-driven, so the counts are schedule-invariant.
+/// Dispatch accounting: which path each tiled-GEMM call took (its
+/// per-sample reference loop, or the tiles). Purely shape-driven, so the
+/// counts are schedule-invariant.
 static DISPATCH_SCALAR: Counter = Counter::new("gemm.dispatch.scalar");
 static DISPATCH_BLOCKED: Counter = Counter::new("gemm.dispatch.blocked");
-static MATVEC_CALLS: Counter = Counter::new("gemm.matvec.calls");
 
 /// Rows of A per register tile.
 const MR: usize = 4;
 /// Columns of B per register tile (two 256-bit vectors of f64).
 const NR: usize = 8;
-/// Columns of B packed per panel (one cache-resident stripe).
-const NC: usize = 128;
-/// Depth of one packed panel; bounds panel memory to `KC * NC * 8` bytes.
-const KC: usize = 256;
-/// Problem sizes below this many multiply-adds stay on the scalar path,
-/// where panel packing would cost more than it saves.
-const BLOCKED_MIN_MULADDS: usize = 16 * 16 * 16;
-/// Dispatch floor for the training GEMMs ([`matmul_xwt_bias_into`],
-/// [`matmul_noskip_into`], [`matmul_at_b_accum_into`]). These tile
-/// straight over the operand rows without panel packing, so their
-/// break-even sits far below [`BLOCKED_MIN_MULADDS`] — sweep-scale
-/// windows (tens of rows through [32, 16, 8] hidden layers) land
-/// squarely in this range.
+/// Dispatch floor for the tiled GEMMs ([`matmul_xwt_bias_into`],
+/// [`matmul_noskip_into`], [`matmul_at_b_accum_into`]): smaller problems
+/// run the per-sample reference loop. Sweep-scale windows (tens of rows
+/// through [32, 16, 8] hidden layers) land squarely above it.
 const TRAIN_MIN_MULADDS: usize = 8 * 8 * 8;
 
 // ---------------------------------------------------------------------
@@ -281,44 +255,16 @@ fn assert_gemm_shapes(a: &Matrix, b: &Matrix, out: &Matrix) {
     );
 }
 
-/// `out = a * b` into a preallocated output, choosing the blocked or
-/// scalar path by problem size. Both paths are bit-identical.
+/// `out = a * b` into a preallocated output: the scalar `ikj` loop, whose
+/// inner loop streams contiguous rows of B into the output row via
+/// [`axpy`]. An exact-zero `a[i][k]` is skipped, so a non-finite row of B
+/// it meets never reaches the output (`0.0 * inf` would be NaN).
 ///
 /// # Panics
 /// Panics on inner-dimension or output-shape mismatch.
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_gemm_shapes(a, b, out);
     out.as_mut_slice().fill(0.0);
-    if a.rows() * a.cols() * b.cols() < BLOCKED_MIN_MULADDS {
-        DISPATCH_SCALAR.incr();
-        scalar_accumulate(a, b, out);
-    } else {
-        DISPATCH_BLOCKED.incr();
-        blocked_accumulate(a, b, out);
-    }
-}
-
-/// The scalar `ikj` reference: the pre-kernel `Matrix::matmul` loop.
-/// Kept public so the equivalence proptests compare against the exact
-/// historical path.
-pub fn matmul_scalar_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_gemm_shapes(a, b, out);
-    out.as_mut_slice().fill(0.0);
-    scalar_accumulate(a, b, out);
-}
-
-/// The blocked path without the size dispatch, public for the
-/// equivalence proptests (which must exercise blocking even on shapes
-/// the dispatcher would route to the scalar path).
-pub fn matmul_blocked_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_gemm_shapes(a, b, out);
-    out.as_mut_slice().fill(0.0);
-    blocked_accumulate(a, b, out);
-}
-
-/// `ikj` loop order: the inner loop streams contiguous rows of B into
-/// the output row via [`axpy`] (same chain as the historical loop).
-fn scalar_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     for i in 0..a.rows() {
         let arow = a.row(i);
         let dst = out.row_mut(i);
@@ -332,7 +278,7 @@ fn scalar_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// Whether the fast tile should be compiled for 256-bit vectors.
+/// Whether the tiles should be compiled for 256-bit vectors.
 /// Detection is cached by the standard library. The choice cannot
 /// change bits: both codegen variants execute the identical sequence of
 /// scalar-per-lane IEEE multiplies and adds, only the register width
@@ -345,183 +291,6 @@ fn wide_tile_available() -> bool {
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
-    }
-}
-
-fn blocked_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, kdim, n) = (a.rows(), a.cols(), b.cols());
-    if m == 0 || kdim == 0 || n == 0 {
-        return;
-    }
-    let wide = wide_tile_available();
-    let mut panel = vec![0.0f64; KC.min(kdim) * NC.min(n)];
-    for jb in (0..n).step_by(NC) {
-        let nc = NC.min(n - jb);
-        for kb in (0..kdim).step_by(KC) {
-            let kc = KC.min(kdim - kb);
-            // Pack B[kb.., jb..] row-major into the panel so the
-            // microkernel reads a dense `kc x nc` stripe.
-            for k in 0..kc {
-                let brow = &b.row(kb + k)[jb..jb + nc];
-                panel[k * nc..k * nc + nc].copy_from_slice(brow);
-            }
-            // The branch-free fast tile is only bit-safe when every
-            // packed value is finite (see `micro_block`); one pass over
-            // the panel is amortised across all `m / MR` tile rows.
-            let finite = panel[..kc * nc].iter().all(|v| v.is_finite());
-            for ib in (0..m).step_by(MR) {
-                let mr = MR.min(m - ib);
-                micro_block(a, ib, mr, kb, kc, jb, nc, &panel, finite, wide, out);
-            }
-        }
-    }
-}
-
-/// Computes the `mr x nc` output stripe at (`ib`, `jb`) for one k-block,
-/// walking `NR`-wide register tiles across the packed panel.
-///
-/// Full tiles over all-finite panels take a branch-free kernel that
-/// drops the scalar reference's `av == 0.0` skip. That is bitwise safe
-/// because with finite `pv` the skipped term `av * pv` is `±0.0`, and:
-///
-/// * adding `-0.0` never changes any IEEE-754 value;
-/// * adding `+0.0` only changes `-0.0` (to `+0.0`), and an accumulator
-///   chain seeded from the `+0.0`-filled output can never hold `-0.0` —
-///   in round-to-nearest a sum is `-0.0` only when *both* operands are
-///   `-0.0`, so `-0.0` cannot enter a chain that starts at `+0.0`.
-///
-/// With a non-finite packed value the skip is observable
-/// (`0.0 * inf = NaN`), so those panels take the guarded tile, which
-/// replicates the skip exactly. Edge tiles always take the guarded path.
-#[allow(clippy::too_many_arguments)]
-fn micro_block(
-    a: &Matrix,
-    ib: usize,
-    mr: usize,
-    kb: usize,
-    kc: usize,
-    jb: usize,
-    nc: usize,
-    panel: &[f64],
-    panel_finite: bool,
-    wide: bool,
-    out: &mut Matrix,
-) {
-    // A rows restricted to this k-block, hoisted out of the tile loop.
-    let mut arows: [&[f64]; MR] = [&[]; MR];
-    for (ii, arow) in arows.iter_mut().enumerate().take(mr) {
-        *arow = &a.row(ib + ii)[kb..kb + kc];
-    }
-    let mut jj = 0;
-    while jj < nc {
-        let nr = NR.min(nc - jj);
-        // Resume from the output accumulated by earlier k-blocks: the
-        // per-element addition chain stays strictly k-sequential.
-        let mut acc = [[0.0f64; NR]; MR];
-        for ii in 0..mr {
-            let orow = &out.row(ib + ii)[jb + jj..jb + jj + nr];
-            acc[ii][..nr].copy_from_slice(orow);
-        }
-        if panel_finite && mr == MR && nr == NR {
-            #[cfg(target_arch = "x86_64")]
-            if wide {
-                // SAFETY: only reached when run-time AVX2 detection
-                // succeeded (`wide_tile_available`).
-                unsafe { tile_kernel_avx2(&arows, panel, nc, jj, &mut acc) };
-                store_tile(&acc, mr, nr, ib, jb + jj, out);
-                jj += nr;
-                continue;
-            }
-            let _ = wide;
-            tile_kernel(&arows, panel, nc, jj, &mut acc);
-        } else {
-            guarded_tile(&arows, mr, kc, panel, nc, jj, nr, &mut acc);
-        }
-        store_tile(&acc, mr, nr, ib, jb + jj, out);
-        jj += nr;
-    }
-}
-
-/// Writes the `mr x nr` accumulator tile back to `out` at (`ib`, `j0`).
-fn store_tile(acc: &[[f64; NR]; MR], mr: usize, nr: usize, ib: usize, j0: usize, out: &mut Matrix) {
-    for ii in 0..mr {
-        let orow = &mut out.row_mut(ib + ii)[j0..j0 + nr];
-        orow.copy_from_slice(&acc[ii][..nr]);
-    }
-}
-
-/// The branch-free full-tile kernel: `MR` broadcast A values against an
-/// `NR`-wide panel stripe per k step, all accumulators held in
-/// registers. Iterator zips keep the inner loop free of bounds checks.
-#[inline(always)]
-fn tile_kernel(
-    arows: &[&[f64]; MR],
-    panel: &[f64],
-    nc: usize,
-    jj: usize,
-    acc: &mut [[f64; NR]; MR],
-) {
-    let [a0, a1, a2, a3] = *arows;
-    let [mut c0, mut c1, mut c2, mut c3] = *acc;
-    for (((&av0, &av1), (&av2, &av3)), prow) in a0
-        .iter()
-        .zip(a1.iter())
-        .zip(a2.iter().zip(a3.iter()))
-        .zip(panel.chunks_exact(nc))
-    {
-        let p = &prow[jj..jj + NR];
-        for r in 0..NR {
-            c0[r] += av0 * p[r];
-            c1[r] += av1 * p[r];
-            c2[r] += av2 * p[r];
-            c3[r] += av3 * p[r];
-        }
-    }
-    *acc = [c0, c1, c2, c3];
-}
-
-/// [`tile_kernel`] compiled with AVX2 enabled (256-bit moves and
-/// arithmetic). No FMA: `target_feature` does not license contraction,
-/// every multiply and add stays a distinct IEEE operation, so the wider
-/// codegen cannot change a single output bit.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn tile_kernel_avx2(
-    arows: &[&[f64]; MR],
-    panel: &[f64],
-    nc: usize,
-    jj: usize,
-    acc: &mut [[f64; NR]; MR],
-) {
-    tile_kernel(arows, panel, nc, jj, acc);
-}
-
-/// The exact-semantics tile: replicates the scalar reference's
-/// `av == 0.0` skip. Used for edge tiles and for panels carrying
-/// non-finite values, where the skip is observable.
-#[allow(clippy::too_many_arguments)]
-fn guarded_tile(
-    arows: &[&[f64]; MR],
-    mr: usize,
-    kc: usize,
-    panel: &[f64],
-    nc: usize,
-    jj: usize,
-    nr: usize,
-    acc: &mut [[f64; NR]; MR],
-) {
-    for k in 0..kc {
-        let prow = &panel[k * nc + jj..k * nc + jj + nr];
-        for ii in 0..mr {
-            let av = arows[ii][k];
-            // oeb-lint: allow(float-eq) -- mirrors the scalar reference's exact-zero skip
-            if av == 0.0 {
-                continue;
-            }
-            for (r, &pv) in prow.iter().enumerate() {
-                acc[ii][r] += av * pv;
-            }
-        }
     }
 }
 
@@ -548,7 +317,9 @@ fn guarded_tile(
 // Multiplication operand order is also preserved (weights ×
 // activations, delta × weight, delta × input) so NaN-payload
 // propagation cannot differ either. The gradient kernel has a
-// squared-term twin for EWC's Fisher diagonal (`g = d * x; f += g * g`).
+// squared-term twin for EWC's Fisher diagonal (`g = d * x; f += g * g`),
+// and it also computes the Gram matrix `XᵀX` behind the covariance and
+// the ridge solve (`Matrix::gram`).
 //
 // Two tile bodies serve the three kernels: `panel_tile` (`out += A·P`
 // for a row-major panel P: the forward over a packed `Wᵀ`, the backward
@@ -808,7 +579,9 @@ fn assert_atb_shapes(a: &Matrix, b: &Matrix, out: &[f64]) {
 /// `a[r][o]·b[r][i]` for every row r **ascending**, resuming from the
 /// value already in `out` — bit-identical to the per-sample
 /// `for r { for o { axpy(a[r][o], b.row(r), out_row_o) } }` reference
-/// for all inputs (axpy adds every term, so no skip here either).
+/// for all inputs (axpy adds every term, so no skip here either). With
+/// `a = b = X` and a zeroed `out` it is the Gram matrix `XᵀX`
+/// ([`Matrix::gram`]).
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -881,7 +654,7 @@ fn atb_tiles<const SQUARE: bool>(a: &Matrix, b: &Matrix, out: &mut [f64]) {
 
 /// [`atb_tiles`] compiled with AVX2 enabled. No FMA — every multiply and
 /// add stays a distinct IEEE operation, so the wider codegen cannot
-/// change a single output bit (see [`tile_kernel_avx2`]).
+/// change a single output bit (see [`panel_tiles_avx2`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn atb_tiles_avx2<const SQUARE: bool>(a: &Matrix, b: &Matrix, out: &mut [f64]) {
@@ -969,17 +742,6 @@ pub fn accum_col_sq_sums(a: &Matrix, out: &mut [f64]) {
             *f += d * d;
         }
     }
-}
-
-/// Matrix-vector product into a reused output buffer.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn matvec_into(a: &Matrix, v: &[f64], out: &mut Vec<f64>) {
-    MATVEC_CALLS.incr();
-    assert_eq!(a.cols(), v.len(), "matvec dimension mismatch");
-    out.clear();
-    out.extend((0..a.rows()).map(|r| dot(a.row(r), v)));
 }
 
 #[cfg(test)]
@@ -1086,56 +848,16 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_scalar_on_awkward_shapes() {
-        let mut seed = 23;
-        for (m, k, n) in [
-            (0, 0, 0),
-            (0, 3, 4),
-            (3, 0, 4),
-            (1, 1, 1),
-            (5, 3, 2),
-            (64, 2, 3),
-            (3, 2, 70),
-            (17, 300, 5),
-            (33, 33, 33),
-        ] {
-            let a = Matrix::from_vec(m, k, lcg_vec(m * k, &mut seed));
-            let b = Matrix::from_vec(k, n, lcg_vec(k * n, &mut seed));
-            let mut blocked = Matrix::zeros(m, n);
-            let mut scalar = Matrix::zeros(m, n);
-            matmul_blocked_into(&a, &b, &mut blocked);
-            matmul_scalar_into(&a, &b, &mut scalar);
-            for (x, y) in blocked.as_slice().iter().zip(scalar.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "shape {m}x{k}x{n}");
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_replicates_the_zero_skip_nan_semantics() {
-        // A zero in A skips a non-finite B row in both paths; a nonzero
-        // must propagate the NaN. This is the observable part of the
-        // sparsity skip, so the two paths must agree exactly.
+    fn matmul_into_skips_exact_zeros_against_nonfinite() {
+        // A zero in A skips a non-finite B row; a nonzero must propagate
+        // the NaN. This is the observable part of the sparsity skip.
         let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
         let b = Matrix::from_rows(&[vec![f64::INFINITY, 2.0], vec![3.0, f64::NAN]]);
-        let mut blocked = Matrix::zeros(2, 2);
-        let mut scalar = Matrix::zeros(2, 2);
-        matmul_blocked_into(&a, &b, &mut blocked);
-        matmul_scalar_into(&a, &b, &mut scalar);
-        for (x, y) in blocked.as_slice().iter().zip(scalar.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(blocked[(0, 0)], 3.0); // the inf row was skipped
-        assert!(blocked[(0, 1)].is_nan()); // the NaN column was not
-        assert_eq!(blocked[(1, 1)], 2.0); // zero in A skipped the NaN
-    }
-
-    #[test]
-    fn matvec_into_reuses_the_buffer() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let mut out = vec![99.0; 7];
-        matvec_into(&a, &[1.0, 1.0], &mut out);
-        assert_eq!(out, vec![3.0, 7.0]);
+        let mut out = Matrix::zeros(2, 2);
+        matmul_into(&a, &b, &mut out);
+        assert_eq!(out[(0, 0)], 3.0); // the inf row was skipped
+        assert!(out[(0, 1)].is_nan()); // the NaN column was not
+        assert_eq!(out[(1, 1)], 2.0); // zero in A skipped the NaN
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod stats;
 pub mod tsne;
 
 pub use eigen::{symmetric_eigen, Eigen};
-pub use kernels::{axpy, dot_from, dot_sub_from, matmul_into, matvec_into, scale_add};
+pub use kernels::{axpy, dot_from, dot_sub_from, scale_add};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use matrix::{dot, euclidean, norm, sq_dist, Matrix};
 pub use pca::Pca;

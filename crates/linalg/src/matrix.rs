@@ -4,7 +4,7 @@
 //! The benchmark operates on datasets with at most a few thousand columns,
 //! so a simple contiguous `Vec<f64>` layout is the right representation.
 //! Hot arithmetic (products, dot products, distances) is delegated to the
-//! [`crate::kernels`] module, whose blocked/unrolled loops are bit-identical
+//! [`crate::kernels`] module, whose tiled/unrolled loops are bit-identical
 //! to the naive reference loops they replaced.
 
 use std::fmt;
@@ -176,24 +176,37 @@ impl Matrix {
         out
     }
 
-    /// Matrix product into a preallocated output (see
-    /// [`crate::kernels::matmul_into`]).
-    ///
-    /// # Panics
-    /// Panics on inner-dimension or output-shape mismatch.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        crate::kernels::matmul_into(self, other, out);
-    }
-
     /// Matrix–vector product `self * v`.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec dimension mismatch");
         (0..self.rows).map(|r| dot(self.row(r), v)).collect()
     }
 
-    /// Matrix–vector product into a reused output buffer.
-    pub fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
-        crate::kernels::matvec_into(self, v, out);
+    /// The Gram matrix `XᵀX` (`cols x cols`): element `(i, j)` is the
+    /// chain `Σ_r x[r][i]·x[r][j]`, rows ascending from `+0.0`, run by the
+    /// gradient tile [`crate::kernels::matmul_at_b_accum_into`].
+    ///
+    /// For finite entries it has the bits of `self.transpose().matmul(self)`:
+    /// the only terms that product skips are those of an exact-zero
+    /// `x[r][i]`, which are `±0.0` here. Adding `-0.0` never changes a
+    /// value, and adding `+0.0` changes only `-0.0`, which a chain seeded
+    /// at `+0.0` never holds (a round-to-nearest sum is `-0.0` only when
+    /// both operands are). A non-finite entry makes the skip observable
+    /// (`0.0 * inf` is NaN here, skipped there), so callers pass finite
+    /// data.
+    pub fn gram(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, self.cols);
+        crate::kernels::matmul_at_b_accum_into(self, self, out.as_mut_slice());
+        out
+    }
+
+    /// The listed rows, in order, as one `rows.len() x cols` matrix.
+    pub fn gather_rows(&self, rows: &[usize]) -> Matrix {
+        let mut data = Vec::with_capacity(rows.len() * self.cols);
+        for &r in rows {
+            data.extend_from_slice(self.row(r));
+        }
+        Matrix::from_vec(rows.len(), self.cols, data)
     }
 
     /// Element-wise in-place scaling.
@@ -243,11 +256,13 @@ impl Matrix {
         means
     }
 
-    /// Sample covariance matrix (`(X - mean)^T (X - mean) / (n - 1)`).
+    /// Sample covariance matrix (`(X - mean)^T (X - mean) / (n - 1)`),
+    /// the [`Matrix::gram`] of the centred data: the entries must be
+    /// finite.
     pub fn covariance(&self) -> Matrix {
         let mut centered = self.clone();
         centered.center_columns();
-        let mut cov = centered.transpose().matmul(&centered);
+        let mut cov = centered.gram();
         let denom = if self.rows > 1 { self.rows - 1 } else { 1 } as f64;
         cov.scale(1.0 / denom);
         cov
@@ -443,11 +458,78 @@ mod tests {
 
     #[test]
     fn matmul_into_matches_matmul() {
+        // The preallocated output is overwritten, whatever it held.
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let mut out = Matrix::zeros(2, 2);
-        a.matmul_into(&b, &mut out);
+        let mut out = Matrix::from_vec(2, 2, vec![f64::NAN; 4]);
+        crate::kernels::matmul_into(&a, &b, &mut out);
         assert_eq!(out, a.matmul(&b));
+    }
+
+    /// Finite pseudo-random values with exact `0.0` and `-0.0` among them:
+    /// the terms the scalar product skips, and the sign a chain seeded at
+    /// `+0.0` must not pick up.
+    fn finite_with_zeros(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|i| {
+                *seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match i % 7 {
+                    2 => 0.0,
+                    5 => -0.0,
+                    _ => ((*seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5,
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    #[test]
+    fn gram_matches_transpose_matmul_bitwise() {
+        // Both operand shapes of awkward (m, k, n) products, a 0-row and a
+        // 512 x 100 matrix, and widths 1-9 below and above the tile
+        // dispatch floor, so every tile edge runs.
+        let awkward = [
+            (0, 0, 0),
+            (0, 3, 4),
+            (3, 0, 4),
+            (1, 1, 1),
+            (5, 3, 2),
+            (64, 2, 3),
+            (3, 2, 70),
+            (17, 300, 5),
+            (33, 33, 33),
+        ];
+        let mut shapes: Vec<(usize, usize)> = awkward
+            .iter()
+            .flat_map(|&(m, k, n)| [(m, k), (k, n)])
+            .collect();
+        shapes.extend([(0, 6), (512, 100)]);
+        for w in 1..=9 {
+            shapes.extend([(5, w), (512, w)]);
+        }
+        let mut seed = 25;
+        for (rows, cols) in shapes {
+            let x = finite_with_zeros(rows, cols, &mut seed);
+            let want = x.transpose().matmul(&x);
+            let got = x.gram();
+            assert_eq!(got.shape(), (cols, cols));
+            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(g.to_bits(), w.to_bits(), "{rows}x{cols}");
+            }
+        }
+    }
+
+    #[test]
+    fn gather_rows_keeps_order_and_width() {
+        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        let g = a.gather_rows(&[2, 0, 2]);
+        assert_eq!(
+            g,
+            Matrix::from_rows(&[vec![5.0, 6.0], vec![1.0, 2.0], vec![5.0, 6.0]])
+        );
+        assert_eq!(a.gather_rows(&[]).shape(), (0, 2));
     }
 
     #[test]

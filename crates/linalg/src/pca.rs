@@ -23,7 +23,7 @@ pub struct Pca {
 
 impl Pca {
     /// Fits a PCA retaining `k` components on a data matrix with one sample
-    /// per row.
+    /// per row and finite entries (see [`Matrix::covariance`]).
     ///
     /// `k` is clamped to the number of input columns. A degenerate input
     /// (zero variance) yields zero components and zero projections rather

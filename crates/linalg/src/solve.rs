@@ -59,19 +59,19 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
 }
 
 /// Ridge least squares: finds `w` minimising `||X w - y||^2 + lambda ||w||^2`
-/// via the normal equations. `X` has one sample per row; an intercept column
-/// is *not* added automatically.
+/// via the normal equations. `X` has one sample per row and finite entries
+/// (its `XᵀX` is [`Matrix::gram`]); an intercept column is *not* added
+/// automatically.
 ///
 /// Returns `None` only if the regularised system is singular, which cannot
 /// happen for `lambda > 0`.
 pub fn ridge_regression(x: &Matrix, y: &[f64], lambda: f64) -> Option<Vec<f64>> {
     assert_eq!(x.rows(), y.len(), "sample count mismatch");
-    let xt = x.transpose();
-    let mut gram = xt.matmul(x);
+    let mut gram = x.gram();
     for i in 0..gram.rows() {
         gram[(i, i)] += lambda;
     }
-    let xty = xt.matvec(y);
+    let xty = x.transpose().matvec(y);
     solve(&gram, &xty)
 }
 

@@ -74,9 +74,8 @@ impl Layer {
 /// Reusable batch buffers for [`Mlp::train_batch`]: gathered inputs,
 /// per-layer activation matrices, delta ping-pong matrices, and the
 /// softmax scratch that replaces the LwF branch's per-sample `collect()`
-/// allocations. Contents are transient; cloning a model resets nothing
-/// observable.
-#[derive(Debug, Clone, Default)]
+/// allocations. Contents are transient: every buffer is reset before use.
+#[derive(Debug, Default)]
 struct TrainScratch {
     /// Post-activation matrices, one per layer boundary (`acts[0]` is the
     /// gathered input batch).
@@ -97,6 +96,16 @@ struct TrainScratch {
     soft_prev: Vec<f64>,
     /// Flat per-layer gradient accumulators `(gw, gb)`.
     grads: Vec<(Vec<f64>, Vec<f64>)>,
+}
+
+/// A clone starts empty: no buffer carries state from one batch to the
+/// next, so copying the last batch's buffers into LwF's per-window
+/// teacher snapshot, several times the size of the parameters, would buy
+/// nothing.
+impl Clone for TrainScratch {
+    fn clone(&self) -> Self {
+        TrainScratch::default()
+    }
 }
 
 /// Extra terms mixed into a training step.
@@ -971,6 +980,32 @@ mod tests {
         let dist =
             |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum() };
         assert!(dist(&t, &d) < dist(&t, &p) + 1e-9);
+    }
+
+    #[test]
+    fn clone_trains_the_next_batch_to_the_same_bits() {
+        // The clone starts from an empty scratch while the original's
+        // holds the last (distilled) batch's buffers.
+        let (xs, ys) = xor_data();
+        let teacher = Mlp::new(2, &[32, 16, 8], 2, Objective::CrossEntropy, 11);
+        let distill = TrainOpts {
+            distill: Some((&teacher, 1.0)),
+            ..Default::default()
+        };
+        let mut original = Mlp::new(2, &[32, 16, 8], 2, Objective::CrossEntropy, 10);
+        let first: Vec<usize> = (0..64).collect();
+        original.train_batch(&xs, &ys, &first, 0.1, &distill);
+        let mut copy = original.clone();
+        assert!(copy.scratch.acts.is_empty() && copy.scratch.grads.is_empty());
+        for (rows, opts) in [(64..128, &distill), (128..192, &TrainOpts::default())] {
+            let rows: Vec<usize> = rows.collect();
+            let a = original.train_batch(&xs, &ys, &rows, 0.1, opts);
+            let b = copy.train_batch(&xs, &ys, &rows, 0.1, opts);
+            assert_eq!(a.to_bits(), b.to_bits());
+            let bits =
+                |m: &Mlp| -> Vec<u64> { m.get_params().iter().map(|p| p.to_bits()).collect() };
+            assert_eq!(bits(&original), bits(&copy));
+        }
     }
 
     #[test]

@@ -4,14 +4,17 @@
 //! (Figure 7), and anomaly-event detection (Figure 8).
 
 use super::{json_f64, json_series, ExpContext, ExperimentOutput};
-use crate::harness::{try_run_stream, HarnessConfig};
+use crate::executor::resolve_threads;
+use crate::harness::{HarnessConfig, RunResult};
 use crate::learners::Algorithm;
 use crate::report::TextTable;
+use crate::sweep::{run_grid, RunOutcome};
 use oeb_drift::{BatchDriftDetector, Hdddm};
 use oeb_linalg::{tsne, Matrix, TsneConfig};
 use oeb_outlier::{anomaly_ratio, Ecod, IForestConfig, IsolationForest};
 use oeb_preprocess::OneHotEncoder;
 use oeb_synth::DatasetEntry;
+use oeb_tabular::StreamDataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::json;
@@ -21,6 +24,49 @@ fn case_entry(ctx: &ExpContext, name: &str) -> DatasetEntry {
         .into_iter()
         .find(|e| e.spec.name == name)
         .expect("case-study dataset present")
+}
+
+/// Runs each `(learner, config)` over `dataset` through the grid runner
+/// (panic isolation, `config.supervise`); a run that does not complete
+/// is `None`, printed `N/A`.
+fn run_cases(
+    dataset: &StreamDataset,
+    runs: &[(Algorithm, HarnessConfig)],
+) -> Vec<Option<RunResult>> {
+    let outcomes = run_grid(
+        runs.len(),
+        resolve_threads(None),
+        |i| (dataset, runs[i].0, &runs[i].1),
+        |_, _| {},
+    );
+    outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            RunOutcome::Completed(run) => Some(run),
+            _ => None,
+        })
+        .collect()
+}
+
+/// `show` of a completed run, `N/A` for one that did not complete.
+fn or_na(run: &Option<RunResult>, show: impl Fn(&RunResult) -> String) -> String {
+    run.as_ref().map_or_else(|| "N/A".into(), show)
+}
+
+/// The loss curve of a completed run, `null` for one that did not
+/// complete.
+fn curve_json(run: &Option<RunResult>) -> serde_json::Value {
+    run.as_ref()
+        .map_or(serde_json::Value::Null, |r| json_series(&r.per_window_loss))
+}
+
+/// Windows shown for a set of curves: the shortest completed one.
+fn shown_windows(runs: &[Option<RunResult>]) -> usize {
+    runs.iter()
+        .flatten()
+        .map(|r| r.per_window_loss.len())
+        .min()
+        .unwrap_or(0)
 }
 
 /// Figure 4: per-window valid-value ratio of two evolving sensors in the
@@ -71,25 +117,26 @@ pub fn fig5(ctx: &ExpContext) -> ExperimentOutput {
     let mut base = HarnessConfig::default();
     base.learner.epochs = 5;
 
-    let oracle = try_run_stream(
+    let runs = run_cases(
         &d,
-        Algorithm::NaiveNn,
-        &HarnessConfig {
-            oracle_imputation: true,
-            ..base.clone()
-        },
-    )
-    .expect("NN applies");
-    let normal = try_run_stream(&d, Algorithm::NaiveNn, &base).expect("NN applies");
-    let discard = try_run_stream(
-        &d,
-        Algorithm::NaiveNn,
-        &HarnessConfig {
-            discard_most_missing: 3,
-            ..base.clone()
-        },
-    )
-    .expect("NN applies");
+        &[
+            (
+                Algorithm::NaiveNn,
+                HarnessConfig {
+                    oracle_imputation: true,
+                    ..base.clone()
+                },
+            ),
+            (Algorithm::NaiveNn, base.clone()),
+            (
+                Algorithm::NaiveNn,
+                HarnessConfig {
+                    discard_most_missing: 3,
+                    ..base
+                },
+            ),
+        ],
+    );
 
     let mut t = TextTable::new(vec![
         "Window",
@@ -97,11 +144,6 @@ pub fn fig5(ctx: &ExpContext) -> ExperimentOutput {
         "Filling (normal)",
         "Discard",
     ]);
-    let n = oracle
-        .per_window_loss
-        .len()
-        .min(normal.per_window_loss.len())
-        .min(discard.per_window_loss.len());
     let fmt = |x: f64| {
         if x.is_finite() {
             format!("{x:.3}")
@@ -109,32 +151,38 @@ pub fn fig5(ctx: &ExpContext) -> ExperimentOutput {
             "inf".into()
         }
     };
-    for w in 0..n {
-        t.row(vec![
-            w.to_string(),
-            fmt(oracle.per_window_loss[w]),
-            fmt(normal.per_window_loss[w]),
-            fmt(discard.per_window_loss[w]),
-        ]);
+    for w in 0..shown_windows(&runs) {
+        let mut row = vec![w.to_string()];
+        row.extend(
+            runs.iter()
+                .map(|run| or_na(run, |r| fmt(r.per_window_loss[w]))),
+        );
+        t.row(row);
     }
+    let mean = |i: usize| or_na(&runs[i], |r| fmt(r.mean_loss));
     let summary = format!(
         "mean loss: oracle {} | normal {} | discard {}\n",
-        fmt(oracle.mean_loss),
-        fmt(normal.mean_loss),
-        fmt(discard.mean_loss)
+        mean(0),
+        mean(1),
+        mean(2)
     );
+    let mean_json = |i: usize| {
+        runs[i]
+            .as_ref()
+            .map_or(serde_json::Value::Null, |r| json_f64(r.mean_loss))
+    };
     ExperimentOutput {
         id: "fig5",
         title: "Test loss under oracle/normal filling vs discarding evolving features",
         text: format!("{}{}", t.render(), summary),
         json: json!({
-            "oracle": json_series(&oracle.per_window_loss),
-            "normal": json_series(&normal.per_window_loss),
-            "discard": json_series(&discard.per_window_loss),
+            "oracle": curve_json(&runs[0]),
+            "normal": curve_json(&runs[1]),
+            "discard": curve_json(&runs[2]),
             "mean": {
-                "oracle": json_f64(oracle.mean_loss),
-                "normal": json_f64(normal.mean_loss),
-                "discard": json_f64(discard.mean_loss),
+                "oracle": mean_json(0),
+                "normal": mean_json(1),
+                "discard": mean_json(2),
             },
         }),
     }
@@ -230,8 +278,10 @@ pub fn fig7(ctx: &ExpContext) -> ExperimentOutput {
     let d = ctx.dataset(&entry, 0);
     let mut cfg = HarnessConfig::default();
     cfg.learner.epochs = 5;
-    let dt = try_run_stream(&d, Algorithm::NaiveDt, &cfg).expect("DT applies");
-    let nn = try_run_stream(&d, Algorithm::NaiveNn, &cfg).expect("NN applies");
+    let runs = run_cases(
+        &d,
+        &[(Algorithm::NaiveDt, cfg.clone()), (Algorithm::NaiveNn, cfg)],
+    );
 
     // Mark drift windows with HDDDM over the encoded windows.
     let encoder = OneHotEncoder::fit(&d.table, &d.feature_cols());
@@ -250,25 +300,26 @@ pub fn fig7(ctx: &ExpContext) -> ExperimentOutput {
     }
 
     let mut t = TextTable::new(vec!["Window", "DT loss", "NN loss", "drift?"]);
-    for w in 0..dt.per_window_loss.len().min(nn.per_window_loss.len()) {
-        t.row(vec![
-            (w + 1).to_string(),
-            format!("{:.3}", dt.per_window_loss[w]),
-            format!("{:.3}", nn.per_window_loss[w]),
-            if drift_windows.contains(&(w + 1)) {
-                "*".into()
-            } else {
-                String::new()
-            },
-        ]);
+    for w in 0..shown_windows(&runs) {
+        let mut row = vec![(w + 1).to_string()];
+        row.extend(
+            runs.iter()
+                .map(|run| or_na(run, |r| format!("{:.3}", r.per_window_loss[w]))),
+        );
+        row.push(if drift_windows.contains(&(w + 1)) {
+            "*".into()
+        } else {
+            String::new()
+        });
+        t.row(row);
     }
     ExperimentOutput {
         id: "fig7",
         title: "Test loss around drift occurrences (DT vs NN)",
         text: t.render(),
         json: json!({
-            "dt": json_series(&dt.per_window_loss),
-            "nn": json_series(&nn.per_window_loss),
+            "dt": curve_json(&runs[0]),
+            "nn": curve_json(&runs[1]),
             "drift_windows": drift_windows,
         }),
     }
@@ -375,6 +426,29 @@ mod tests {
         let nn = out.json["nn"].as_array().unwrap();
         assert_eq!(dt.len(), nn.len());
         assert!(!dt.is_empty());
+    }
+
+    #[test]
+    fn a_run_that_does_not_complete_shows_na() {
+        let ctx = tiny_ctx();
+        let d = ctx.dataset(
+            &case_entry(&ctx, "Beijing Multi-Site Air-Quality Tiantan"),
+            0,
+        );
+        let mut cut = HarnessConfig::default();
+        cut.supervise.max_windows = Some(1);
+        let runs = run_cases(
+            &d,
+            &[
+                (Algorithm::NaiveDt, HarnessConfig::default()),
+                (Algorithm::NaiveDt, cut),
+            ],
+        );
+        let done = runs[0].as_ref().expect("the unbudgeted run completes");
+        assert!(runs[1].is_none(), "the one-window budget times the run out");
+        assert_eq!(shown_windows(&runs), done.per_window_loss.len());
+        assert_eq!(or_na(&runs[1], |r| r.mean_loss.to_string()), "N/A");
+        assert!(curve_json(&runs[1]).is_null());
     }
 
     #[test]

@@ -647,9 +647,8 @@ fn retain_unflagged(feats: Matrix, targets: Vec<f64>, scores: &[f64]) -> (Matrix
     if keep.len() == feats.rows() {
         return (feats, targets);
     }
-    let rows: Vec<Vec<f64>> = keep.iter().map(|&r| feats.row(r).to_vec()).collect();
     let ys: Vec<f64> = keep.iter().map(|&r| targets[r]).collect();
-    (Matrix::from_rows(&rows), ys)
+    (feats.gather_rows(&keep), ys)
 }
 
 /// Seed salt for the Figure 15 shuffled baseline (ASCII "shuf").

@@ -565,7 +565,7 @@ fn concept_drift_fracs(
 fn perm_flags(dataset: &StreamDataset, range: &Range<usize>, w: &Matrix, cfg: &PermConfig) -> bool {
     let ys = sample_targets(dataset, range, w.rows());
     let outcome = perm_test(w.rows(), cfg, |train, test| {
-        let tm = gather_rows(w, train);
+        let tm = w.gather_rows(train);
         let train_ys: Vec<f64> = train.iter().map(|&i| ys[i]).collect();
         match dataset.task {
             Task::Classification { n_classes } => {
@@ -607,16 +607,7 @@ fn subsample(m: Matrix, max_rows: usize) -> Matrix {
         return m;
     }
     let rows: Vec<usize> = (0..max_rows).map(|i| i * m.rows() / max_rows).collect();
-    gather_rows(&m, &rows)
-}
-
-/// The listed rows of `m`, in order, as one matrix.
-fn gather_rows(m: &Matrix, rows: &[usize]) -> Matrix {
-    let mut data = Vec::with_capacity(rows.len() * m.cols());
-    for &r in rows {
-        data.extend_from_slice(m.row(r));
-    }
-    Matrix::from_vec(rows.len(), m.cols(), data)
+    m.gather_rows(&rows)
 }
 
 #[cfg(test)]

@@ -867,89 +867,6 @@ pub fn render_metrics_table(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// Serialise the snapshot as a single JSON object (hand-rolled: this crate
-/// stays dependency-free). Key order is the `BTreeMap` order, so the bytes
-/// are stable for identical snapshots.
-pub fn metrics_to_json(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("{");
-    out.push_str("\"counters\":{");
-    push_entries(
-        &mut out,
-        snap.counters.iter().map(|(k, v)| (k, v.to_string())),
-    );
-    out.push_str("},\"gauges\":{");
-    push_entries(
-        &mut out,
-        snap.gauges
-            .iter()
-            .map(|(k, g)| (k, format!("{{\"last\":{},\"max\":{}}}", g.last, g.max))),
-    );
-    out.push_str("},\"spans\":{");
-    push_entries(
-        &mut out,
-        snap.spans.iter().map(|(k, s)| {
-            (
-                k,
-                format!(
-                    "{{\"count\":{},\"total_us\":{},\"total_ns\":{}}}",
-                    s.count,
-                    s.total_us(),
-                    s.total_ns
-                ),
-            )
-        }),
-    );
-    out.push_str("},\"histograms\":{");
-    push_entries(
-        &mut out,
-        snap.histograms.iter().map(|(k, h)| {
-            let bound = |b: u64| {
-                if b == u64::MAX {
-                    "null".to_string()
-                } else {
-                    b.to_string()
-                }
-            };
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .map(|(b, c)| format!("[{},{c}]", bound(*b)))
-                .collect();
-            (
-                k,
-                format!(
-                    "{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[{}]}}",
-                    h.count,
-                    h.sum,
-                    bound(h.p50()),
-                    bound(h.p95()),
-                    bound(h.p99()),
-                    buckets.join(",")
-                ),
-            )
-        }),
-    );
-    out.push_str("}}");
-    out
-}
-
-fn push_entries<'a, I>(out: &mut String, entries: I)
-where
-    I: Iterator<Item = (&'a String, String)>,
-{
-    let mut first = true;
-    for (k, v) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('"');
-        out.push_str(&json_escape(k));
-        out.push_str("\":");
-        out.push_str(&v);
-    }
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
