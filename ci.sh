@@ -9,6 +9,10 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc builds without a warning: an unresolved or redundant link, or a
+# public doc that links to a private item, fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # Optional: Miri over the concurrency-sensitive tests — the oeb-trace
 # event-buffer suite (thread-local buffers flushed into a global
 # registry) and the executor's slot-collection tests (per-worker Mutex

@@ -670,7 +670,7 @@ impl Mlp {
     /// mean over the first `min(rows, max_samples)` rows of each
     /// parameter's squared gradient.
     ///
-    /// The rows run in chunks of [`FISHER_CHUNK`] through the training
+    /// The rows run in chunks of `FISHER_CHUNK` rows through the training
     /// step's batched forward and backward kernels. Each parameter's sum
     /// is the chain `f += g * g` over rows ascending, continued from chunk
     /// to chunk, with `g = delta * input` (or `delta` for a bias) — the

@@ -11,11 +11,10 @@
 //!
 //! Since the staged-pipeline refactor this module holds the public run
 //! API and its configuration types; the actual work happens in two
-//! stages in [`crate::prepare`]: [`prepare_cached`](crate::prepare::prepare_cached)
-//! materializes a shared, immutable [`PreparedStream`](crate::prepare::PreparedStream)
-//! per (dataset, seed, preprocessing config), and
-//! [`evaluate_prepared`](crate::prepare::evaluate_prepared) runs one
-//! learner over it. [`try_run_stream`] is the composition of the two and
+//! stages in [`crate::prepare`]: [`prepare_cached`] materializes a
+//! shared, immutable [`PreparedStream`](crate::prepare::PreparedStream)
+//! per (dataset, seed, preprocessing config), and [`evaluate_prepared`]
+//! runs one learner over it. [`try_run_stream`] is the composition of the two and
 //! the one per-run entry point: every grid — the checkpointed
 //! [`run_sweep`](crate::sweep::run_sweep), the experiment grid
 //! ([`run_matrix`](crate::experiments::main_results::run_matrix)), the
@@ -183,7 +182,7 @@ pub struct HarnessConfig {
     /// Degradation behaviour on malformed windows / diverging learners.
     pub degrade: DegradePolicy,
     /// Optional fault plan: when set, the window stream is routed through
-    /// a [`FaultInjector`] before evaluation.
+    /// a [`FaultInjector`](oeb_faults::FaultInjector) before evaluation.
     pub fault_plan: Option<FaultPlan>,
     /// Deadlines and retry budget for each run; the default supervises
     /// nothing. The prepare stage ignores it.

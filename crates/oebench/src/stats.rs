@@ -257,7 +257,7 @@ const MIN_PERM_ROWS: usize = 16;
 /// Extracts the full statistics vector for one stream, recomputing every
 /// detector on each window of the stream's non-overlapping partition.
 ///
-/// The detectors run as one list of [`StatsTask`]s through
+/// The detectors run as one list of `StatsTask`s through
 /// [`parallel_map`] at [`resolve_threads`]`(None)` workers. Each task is
 /// pure in its window or column and the results are folded in task
 /// order, so the output is bit-identical at any thread count. Calling

@@ -194,9 +194,10 @@ pub struct Supervised<T> {
 }
 
 impl<T> Supervised<T> {
-    /// One deterministic line for [`RunResult::degradations`]
-    /// (`crate::harness::RunResult`) when the cell needed retries to
-    /// succeed, so supervision history survives checkpoint round-trips.
+    /// One deterministic line for
+    /// [`RunResult::degradations`](crate::harness::RunResult::degradations)
+    /// when the cell needed retries to succeed, so supervision history
+    /// survives checkpoint round-trips.
     pub fn recovery_note(&self) -> Option<String> {
         if self.attempts <= 1 || self.result.is_err() {
             return None;

@@ -9,9 +9,12 @@ use oeb_linalg::{ridge_regression, Matrix};
 use oeb_tabular::FiniteMask;
 use oeb_trace::Counter;
 
-// Candidate-abandonment accounting for the pruned KNN path: how many
-// donor candidates were cut short by the partial-distance bound vs
-// scanned to completion. Data-dependent only, so schedule-invariant.
+// Donor candidates of the pruned KNN kernel: reference rows that share
+// an observed column with the data row and observe one of its missing
+// columns. A candidate is pruned when its distance reaches a finite
+// `tau`, the loosest admission bound among the donor lists it could
+// join, and scanned otherwise; a pruned candidate enters no list.
+// Data-dependent only, so schedule-invariant.
 static KNN_CANDIDATES_PRUNED: Counter = Counter::new("knn.candidates.pruned");
 static KNN_CANDIDATES_SCANNED: Counter = Counter::new("knn.candidates.scanned");
 
@@ -105,9 +108,11 @@ impl Default for KnnImputer {
     }
 }
 
-/// NaN-aware squared distance: mean squared difference over co-observed
-/// dimensions, scaled by the total dimension count. `None` when the rows
-/// share no observed dimension.
+/// NaN-aware squared distance: the squared differences over co-observed
+/// dimensions, summed in ascending order and scaled by `d / seen`, one
+/// factor, as the pruned kernel scales (`(sum * d) / seen` rounds
+/// differently and can reorder tied donors). `None` when the rows share no
+/// observed dimension.
 fn nan_sq_dist(a: &[f64], b: &[f64]) -> Option<f64> {
     let mut sum = 0.0;
     let mut seen = 0usize;
@@ -121,7 +126,7 @@ fn nan_sq_dist(a: &[f64], b: &[f64]) -> Option<f64> {
     if seen == 0 {
         None
     } else {
-        Some(sum * a.len() as f64 / seen as f64)
+        Some(sum * (a.len() as f64 / seen as f64))
     }
 }
 
@@ -132,7 +137,11 @@ impl Imputer for KnnImputer {
         // rejects k = 0 at configuration time).
         let k = self.k.max(1);
         if data.cols() == reference.cols() {
-            knn_impute_pruned(k, data, reference);
+            // Published once per call: a shared atomic per candidate is
+            // contended when several workers impute at once.
+            let (pruned, scanned) = knn_impute_pruned(k, data, reference);
+            KNN_CANDIDATES_PRUNED.add(pruned);
+            KNN_CANDIDATES_SCANNED.add(scanned);
         } else {
             // Mismatched widths only arise in adversarial tests; the
             // reference path reproduces the historical truncating-zip
@@ -146,11 +155,11 @@ impl Imputer for KnnImputer {
     }
 }
 
-/// The pre-kernel brute-force KNN imputation: rank *every* reference row by
-/// NaN-aware distance, then per missing column take the first `k` ranked
-/// rows observing it. Retained verbatim as the semantic reference — the
-/// pruned path must match it bit for bit (asserted by
-/// `pruned_knn_is_bit_identical_to_reference`) — and run by
+/// The brute-force KNN imputation: rank *every* reference row by NaN-aware
+/// distance, then per missing column take the first `k` ranked rows
+/// observing it. Kept as the semantic reference — the pruned path must
+/// match it bit for bit (asserted by
+/// `pruned_knn_matches_value_and_counter_oracles`) — and run by
 /// [`KnnImputer`] when the data and reference widths differ.
 fn knn_impute_reference(k: usize, data: &mut Matrix, reference: &Matrix) {
     let k = k.max(1);
@@ -199,15 +208,29 @@ fn knn_impute_reference(k: usize, data: &mut Matrix, reference: &Matrix) {
 }
 
 /// Pruned KNN imputation, bit-identical to [`knn_impute_reference`].
+/// Returns the `(pruned, scanned)` donor-candidate counts (see
+/// `knn.candidates.pruned`).
 ///
-/// Instead of ranking every reference row, each missing column keeps a
-/// bounded list of its `k` best donors ordered by `(distance, row)`. A
-/// candidate row is abandoned mid-distance once its running lower bound
-/// `partial_sum * d / co_observed` meets the *loosest* donor-list bound it
-/// could still improve — valid because the partial sum is nondecreasing
-/// and the exact co-observed count is known up front from the finiteness
-/// bitmasks, so the running value only ever grows toward the final
-/// distance.
+/// Each missing row's distances to every reference row come from one
+/// pass over a column-major copy of the reference, made once per call:
+/// for each column the row observes, in ascending order, every reference
+/// row's sum takes that column's squared difference. A missing reference
+/// cell is NaN in the copy and adds `+0.0`, which leaves a sum of
+/// nonnegative terms bit for bit unchanged, so each sum is the
+/// reference's ascending chain over the co-observed columns. A `d /
+/// seen` table scales it to the distance.
+///
+/// Donors are then picked in ascending row order. Each missing column
+/// keeps a bounded list of its `k` best donors ordered by `(distance,
+/// row)`, whose admission bound is `∞` until it holds `k` and then its
+/// `k`-th distance. A candidate is pruned when its distance reaches a
+/// finite `tau`, the loosest bound among the lists it could join; one
+/// comparison with the loosest bound of all lists settles most
+/// candidates. Every other candidate is scanned and enters each list it
+/// beats. When the reference is fully observed (checked once per call),
+/// every candidate observes every column: `seen` is the row's observed
+/// count, the lists would all be equal so one list serves every missing
+/// column, and no reference mask is built.
 ///
 /// Equivalence with the reference path rests on two invariants:
 /// * the reference's stable sort orders ties by ascending row index, and
@@ -216,99 +239,115 @@ fn knn_impute_reference(k: usize, data: &mut Matrix, reference: &Matrix) {
 ///   inserts after all equal distances);
 /// * rows observing no missing column are skipped outright — the
 ///   reference ranks them but never consumes them.
-fn knn_impute_pruned(k: usize, data: &mut Matrix, reference: &Matrix) {
-    let fallback = nan_col_means(reference);
+fn knn_impute_pruned(k: usize, data: &mut Matrix, reference: &Matrix) -> (u64, u64) {
     let n_ref = reference.rows();
     let d = data.cols();
+    let cells = reference.as_slice();
+    let fully_observed = cells.iter().all(|v| v.is_finite());
+    let mut by_col: Vec<f64> = Vec::with_capacity(n_ref * d);
+    for c in 0..d {
+        by_col.extend(cells.chunks_exact(d).map(|row| {
+            let v = row[c];
+            if v.is_finite() {
+                v
+            } else {
+                f64::NAN
+            }
+        }));
+    }
+    let rmask = (!fully_observed).then(|| FiniteMask::from_row_major(cells, n_ref, d));
     let dmask = FiniteMask::from_row_major(data.as_slice(), data.rows(), d);
-    let rmask = FiniteMask::from_row_major(reference.as_slice(), n_ref, d);
+    // scale[seen] = d / seen, the factor the distance takes.
+    let scale: Vec<f64> = (0..=d).map(|seen| d as f64 / seen as f64).collect();
+    let mut fallback: Option<Vec<f64>> = None;
 
     let mut missing: Vec<usize> = Vec::new();
-    // One bounded donor list per missing column, pooled across rows.
+    // One bounded donor list per missing column, pooled across rows. With
+    // a fully observed reference every candidate observes every missing
+    // column, so those lists would all be equal: one serves them all.
     let mut lists: Vec<Vec<(f64, usize)>> = Vec::new();
-    // Counted locally and published once: a shared atomic per candidate
-    // is contended when several workers impute at once.
+    // A list's admission bound: `∞` until it holds k, then its k-th
+    // distance. The maximum is never NaN: no distance is.
+    let bound = |list: &Vec<(f64, usize)>| list.get(k - 1).map_or(f64::INFINITY, |e| e.0);
+    let loosest = |acc: f64, b: f64| if b > acc { b } else { acc };
+    let mut sums = vec![0.0; n_ref];
     let (mut pruned, mut scanned) = (0u64, 0u64);
     for r in 0..data.rows() {
         dmask.missing_in_row(r, &mut missing);
         if missing.is_empty() {
             continue;
         }
-        while lists.len() < missing.len() {
+        let n_lists = if rmask.is_some() { missing.len() } else { 1 };
+        while lists.len() < n_lists {
             lists.push(Vec::with_capacity(k + 1));
         }
-        for list in lists[..missing.len()].iter_mut() {
+        let lists = &mut lists[..n_lists];
+        for list in lists.iter_mut() {
             list.clear();
         }
         let rw = dmask.row_words(r);
-        let drow = data.row(r);
-        for j in 0..n_ref {
-            // tau: the loosest bound this candidate could still improve
-            // (max over the missing columns it observes). Full lists
-            // admit only strictly closer donors, so tau starts at 0.
-            let mut relevant = false;
-            let mut tau = 0.0f64;
-            for (slot, &c) in missing.iter().enumerate() {
-                if rmask.get(j, c) {
-                    relevant = true;
-                    let bound = if lists[slot].len() < k {
-                        f64::INFINITY
-                    } else {
-                        lists[slot][k - 1].0
-                    };
-                    if bound > tau {
-                        tau = bound;
-                    }
-                }
-            }
-            if !relevant {
+        let row_seen: usize = rw.iter().map(|w| w.count_ones() as usize).sum();
+
+        sums.fill(0.0);
+        for (c, &x) in data.row(r).iter().enumerate() {
+            if !x.is_finite() {
                 continue;
             }
-            let jw = rmask.row_words(j);
-            let seen: usize = rw
-                .iter()
-                .zip(jw)
-                .map(|(x, y)| (x & y).count_ones() as usize)
-                .sum();
+            for (sum, &y) in sums.iter_mut().zip(&by_col[c * n_ref..(c + 1) * n_ref]) {
+                let diff = x - y;
+                let sq = diff * diff;
+                // NaN (a missing reference cell) adds +0.0.
+                *sum += if sq > 0.0 { sq } else { 0.0 };
+            }
+        }
+
+        // The loosest bound of all lists while it is finite, else NaN,
+        // which no distance reaches.
+        let mut prune_at = f64::NAN;
+        for (j, &sum) in sums.iter().enumerate() {
+            let seen = match &rmask {
+                None => row_seen,
+                Some(m) => {
+                    let jw = m.row_words(j);
+                    // A row observing none of the missing columns can
+                    // donate nothing.
+                    if jw.iter().zip(rw).all(|(y, x)| y & !x == 0) {
+                        continue;
+                    }
+                    jw.iter()
+                        .zip(rw)
+                        .map(|(y, x)| (y & x).count_ones() as usize)
+                        .sum()
+                }
+            };
             if seen == 0 {
                 continue;
             }
-            let scale = d as f64 / seen as f64;
-            let jrow = reference.row(j);
-            // Partial distance over co-observed columns (ascending, the
-            // reference accumulation order), abandoning once the lower
-            // bound reaches tau.
-            let mut sum = 0.0;
-            let mut abandoned = false;
-            for (wi, (x, y)) in rw.iter().zip(jw).enumerate() {
-                let mut wbits = x & y;
-                if wbits == 0 {
-                    continue;
-                }
-                while wbits != 0 {
-                    let c = wi * 64 + wbits.trailing_zeros() as usize;
-                    let diff = drow[c] - jrow[c];
-                    sum += diff * diff;
-                    wbits &= wbits - 1;
-                }
-                // An infinite tau admits any distance (even an overflowed
-                // infinite one, which the reference path also keeps).
-                if tau.is_finite() && sum * scale >= tau {
-                    abandoned = true;
-                    break;
-                }
+            let dist = sum * scale[seen];
+            if dist >= prune_at {
+                pruned += 1;
+                continue;
             }
-            if abandoned {
+            let observes = |c: usize| rmask.as_ref().is_none_or(|m| m.get(j, c));
+            // tau: the loosest bound among the lists this candidate could
+            // join. An infinite tau admits any distance (even an
+            // overflowed infinite one, which the reference path also
+            // keeps).
+            let tau = lists
+                .iter()
+                .zip(&missing)
+                .filter(|&(_, &c)| observes(c))
+                .map(|(list, _)| bound(list))
+                .fold(0.0, loosest);
+            if tau.is_finite() && dist >= tau {
                 pruned += 1;
                 continue;
             }
             scanned += 1;
-            let dist = sum * scale;
-            for (slot, &c) in missing.iter().enumerate() {
-                if !rmask.get(j, c) {
+            for (list, &c) in lists.iter_mut().zip(&missing) {
+                if !observes(c) {
                     continue;
                 }
-                let list = &mut lists[slot];
                 if list.len() == k {
                     // Ties keep the earlier row (the stable sort's order):
                     // only a strictly closer donor displaces the k-th.
@@ -322,11 +361,15 @@ fn knn_impute_pruned(k: usize, data: &mut Matrix, reference: &Matrix) {
                 let pos = list.partition_point(|&(ld, _)| ld <= dist);
                 list.insert(pos, (dist, j));
             }
+            prune_at = lists.iter().map(bound).fold(0.0, loosest);
+            if !prune_at.is_finite() {
+                prune_at = f64::NAN;
+            }
         }
-        for (slot, &c) in missing.iter().enumerate() {
-            let list = &lists[slot];
+        // `cycle` hands the full path's one list to every missing column.
+        for (list, &c) in lists.iter().cycle().zip(&missing) {
             data[(r, c)] = if list.is_empty() {
-                fallback[c]
+                fallback.get_or_insert_with(|| nan_col_means(reference))[c]
             } else {
                 // Donor means accumulate in ascending (distance, row)
                 // order, exactly as the reference consumes its sort.
@@ -338,8 +381,7 @@ fn knn_impute_pruned(k: usize, data: &mut Matrix, reference: &Matrix) {
             };
         }
     }
-    KNN_CANDIDATES_PRUNED.add(pruned);
-    KNN_CANDIDATES_SCANNED.add(scanned);
+    (pruned, scanned)
 }
 
 /// Regression imputer: for each incomplete column, fits a ridge regression
@@ -427,6 +469,7 @@ impl Imputer for RegressionImputer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn with_holes() -> Matrix {
         Matrix::from_rows(&[
@@ -616,6 +659,133 @@ mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
+    /// The row-major kernel the pruned path replaced, kept as the oracle of
+    /// its `(pruned, scanned)` counts: per candidate, the co-observed
+    /// distance chain runs over the finiteness mask words and is abandoned
+    /// after the first word whose partial distance reaches a finite `tau`.
+    fn knn_impute_abandoning(k: usize, data: &mut Matrix, reference: &Matrix) -> (u64, u64) {
+        let fallback = nan_col_means(reference);
+        let n_ref = reference.rows();
+        let d = data.cols();
+        let dmask = FiniteMask::from_row_major(data.as_slice(), data.rows(), d);
+        let rmask = FiniteMask::from_row_major(reference.as_slice(), n_ref, d);
+
+        let mut missing: Vec<usize> = Vec::new();
+        // One bounded donor list per missing column, pooled across rows.
+        let mut lists: Vec<Vec<(f64, usize)>> = Vec::new();
+        let (mut pruned, mut scanned) = (0u64, 0u64);
+        for r in 0..data.rows() {
+            dmask.missing_in_row(r, &mut missing);
+            if missing.is_empty() {
+                continue;
+            }
+            while lists.len() < missing.len() {
+                lists.push(Vec::with_capacity(k + 1));
+            }
+            for list in lists[..missing.len()].iter_mut() {
+                list.clear();
+            }
+            let rw = dmask.row_words(r);
+            let drow = data.row(r);
+            for j in 0..n_ref {
+                // tau: the loosest bound this candidate could still improve
+                // (max over the missing columns it observes). Full lists
+                // admit only strictly closer donors, so tau starts at 0.
+                let mut relevant = false;
+                let mut tau = 0.0f64;
+                for (slot, &c) in missing.iter().enumerate() {
+                    if rmask.get(j, c) {
+                        relevant = true;
+                        let bound = if lists[slot].len() < k {
+                            f64::INFINITY
+                        } else {
+                            lists[slot][k - 1].0
+                        };
+                        if bound > tau {
+                            tau = bound;
+                        }
+                    }
+                }
+                if !relevant {
+                    continue;
+                }
+                let jw = rmask.row_words(j);
+                let seen: usize = rw
+                    .iter()
+                    .zip(jw)
+                    .map(|(x, y)| (x & y).count_ones() as usize)
+                    .sum();
+                if seen == 0 {
+                    continue;
+                }
+                let scale = d as f64 / seen as f64;
+                let jrow = reference.row(j);
+                // Partial distance over co-observed columns (ascending, the
+                // reference accumulation order), abandoning once the lower
+                // bound reaches tau.
+                let mut sum = 0.0;
+                let mut abandoned = false;
+                for (wi, (x, y)) in rw.iter().zip(jw).enumerate() {
+                    let mut wbits = x & y;
+                    if wbits == 0 {
+                        continue;
+                    }
+                    while wbits != 0 {
+                        let c = wi * 64 + wbits.trailing_zeros() as usize;
+                        let diff = drow[c] - jrow[c];
+                        sum += diff * diff;
+                        wbits &= wbits - 1;
+                    }
+                    // An infinite tau admits any distance (even an overflowed
+                    // infinite one, which the reference path also keeps).
+                    if tau.is_finite() && sum * scale >= tau {
+                        abandoned = true;
+                        break;
+                    }
+                }
+                if abandoned {
+                    pruned += 1;
+                    continue;
+                }
+                scanned += 1;
+                let dist = sum * scale;
+                for (slot, &c) in missing.iter().enumerate() {
+                    if !rmask.get(j, c) {
+                        continue;
+                    }
+                    let list = &mut lists[slot];
+                    if list.len() == k {
+                        // Ties keep the earlier row (the stable sort's order):
+                        // only a strictly closer donor displaces the k-th.
+                        if dist >= list[k - 1].0 {
+                            continue;
+                        }
+                        list.pop();
+                    }
+                    // Insert after all equal distances: this row index is the
+                    // largest seen so far, so (dist, j) sorts after ties.
+                    let pos = list.partition_point(|&(ld, _)| ld <= dist);
+                    list.insert(pos, (dist, j));
+                }
+            }
+            for (slot, &c) in missing.iter().enumerate() {
+                let list = &lists[slot];
+                data[(r, c)] = if list.is_empty() {
+                    fallback[c]
+                } else {
+                    // Donor means accumulate in ascending (distance, row)
+                    // order, exactly as the reference consumes its sort.
+                    let mut sum = 0.0;
+                    for &(_, j) in list {
+                        sum += reference[(j, c)];
+                    }
+                    sum / list.len() as f64
+                };
+            }
+        }
+        (pruned, scanned)
+    }
+
     #[test]
     fn pruned_knn_is_bit_identical_to_reference() {
         // The pruning-threshold equivalence regression: across dense,
@@ -664,6 +834,119 @@ mod tests {
         // First two tied rows win: mean(10, 20).
         assert_eq!(pruned[(0, 1)].to_bits(), 15.0f64.to_bits());
         assert_eq!(pruned[(0, 1)].to_bits(), brute[(0, 1)].to_bits());
+    }
+
+    /// SplitMix64: the cell source of the oracle proptest's matrices.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A matrix for the oracle proptest. An observed cell is a small
+    /// integer, `±0.0`, a value near `±1e200` (its squared difference with
+    /// most cells overflows to `inf`) or a plain real; with `ternary` it is
+    /// one of -1, 0 and 1 in seven cases of eight, so rows with different
+    /// co-observed counts often tie exactly. A missing cell is NaN or
+    /// `±inf`. A row repeats an earlier row with probability 1/4 (exact
+    /// ties), and misses every cell with probability `blank_pct`%.
+    fn oracle_matrix(
+        rows: usize,
+        cols: usize,
+        missing_pct: u64,
+        blank_pct: u64,
+        ternary: bool,
+        state: &mut u64,
+    ) -> Matrix {
+        let mut data: Vec<f64> = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            if r > 0 && splitmix(state).is_multiple_of(4) {
+                let src = (splitmix(state) % r as u64) as usize;
+                data.extend_from_within(src * cols..(src + 1) * cols);
+                continue;
+            }
+            let blank = splitmix(state) % 100 < blank_pct;
+            for _ in 0..cols {
+                let pick = splitmix(state);
+                let x = if blank || pick % 100 < missing_pct {
+                    [f64::NAN, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(pick >> 8) as usize % 4]
+                } else if ternary && !(pick >> 8).is_multiple_of(8) {
+                    ((pick >> 16) % 3) as f64 - 1.0
+                } else {
+                    match (pick >> 8) % 8 {
+                        0..=2 => ((pick >> 16) % 7) as f64 - 3.0,
+                        3 => -0.0,
+                        4 => [1e200, -1e200, 1.5e200, -1.5e200][(pick >> 16) as usize % 4],
+                        _ => ((pick >> 16) % 2000) as f64 / 100.0 - 10.0,
+                    }
+                };
+                data.push(x);
+            }
+        }
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The pruned kernel fills every cell with the bits of the
+        /// brute-force reference and of the row-major kernel it replaced,
+        /// and counts what that kernel counted, on both reference paths
+        /// (fully observed at 0% missing, masked otherwise), at one and
+        /// two mask words, and with `k` above the reference's row count.
+        #[test]
+        fn pruned_knn_matches_value_and_counter_oracles(
+            cols in 1usize..81,
+            ref_rows in 0usize..40,
+            ref_missing in prop_oneof![Just(0u64), Just(10), Just(60), Just(100)],
+            k in 1usize..7,
+            ternary in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed;
+            let reference = oracle_matrix(ref_rows, cols, ref_missing, 0, ternary, &mut state);
+            let data = oracle_matrix(6, cols, 35, 10, ternary, &mut state);
+            let mut fast = data.clone();
+            let mut brute = data.clone();
+            let mut abandoning = data.clone();
+            let counts = knn_impute_pruned(k, &mut fast, &reference);
+            knn_impute_reference(k, &mut brute, &reference);
+            let parent_counts = knn_impute_abandoning(k, &mut abandoning, &reference);
+            for (i, ((a, b), c)) in fast
+                .as_slice()
+                .iter()
+                .zip(brute.as_slice())
+                .zip(abandoning.as_slice())
+                .enumerate()
+            {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "cell {} of {}x{} k={}", i, ref_rows, cols, k);
+                prop_assert_eq!(a.to_bits(), c.to_bits(), "cell {} of {}x{} k={}", i, ref_rows, cols, k);
+            }
+            prop_assert_eq!(counts, parent_counts);
+        }
+    }
+
+    #[test]
+    fn reference_scales_distances_like_the_kernel() {
+        // d = 7. Row 0 shares one column (sum 9, 9 * 7 = 63); row 1
+        // shares five (sum 45). The kernel's 45 * (7 / 5) rounds to
+        // 62.99999999999999 and (45 * 7) / 5 to exactly 63: the reference
+        // has to scale the same way, or it keeps the tied row 0 where the
+        // kernel takes the strictly closer row 1.
+        let nan = f64::NAN;
+        let reference = Matrix::from_rows(&[
+            vec![3.0, nan, nan, nan, nan, nan, 100.0],
+            vec![3.0, 3.0, 3.0, 3.0, 3.0, nan, 200.0],
+        ]);
+        let data = Matrix::from_rows(&[vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, nan]]);
+        let mut pruned = data.clone();
+        let mut brute = data;
+        knn_impute_pruned(1, &mut pruned, &reference);
+        knn_impute_reference(1, &mut brute, &reference);
+        assert_eq!(pruned[(0, 6)], 200.0);
+        assert_eq!(brute[(0, 6)].to_bits(), pruned[(0, 6)].to_bits());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Process-wide memoization of [`generate`](crate::generate::generate).
+//! Process-wide memoization of [`generate`].
 //!
 //! Generation is deterministic per `(spec, seed)` — the generator seeds
 //! its RNG from exactly those two values — so the result can be shared

@@ -117,7 +117,7 @@ impl LeafTotals {
 
     /// True when at most one class has been observed. A pure leaf's
     /// split evaluation provably returns no gain (see
-    /// [`LeafStats::best_splits`]), so callers may skip it entirely.
+    /// `LeafStats::best_splits`), so callers may skip it entirely.
     #[inline]
     pub fn is_pure(&self) -> bool {
         self.present <= 1

@@ -402,7 +402,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Accepted by [`vec`] as either an exact length or a length range.
+    /// Accepted by [`vec()`] as either an exact length or a length range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
@@ -433,7 +433,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
